@@ -31,11 +31,11 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+from workloads import SETUP_REPEATS
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 WORKLOADS = ("paper-pipeline", "deep-band", "serve-verify")
-#: Set-up samples per run; setup_s is their median.
-SETUP_REPEATS = 3
 #: Hard limit on any one worker process (the whole run must end in 180 s).
 WORKER_TIMEOUT_S = 170
 WORK_DIR = ROOT / ".perfbench-work"
@@ -109,7 +109,7 @@ def run_worker(role: str, args, work: Path, trace: int = 0) -> dict:
     command = [sys.executable, str(HERE / "worker.py"), role,
                "--workload", args.workload, "--seed", str(args.seed),
                "--seconds", str(args.seconds), "--trace", str(trace),
-               "--setup-repeats", str(SETUP_REPEATS), "--work", str(work)]
+               "--work", str(work)]
     start = time.perf_counter()
     proc = subprocess.Popen(command, stdout=subprocess.PIPE, cwd=ROOT, env=worker_env(),
                             text=True, encoding="utf-8", start_new_session=True)
@@ -226,7 +226,14 @@ def run_once(args, spec: dict) -> dict:
 
 
 def smoke(spec: dict) -> int:
-    """Every workload, a few jobs, both modes: every metric with its unit."""
+    """Every workload, a few jobs, both modes: every metric with its unit.
+
+    A per-layer metric that reads 0 on a workload predictions.json says
+    it is measured on also fails: the span or counter behind it is no
+    longer recorded (an entry point bypassed or renamed, a counter key
+    misspelled), which would otherwise read as a plain 0.
+    """
+    mapped = json.loads((HERE / "predictions.json").read_text(encoding="utf-8"))["layers"]
     failures = []
     for workload in WORKLOADS:
         for trace in (0, 1):
@@ -235,16 +242,20 @@ def smoke(spec: dict) -> int:
             wanted = spec["per_layer" if trace else "end_to_end"]
             for entry in wanted:
                 got = report["metrics"].get(entry["name"])
+                value = None if got is None else got.get("value")
                 if (got is None or got.get("unit") != entry["unit"]
-                        or not isinstance(got.get("value"), (int, float))):
+                        or isinstance(value, bool) or not isinstance(value, (int, float))):
                     failures.append(f"{workload} trace={trace}: {entry['name']} missing")
             if set(report["metrics"]) != {entry["name"] for entry in wanted}:
                 failures.append(f"{workload} trace={trace}: unexpected metric names")
+            if trace:
+                for name, got in report["metrics"].items():
+                    if got["value"] == 0 and workload in mapped.get(name, {}).get("on", ()):
+                        failures.append(f"{workload} trace=1: {name} reads 0")
             if not report["correct"] or report["failed"]:
                 failures.append(f"{workload} trace={trace}: output checks failed")
             print(f"smoke {workload} trace={trace}: {len(report['metrics'])} metrics, "
                   f"{report['attempted']} jobs, correct={report['correct']}", flush=True)
-    mapped = json.loads((HERE / "predictions.json").read_text(encoding="utf-8"))["layers"]
     for entry in spec["per_layer"]:
         if entry["name"] not in mapped:
             failures.append(f"{entry['name']} has no entry in predictions.json")

@@ -39,6 +39,9 @@ SPAN_TARGETS = (
     ("verify.prepass", "repro.verify.batch:FrontierPrepass.resolve"),
     ("verify.resolve_survivors", "repro.verify.batch:resolve_survivors"),
     ("verify.collect", "repro.verify.enumerate:NoiseVectorCollector.collect"),
+    # Recorded only when called directly under core.extraction (P3's
+    # per-vector recheck).  P1's translation check in core.validate and the
+    # complete engines' witness rechecks stay in their caller's self time.
     ("verify.recheck", "repro.verify.encoder:ScaledQuery.predict_single"),
     ("verify.complete.exhaustive", "repro.verify.exhaustive:ExhaustiveEnumerator.verify"),
     ("verify.complete.session", "repro.verify.incremental:LadderSession.verify"),
@@ -89,10 +92,12 @@ class Tracer:
 
     @contextlib.contextmanager
     def span(self, name: str, job=None):
+        parent = self._current.get()
         record = [next(self._ids), name, time.perf_counter(), None,
-                  self._current.get(), job if job is not None else self._job.get()]
+                  None if parent is None else parent[0],
+                  job if job is not None else self._job.get()]
         self.spans.append(record)
-        token = self._current.set(record[0])
+        token = self._current.set(record)
         job_token = self._job.set(record[5]) if job is not None else None
         try:
             yield record
@@ -111,9 +116,14 @@ class Tracer:
     def _timed(self, name: str, original, remember: str | None):
         tracer = self
         sized = name == "verify.collect"
+        only_under = "core.extraction" if name == "verify.recheck" else None
 
         @functools.wraps(original)
         def wrapper(*args, **kwargs):
+            if only_under is not None:
+                parent = tracer._current.get()
+                if parent is None or parent[1] != only_under:
+                    return original(*args, **kwargs)
             if remember is not None and args:
                 tracer.seen[remember][id(args[0])] = args[0]
             with tracer.span(name):
@@ -150,6 +160,15 @@ class Tracer:
                 if value is original:
                     self.patch(module, name, replacement)
 
+    def wrap(self, name: str, target: str, remember: str | None = None) -> None:
+        """Time every call of ``target`` ("module:qualname") as span ``name``."""
+        owner, attr = resolve(target)
+        wrapper = self._timed(name, getattr(owner, attr), remember)
+        if isinstance(owner, type):
+            self.patch(owner, attr, wrapper)
+        else:
+            self._replace_function(owner, attr, wrapper)
+
     def install(self) -> None:
         """Wrap every entry point in SPAN_TARGETS and COUNT_TARGETS."""
         remember = {
@@ -157,13 +176,7 @@ class Tracer:
             "verify.complete.smt": "smt_verifiers",
         }
         for name, target in SPAN_TARGETS:
-            owner, attr = resolve(target)
-            original = getattr(owner, attr)
-            wrapper = self._timed(name, original, remember.get(name))
-            if isinstance(owner, type):
-                self.patch(owner, attr, wrapper)
-            else:
-                self._replace_function(owner, attr, wrapper)
+            self.wrap(name, target, remember.get(name))
         for name, target in COUNT_TARGETS:
             owner, attr = resolve(target)
             self._replace_function(owner, attr, self._counted(name, getattr(owner, attr)))

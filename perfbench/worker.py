@@ -30,7 +30,6 @@ import sys
 import tempfile
 import time
 from collections import Counter
-from http.client import HTTPConnection
 from pathlib import Path
 
 import checks
@@ -38,7 +37,7 @@ import workloads
 from tracing import Tracer, self_times, span_counts
 
 HERE = Path(__file__).resolve().parent
-#: Start-to-start interval between status polls of one serve request.
+#: Pause between status polls of one serve request (ServeClient.wait).
 POLL_INTERVAL_S = 0.001
 DAEMON_STOP_TIMEOUT_S = 10
 MAX_PROBLEMS_SHOWN = 5
@@ -236,53 +235,21 @@ class Daemon:
         self.proc.stdout.close()
 
 
-class Client:
-    """One closed-loop client: submit, poll until done, fetch the result."""
+def verify(client, network: dict, request: tuple):
+    """One closed-loop verify request through the program's ServeClient.
 
-    def __init__(self, port: int, network_path: Path, tracer=None):
-        self.port = port
-        self.network = {"kind": "file", "path": str(network_path)}
-        self.tracer = tracer
-        self.http_requests = 0
-
-    def call(self, method: str, path: str, body=None):
-        self.http_requests += 1
-        if self.tracer is not None:
-            with self.tracer.span("serve.http"):
-                return self._call(method, path, body)
-        return self._call(method, path, body)
-
-    def _call(self, method, path, body):
-        conn = HTTPConnection("127.0.0.1", self.port, timeout=120)
-        try:
-            data = None if body is None else json.dumps(body).encode("utf-8")
-            conn.request(method, path, body=data,
-                         headers={"Content-Type": "application/json"})
-            response = conn.getresponse()
-            blob = response.read()
-        finally:
-            conn.close()
-        if response.status >= 400:
-            raise RuntimeError(f"{method} {path}: HTTP {response.status} {blob[:200]!r}")
-        return json.loads(blob)
-
-    def verify(self, index: int, x: list[int], label: int, percent: int):
-        """Returns (latency submit->done seen, answer)."""
-        payload = {"kind": "verify", "network": self.network, "input": x,
-                   "true_label": label, "percent": percent, "index": index}
-        start = time.perf_counter()
-        job_id = self.call("POST", "/v1/jobs", payload)["id"]
-        while True:
-            poll = time.perf_counter()
-            state = self.call("GET", f"/v1/jobs/{job_id}")["state"]
-            if state == "done":
-                break
-            if state in ("error", "cancelled"):
-                raise RuntimeError(f"verify job {job_id} ended {state}")
-            time.sleep(max(0.0, poll + POLL_INTERVAL_S - time.perf_counter()))
-        latency = time.perf_counter() - start
-        answer = self.call("GET", f"/v1/jobs/{job_id}/result")["result"]
-        return latency, answer
+    Returns (latency from submission until a status poll sees done, answer).
+    """
+    index, x, label, percent = request
+    payload = {"kind": "verify", "network": network, "input": x,
+               "true_label": label, "percent": percent, "index": index}
+    start = time.perf_counter()
+    job_id = client.submit(payload)["id"]
+    final = client.wait(job_id, poll_s=POLL_INTERVAL_S)
+    latency = time.perf_counter() - start
+    if final["state"] != "done":
+        raise RuntimeError(f"verify job {job_id} ended {final['state']}")
+    return latency, client.result(job_id)
 
 
 def run_serve(args) -> None:
@@ -296,11 +263,14 @@ def run_serve(args) -> None:
 def _run_serve(args, work: Path) -> None:
     # Untimed preparation: the daemon serves a saved network file, so it
     # never runs mRMR itself.
+    from repro.errors import ReproError
     from repro.nn import save_network
+    from repro.serve.client import ServeClient
 
     state = workloads.setup_paper()
     network_path = work / "network.json"
     save_network(state["network"], network_path)
+    network = {"kind": "file", "path": str(network_path)}
     net = checks.IntegerNetwork(state["quantized"])
     features = [[int(v) for v in row] for row in state["case_study"].test.features]
     requests = workloads.serve_requests(net, features, args.seed, args.seconds)
@@ -313,14 +283,14 @@ def _run_serve(args, work: Path) -> None:
         start = time.perf_counter()
         daemon = Daemon(argv, work / f"cache-{next(serial)}")
         try:
-            Client(daemon.port, network_path).verify(*first_request)
+            verify(ServeClient(f"127.0.0.1:{daemon.port}"), network, first_request)
         except BaseException:
             daemon.stop()
             raise
         return daemon, time.perf_counter() - start
 
     def closed_loop(daemon, tracer=None):
-        client = Client(daemon.port, network_path, tracer)
+        client = ServeClient(f"127.0.0.1:{daemon.port}")
         answers, latencies = [], []
         gc.collect()
         begin = time.perf_counter()
@@ -328,31 +298,33 @@ def _run_serve(args, work: Path) -> None:
             try:
                 if tracer is not None:
                     with tracer.span("job", job=k):
-                        latency, answer = client.verify(*request)
+                        latency, answer = verify(client, network, request)
                 else:
-                    latency, answer = client.verify(*request)
-            except (OSError, RuntimeError, ValueError) as err:
+                    latency, answer = verify(client, network, request)
+            except (ReproError, RuntimeError) as err:
                 answers.append({"status": f"request failed: {err!r}"})
                 continue  # a failed request counts as failed, not as a latency
             latencies.append(latency)
             answers.append(answer)
         wall = time.perf_counter() - begin
-        return answers, latencies, wall, client.http_requests
+        return answers, latencies, wall
 
     payload = {}
     if args.trace:
         daemon, _ = launch(plain)
         try:
-            _, _, untraced_wall, _ = closed_loop(daemon)
+            _, _, untraced_wall = closed_loop(daemon)
         finally:
             daemon.stop()
         spans_path = work / "daemon-spans.json"
         tracer = Tracer()
         daemon, _ = launch([sys.executable, str(HERE / "serve_launcher.py"),
                             "--spans", str(spans_path), "--"])
+        tracer.wrap("serve.http", "repro.serve.client:ServeClient.request")
         try:
-            answers, latencies, wall, http_requests = closed_loop(daemon, tracer)
+            answers, latencies, wall = closed_loop(daemon, tracer)
         finally:
+            tracer.uninstall()
             daemon.stop()
         recorded = json.loads(spans_path.read_text(encoding="utf-8"))
         tracer.counters.update(recorded["counters"])
@@ -360,17 +332,17 @@ def _run_serve(args, work: Path) -> None:
         payload["layers"]["coverage_pct"] = job_coverage(tracer.spans, recorded["spans"])
         payload["layers"]["overhead_pct"] = 100.0 * (1 - untraced_wall / wall)
         payload["layers"]["counters"]["serve.http.requests_per_job"] = (
-            http_requests / len(requests))
+            span_counts(tracer.spans)["serve.http"] / len(requests))
     else:
         setup_samples = []
-        for _ in range(args.setup_repeats - 1):
+        for _ in range(workloads.SETUP_REPEATS - 1):
             daemon, seconds = launch(plain)
             daemon.stop()
             setup_samples.append(seconds)
         daemon, seconds = launch(plain)
         setup_samples.append(seconds)
         try:
-            answers, latencies, wall, _ = closed_loop(daemon)
+            answers, latencies, wall = closed_loop(daemon)
             payload["peak_rss_mb"] = peak_rss_mb(daemon.proc.pid)
         finally:
             daemon.stop()
@@ -391,11 +363,10 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("role", choices=("warm", "setup", "run"))
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=20)
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--setup-repeats", type=int, default=3)
-    parser.add_argument("--work", default=None, help="scratch directory")
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--trace", type=int, choices=(0, 1), required=True)
+    parser.add_argument("--work", required=True, help="scratch directory")
     args = parser.parse_args()
     # A process started in the background inherits SIGINT as ignored, and
     # a Python child that inherits it never installs KeyboardInterrupt: the

@@ -14,6 +14,9 @@ import random
 
 import checks
 
+#: Set-up samples per run; setup_s is their median.
+SETUP_REPEATS = 3
+
 #: Nominal job rates used to size the fixed job lists from ``--seconds``.
 PAPER_SECONDS_PER_JOB = 2.2
 DEEP_JOBS_PER_SECOND = 1.7
