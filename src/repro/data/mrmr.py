@@ -17,33 +17,44 @@ import numpy as np
 from ..errors import DataError
 
 
-def mutual_information(a: np.ndarray, b: np.ndarray) -> float:
-    """Mutual information I(a; b) in bits between two discrete vectors."""
+def mutual_information(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """Mutual information I(a; b) in bits between discrete variables.
+
+    ``b`` is a 1-D vector.  A 1-D ``a`` gives a float; a 2-D ``a`` gives
+    I(a[:, j]; b) for every column ``j`` at once, each with the same bits
+    as the 1-D call on that column.  One contingency table of
+    columns × distinct a-values × distinct b-values cells covers every
+    column (so ``a`` should be discretised), and each column's per-cell
+    terms are added in a fixed (a-value, b-value) order: a column's value
+    does not depend on its neighbours, and exact ties stay exact ties.
+    """
     a = np.asarray(a)
     b = np.asarray(b)
-    if a.shape != b.shape or a.ndim != 1:
-        raise DataError("mutual_information expects two equal-length 1-D vectors")
-    n = a.shape[0]
-    if n == 0:
-        raise DataError("mutual_information of empty vectors is undefined")
+    if a.ndim not in (1, 2) or b.ndim != 1:
+        raise DataError("mutual_information expects a 1-D or 2-D a and a 1-D b")
+    if a.shape[0] != b.shape[0]:
+        raise DataError("mutual_information expects a and b with equal row counts")
+    if a.size == 0:
+        raise DataError("mutual_information of empty input is undefined")
 
-    a_values, a_codes = np.unique(a, return_inverse=True)
+    columns = a.reshape(a.shape[0], -1)
+    n, m = columns.shape
+    a_values, a_codes = np.unique(columns, return_inverse=True)
     b_values, b_codes = np.unique(b, return_inverse=True)
-    joint = np.zeros((a_values.size, b_values.size))
-    np.add.at(joint, (a_codes, b_codes), 1.0)
-    joint /= n
-    pa = joint.sum(axis=1, keepdims=True)
-    pb = joint.sum(axis=0, keepdims=True)
-    mask = joint > 0
-    ratio = np.where(mask, joint / (pa @ pb), 1.0)
-    return float((joint[mask] * np.log2(ratio[mask])).sum())
+    ka, kb = a_values.size, b_values.size
+    cell = np.arange(m) * (ka * kb) + a_codes.reshape(n, m) * kb + b_codes[:, None]
+    counts = np.bincount(cell.ravel(), minlength=m * ka * kb).reshape(m, ka, kb)
 
-
-def _relevance(levels: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """I(feature; label) for every column of ``levels``."""
-    return np.array(
-        [mutual_information(levels[:, j], labels) for j in range(levels.shape[1])]
-    )
+    # Every sum runs strictly in index order (a running sum, not np.sum's
+    # pairwise tree), so the cells of a-values absent from a column add
+    # exact zeros and leave its bits as in the 1-D call.
+    joint = counts / n
+    pa = np.cumsum(joint, axis=2)[:, :, -1:]
+    pb = np.cumsum(joint, axis=1)[:, -1:, :]
+    ratio = np.divide(joint, pa * pb, out=np.ones_like(joint), where=counts > 0)
+    terms = (joint * np.log2(ratio)).reshape(m, ka * kb)
+    total = np.cumsum(terms, axis=1)[:, -1]
+    return float(total[0]) if a.ndim == 1 else total
 
 
 def mrmr_select(
@@ -69,21 +80,14 @@ def mrmr_select(
     if scheme not in ("mid", "miq"):
         raise DataError("scheme must be 'mid' or 'miq'")
 
-    relevance = _relevance(levels, labels)
+    relevance = mutual_information(levels, labels)
     selected: list[int] = [int(np.argmax(relevance))]
     # Cache of I(candidate; already-selected) values, one row per selected.
     redundancy_rows: list[np.ndarray] = []
 
     while len(selected) < k:
         last = selected[-1]
-        redundancy_rows.append(
-            np.array(
-                [
-                    mutual_information(levels[:, j], levels[:, last])
-                    for j in range(levels.shape[1])
-                ]
-            )
-        )
+        redundancy_rows.append(mutual_information(levels, levels[:, last]))
         mean_redundancy = np.mean(redundancy_rows, axis=0)
         if scheme == "mid":
             score = relevance - mean_redundancy

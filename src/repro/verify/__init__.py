@@ -17,7 +17,8 @@ Engines, ordered by the guarantees they offer:
   rational simplex with integer branch & bound (Reluplex-style).
 - :class:`MilpVerifier` — complete in practice: big-M MILP with scipy
   (HiGHS) LP relaxations, float-tolerant pruning, and exact recheck of
-  every candidate model.
+  every candidate model.  scipy is imported only when it runs, so no
+  other engine, the CLI or the daemon pays its load time.
 - :class:`PortfolioVerifier` — interval ⇒ falsifiers ⇒ complete engine,
   with the incomplete-stage order chosen per workload from an
   :class:`EngineStats` decide-rate/wall-time table; the default used by

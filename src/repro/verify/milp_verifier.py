@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from ..config import VerifierConfig
 from ..errors import BudgetExceededError
@@ -248,6 +247,10 @@ class MilpVerifier:
     # -- branch & bound -------------------------------------------------------------
 
     def _verify_against(self, query: ScaledQuery, adversary: int):
+        # Imported on first use: loading scipy.optimize takes about half a
+        # second, and no other engine needs it.
+        from scipy.optimize import linprog
+
         model = self._build(query, adversary)
         index = model["index"]
         stack = [_Node(())]

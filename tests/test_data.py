@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import FannetConfig
 from repro.data import (
@@ -96,10 +100,109 @@ class TestMutualInformation:
         assert mutual_information(a, b) == pytest.approx(mutual_information(b, a))
 
     def test_validation(self):
-        with pytest.raises(DataError):
-            mutual_information(np.array([1, 2]), np.array([1]))
-        with pytest.raises(DataError):
-            mutual_information(np.array([]), np.array([]))
+        for a in (np.array([1, 2]), np.array([[1, 0], [2, 0]])):  # 1-D and matrix form
+            with pytest.raises(DataError):  # row-count mismatch
+                mutual_information(a, np.array([1]))
+            with pytest.raises(DataError):  # 2-D b
+                mutual_information(a, np.array([[1], [2]]))
+            with pytest.raises(DataError):  # empty input
+                mutual_information(a[:0], np.array([], dtype=int))
+            with pytest.raises(DataError):  # 3-D a
+                mutual_information(a.reshape(2, -1, 1), np.array([1, 2]))
+        with pytest.raises(DataError):  # no columns
+            mutual_information(np.zeros((2, 0)), np.array([1, 2]))
+
+    def test_matrix_form_scores_every_column(self):
+        b = np.array([0, 0, 1, 1])
+        a = np.array([[0, 0, 7], [0, 1, 7], [1, 0, 7], [1, 1, 7]])
+        assert mutual_information(a, b).tolist() == [1.0, 0.0, 0.0]
+        assert isinstance(mutual_information(a[:, 0], b), float)
+
+
+@st.composite
+def discretised_problems(draw):
+    """A 3-level matrix and a 2- or 3-class vector ``b`` with equal rows.
+
+    Columns are drawn to stress the contingency table: constant columns,
+    columns missing a level, duplicates of earlier columns (exact ties
+    for mRMR) and free columns.
+    """
+    n = draw(st.integers(2, 24))
+    classes = draw(st.sampled_from([2, 3]))
+    b = np.array(draw(st.lists(st.integers(0, classes - 1), min_size=n, max_size=n)))
+    columns: list[np.ndarray] = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["free", "constant", "missing-level", "duplicate"]))
+        if kind == "duplicate" and columns:
+            columns.append(columns[draw(st.integers(0, len(columns) - 1))])
+        elif kind == "constant":
+            columns.append(np.full(n, draw(st.integers(0, 2))))
+        else:
+            values = [0, 2] if kind == "missing-level" else [0, 1, 2]
+            drawn = draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+            columns.append(np.array(drawn))
+    return np.stack(columns, axis=1).astype(np.int8), b
+
+
+def oracle_mutual_information(a, b) -> float:
+    """I(a; b) in bits from pure-Python counts, independent of numpy."""
+    a, b = a.tolist(), b.tolist()
+    n = len(a)
+    count_a, count_b = Counter(a), Counter(b)
+    return sum(
+        c / n * math.log2(c * n / (count_a[x] * count_b[y]))
+        for (x, y), c in Counter(zip(a, b)).items()
+    )
+
+
+def loop_mrmr_select(levels, labels, k, scheme):
+    """Incremental mRMR as a plain loop over 1-D ``mutual_information`` calls.
+
+    ``max`` returns the first of equal scores, so ties break toward the
+    lower column.
+    """
+    m = levels.shape[1]
+    relevance = [mutual_information(levels[:, j], labels) for j in range(m)]
+    selected = [max(range(m), key=lambda j: relevance[j])]
+    rows: list[list[float]] = []
+    while len(selected) < k:
+        last = selected[-1]
+        rows.append([mutual_information(levels[:, j], levels[:, last]) for j in range(m)])
+
+        def score(j):
+            mean = sum(row[j] for row in rows) / len(rows)
+            if scheme == "mid":
+                return relevance[j] - mean
+            return relevance[j] / (mean + 1e-12)
+
+        selected.append(max((j for j in range(m) if j not in selected), key=score))
+    return selected
+
+
+class TestMutualInformationProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(discretised_problems())
+    def test_matrix_call_equals_column_calls_bit_for_bit(self, problem):
+        levels, b = problem
+        columns = [mutual_information(levels[:, j], b) for j in range(levels.shape[1])]
+        assert mutual_information(levels, b).tobytes() == np.array(columns).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(discretised_problems())
+    def test_matches_pure_python_oracle(self, problem):
+        levels, b = problem
+        values = mutual_information(levels, b)
+        for j in range(levels.shape[1]):
+            assert abs(values[j] - oracle_mutual_information(levels[:, j], b)) <= 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(discretised_problems(), st.sampled_from(["mid", "miq"]), st.data())
+    def test_mrmr_equals_loop_reference(self, problem, scheme, data):
+        levels, labels = problem
+        k = data.draw(st.integers(1, levels.shape[1]))
+        assert mrmr_select(levels, labels, k, scheme) == loop_mrmr_select(
+            levels, labels, k, scheme
+        )
 
 
 class TestMrmr:
@@ -170,6 +273,15 @@ class TestCaseStudyLoader:
         assert len(case_study.selected_genes) == 5
         assert case_study.train.features.min() >= 1
         assert case_study.train.features.max() <= 50
+
+    @pytest.mark.parametrize(
+        "scheme, genes",
+        [("mid", [1868, 1996, 891, 1773, 532]), ("miq", [1868, 9, 3801, 4430, 4218])],
+    )
+    def test_default_case_study_genes(self, scheme, genes):
+        """The default case study's five genes, pinned: a drift in mRMR's
+        arithmetic or tie-break changes them."""
+        assert load_leukemia_case_study(mrmr_scheme=scheme).selected_genes == genes
 
     def test_no_test_leakage_in_selection(self):
         """Feature selection must depend on training data only."""

@@ -6,12 +6,17 @@ MILP) agree with exhaustive enumeration — the exact ground truth.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.config import NoiseConfig, VerifierConfig
 from repro.errors import BudgetExceededError, VerificationError
 from repro.nn.quantize import QuantizedLayer, QuantizedNetwork
@@ -239,6 +244,20 @@ class TestCompleteEnginesAgainstGroundTruth:
         assert result.status == truth.status
         if result.is_vulnerable:
             assert query.misclassified(result.witness)
+
+    def test_scipy_is_not_imported_until_milp_runs(self):
+        """The CLI and the daemon load no scipy: only MilpVerifier needs it,
+        and imports it on first use (exercised by the test above)."""
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        code = (
+            "import sys, repro.cli, repro.serve; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert result.stdout.strip() == "[]"
 
     @given(random_tiny_network_query())
     @settings(max_examples=40, deadline=None)
