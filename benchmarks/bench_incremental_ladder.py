@@ -43,6 +43,9 @@ CEILING = 100
 #: The CI gate: warm sessions must at least halve the pivot bill.
 REQUIRED_RATIO = 2.0
 
+#: (from-scratch pivots, warm pivots, complete calls) on this substrate.
+EXACT_BILL = (10968, 4802, 124)
+
 
 def boundary_band(network, dataset):
     """The sweep's boundary band: probes no incomplete stage decides."""
@@ -139,3 +142,5 @@ def test_incremental_ladder_halves_the_pivot_bill(case_study):
         f"incremental sessions saved only {ratio:.2f}x pivots "
         f"(< {REQUIRED_RATIO}x): {warm_pivots} vs {cold_pivots}"
     )
+    # The exact bill: tableau arithmetic may get cheaper, never move a pivot.
+    assert (cold_pivots, warm_pivots, warm_calls) == EXACT_BILL

@@ -118,16 +118,11 @@ class VerifierConfig(_FromMapping):
     """Budgets and tolerances shared by the verification engines."""
 
     node_budget: int = 2_000_000
-    time_budget_s: float = 600.0
-    lp_feasibility_tol: float = 1e-9
-    exact_recheck: bool = True
     seed: int = 0
 
     def __post_init__(self):
         if self.node_budget <= 0:
             raise ConfigError("node_budget must be positive")
-        if self.time_budget_s <= 0:
-            raise ConfigError("time_budget_s must be positive")
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,13 @@ The Dutertre–de Moura "general simplex" (the algorithm inside Yices,
 Z3 and MathSAT theory cores): variables carry optional lower/upper
 bounds, tableau rows define *basic* variables as linear combinations of
 *non-basic* ones, and feasibility is restored by Bland-rule pivoting —
-guaranteed to terminate.  All arithmetic is :class:`fractions.Fraction`,
-so a SAT/UNSAT verdict is a theorem about the model, not a float guess.
+guaranteed to terminate.  The tableau is fraction-free: each row holds
+Python-int coefficients over one positive row denominator, kept in lowest
+terms, so a pivot costs integer multiply-adds and one gcd per row instead
+of a gcd per coefficient.  Values and bounds stay exact
+:class:`fractions.Fraction` numbers, so Bland's rule compares the same
+numbers and a SAT/UNSAT verdict is a theorem about the model, not a
+float guess.
 
 Supports ``push`` / ``pop`` of bound assertions, which is what both the
 lazy DPLL(T) loop and the ReLU phase-splitting verifier need, and returns
@@ -18,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping
 
 from ..errors import SmtError
@@ -58,9 +64,10 @@ class Simplex:
         self._upper: list[Fraction | None] = []
         # Which asserted bound produced the current lower/upper (for cores).
         self._value: list[Fraction] = []
-        # rows: basic var -> {nonbasic var: coeff}
-        self._rows: dict[int, dict[int, Fraction]] = {}
-        self._basic_of: dict[int, int] = {}  # var -> var (identity for basics)
+        # rows: basic var -> {nonbasic var: int coeff}, over _den[basic] > 0
+        # with gcd(den, *coeffs) == 1 and no zero coefficients.
+        self._rows: dict[int, dict[int, int]] = {}
+        self._den: dict[int, int] = {}
         # columns: nonbasic var -> set of basic vars whose row mentions it
         self._cols: dict[int, set[int]] = {}
         self._trail: list[tuple[int, BoundKind, Fraction | None]] = []
@@ -93,13 +100,20 @@ class Simplex:
             if coeff == 0:
                 continue
             if var in self._rows:
+                den = self._den[var]
                 for inner, inner_coeff in self._rows[var].items():
-                    expansion[inner] = expansion.get(inner, Fraction(0)) + coeff * inner_coeff
+                    term = coeff * Fraction(inner_coeff, den)
+                    expansion[inner] = expansion.get(inner, Fraction(0)) + term
             else:
                 expansion[var] = expansion.get(var, Fraction(0)) + coeff
         expansion = {v: c for v, c in expansion.items() if c != 0}
         slack = self.new_var()
-        self._rows[slack] = expansion
+        # Over the lcm of its reduced denominators the row is in lowest terms.
+        den = lcm(*(c.denominator for c in expansion.values()))
+        self._rows[slack] = {
+            v: c.numerator * (den // c.denominator) for v, c in expansion.items()
+        }
+        self._den[slack] = den
         for var in expansion:
             self._cols[var].add(slack)
         self._value[slack] = sum(
@@ -172,59 +186,90 @@ class Simplex:
         delta = new_value - self._value[var]
         if delta == 0:
             return
+        num, den = delta.numerator, delta.denominator
+        rows, row_den, value = self._rows, self._den, self._value
         for basic in self._cols.get(var, ()):
-            self._value[basic] += self._rows[basic][var] * delta
-        self._value[var] = new_value
+            value[basic] += Fraction(rows[basic][var] * num, row_den[basic] * den)
+        value[var] = new_value
 
     # -- pivoting -------------------------------------------------------------------------
 
     def _pivot(self, basic: int, nonbasic: int) -> None:
         """Swap roles: ``nonbasic`` becomes basic, ``basic`` becomes non-basic."""
-        row = self._rows.pop(basic)
+        rows, row_den, cols = self._rows, self._den, self._cols
+        row = rows.pop(basic)
+        den = row_den.pop(basic)
         coeff = row.pop(nonbasic)
         for var in row:
-            self._cols[var].discard(basic)
-        self._cols[nonbasic].discard(basic)
+            cols[var].discard(basic)
+        cols[nonbasic].discard(basic)
 
-        # nonbasic = (basic - Σ others) / coeff
-        new_row: dict[int, Fraction] = {basic: Fraction(1) / coeff}
-        for var, c in row.items():
-            new_row[var] = -c / coeff
-        self._rows[nonbasic] = new_row
-        self._cols.setdefault(basic, set()).add(nonbasic)
+        # nonbasic = (den·basic − Σ c·var) / coeff.  gcd(den, *row) == 1, so
+        # the solved row is already in lowest terms; only the sign moves
+        # onto the denominator.
+        if coeff > 0:
+            new_row = {var: -c for var, c in row.items()}
+            new_row[basic] = den
+            new_den = coeff
+        else:
+            new_row = dict(row)
+            new_row[basic] = -den
+            new_den = -coeff
+        rows[nonbasic] = new_row
+        row_den[nonbasic] = new_den
+        cols.setdefault(basic, set()).add(nonbasic)
         for var in row:
-            self._cols[var].add(nonbasic)
+            cols[var].add(nonbasic)
 
-        # Substitute into every other row that mentions `nonbasic`.
-        for other in list(self._cols[nonbasic]):
+        # Substitute into every other row that mentions `nonbasic`:
+        # other = (rest + factor·nonbasic) / d over nonbasic = new_row / new_den
+        # is ((new_den/g)·rest + (factor/g)·new_row) / (d·new_den/g).
+        for other in list(cols[nonbasic]):
             if other == nonbasic:
                 continue
-            other_row = self._rows[other]
+            other_row = rows[other]
             factor = other_row.pop(nonbasic, None)
             if factor is None:
-                self._cols[nonbasic].discard(other)
+                cols[nonbasic].discard(other)
                 continue
+            g = gcd(factor, new_den)
+            scale, factor = new_den // g, factor // g
+            if scale != 1:
+                for var, c in other_row.items():
+                    other_row[var] = c * scale
             for var, c in new_row.items():
-                updated = other_row.get(var, Fraction(0)) + factor * c
-                if updated == 0:
-                    if var in other_row:
-                        del other_row[var]
-                    self._cols[var].discard(other)
+                current = other_row.get(var)
+                if current is None:
+                    other_row[var] = factor * c
+                    cols[var].add(other)
                 else:
-                    other_row[var] = updated
-                    self._cols[var].add(other)
+                    updated = current + factor * c
+                    if updated:
+                        other_row[var] = updated
+                    else:
+                        del other_row[var]
+                        cols[var].discard(other)
+            other_den = row_den[other] * scale
+            g = gcd(other_den, *other_row.values())
+            if g != 1:
+                for var, c in other_row.items():
+                    other_row[var] = c // g
+                other_den //= g
+            row_den[other] = other_den
         # Every remaining mention of `nonbasic` was substituted away.
-        self._cols[nonbasic] = set()
+        cols[nonbasic] = set()
         self.total_pivots += 1
 
     def _pivot_and_update(self, basic: int, nonbasic: int, target: Fraction) -> None:
-        coeff = self._rows[basic][nonbasic]
-        theta = (target - self._value[basic]) / coeff
-        self._value[basic] = target
-        self._value[nonbasic] += theta
+        rows, row_den, value = self._rows, self._den, self._value
+        # The entering coefficient is rows[basic][nonbasic] / row_den[basic].
+        theta = (target - value[basic]) * Fraction(row_den[basic], rows[basic][nonbasic])
+        num, den = theta.numerator, theta.denominator
+        value[basic] = target
+        value[nonbasic] += theta
         for other in self._cols[nonbasic]:
             if other != basic:
-                self._value[other] += self._rows[other][nonbasic] * theta
+                value[other] += Fraction(rows[other][nonbasic] * num, row_den[other] * den)
         self._pivot(basic, nonbasic)
 
     # -- feasibility -----------------------------------------------------------------------

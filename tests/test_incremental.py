@@ -199,6 +199,25 @@ class TestPortfolioParity:
 
         assert run(True) == run(False)
 
+    def test_deep_ladder_pivot_bill_is_pinned(self):
+        """Tableau arithmetic must never move a pivot: this 5-12-12-2
+        ladder (integer weights, no training) crosses its boundary at 9 %
+        in exactly the pivots the dict-of-Fraction tableau took."""
+        rng = np.random.default_rng(5)
+        weight = lambda: int(rng.integers(-2000, 2001))  # noqa: E731
+        network = make_network([(5, 12), (12, 12), (12, 2)], weight)
+        x = np.array([int(v) for v in rng.integers(1, 31, 5)])
+        label = network.predict(x)
+        verifier = PortfolioVerifier(exhaustive_cutoff=0, incremental=True)
+        statuses = [
+            verifier.verify_complete(
+                build_query(network, x, label, NoiseConfig(percent))
+            ).status.value
+            for percent in range(6, 11)
+        ]
+        assert statuses == ["robust"] * 3 + ["vulnerable"] * 2
+        assert verifier.complete_pivots() == 588
+
 
 # -- 3. runtime plumbing -----------------------------------------------------------
 
