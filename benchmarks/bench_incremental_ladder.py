@@ -1,12 +1,13 @@
 """Incremental ladder sessions — warm vs from-scratch complete engines.
 
-The claim under test (PR 10): on the boundary band of the Fig.-4
-tolerance sweep — the probes every incomplete stage passes on — routing
-each input's bisection through one warm
+The claim under test: on the boundary band of the Fig.-4 tolerance
+sweep — the probes every incomplete stage passes on — routing each
+input's bisection through the portfolio's warm
 :class:`~repro.verify.incremental.LadderSession` (encode once, assume
 the rung's noise budget, keep learned clauses and the simplex basis
 alive) costs **≤ half the simplex pivots** of re-encoding every probe
-from scratch, with **byte-identical verdicts and witnesses**.
+from scratch with :class:`~repro.verify.smt_verifier.SmtVerifier`
+called directly, with **byte-identical verdicts and witnesses**.
 
 Pivots are the gate, not wall-clock: the exact Dutertre–de Moura
 simplex counts them deterministically, so the ratio is reproducible on
@@ -33,6 +34,7 @@ from repro.verify import (
     FrontierPrepass,
     FrontierProbe,
     PortfolioVerifier,
+    SmtVerifier,
     build_query,
     resolve_survivors,
 )
@@ -66,25 +68,35 @@ def boundary_band(network, dataset):
     return FrontierPrepass().resolve(probes).unknown
 
 
-def dispatch(survivors, incremental: bool):
-    """Bisect the band through per-input portfolios, SMT path forced."""
-    verifiers: dict[int, PortfolioVerifier] = {}
+def warm_arm(config):
+    """(verify, pivots) of one input's portfolio, sessions forced."""
+    portfolio = PortfolioVerifier(config, exhaustive_cutoff=0)
+    return portfolio.verify_complete, portfolio.complete_pivots
+
+
+def scratch_arm(config):
+    """(verify, pivots) of one input's from-scratch engine."""
+    engine = SmtVerifier(config)
+    return engine.verify, lambda: engine.total_pivots
+
+
+def dispatch(survivors, arm):
+    """Bisect the band through one ``arm`` engine per input."""
+    engines: dict[int, tuple] = {}
+    calls = 0
 
     def complete_fn(probe):
-        verifier = verifiers.get(probe.group)
-        if verifier is None:
-            verifier = verifiers[probe.group] = PortfolioVerifier(
-                VerifierConfig(seed=derive_seed(0, probe.group)),
-                exhaustive_cutoff=0,  # every probe reaches session/smt
-                incremental=incremental,
-            )
-        return verifier.verify_complete(probe.query)
+        nonlocal calls
+        if probe.group not in engines:
+            engines[probe.group] = arm(VerifierConfig(seed=derive_seed(0, probe.group)))
+        verify, _ = engines[probe.group]
+        calls += 1
+        return verify(probe.query)
 
     start = time.perf_counter()
     exact, derived = resolve_survivors(survivors, complete_fn)
     wall = time.perf_counter() - start
-    pivots = sum(v.complete_pivots() for v in verifiers.values())
-    calls = sum(v.engine_stats.complete_calls() for v in verifiers.values())
+    pivots = sum(pivots_of() for _, pivots_of in engines.values())
     return exact, derived, pivots, calls, wall
 
 
@@ -102,10 +114,10 @@ def test_incremental_ladder_halves_the_pivot_bill(case_study):
     assert survivors, "deep substrate no longer has a boundary band"
 
     warm_exact, warm_derived, warm_pivots, warm_calls, warm_wall = dispatch(
-        survivors, incremental=True
+        survivors, warm_arm
     )
     cold_exact, cold_derived, cold_pivots, cold_calls, cold_wall = dispatch(
-        survivors, incremental=False
+        survivors, scratch_arm
     )
 
     ratio = cold_pivots / max(1, warm_pivots)

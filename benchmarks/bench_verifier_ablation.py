@@ -2,8 +2,8 @@
 
 Runs every engine on the same (input, noise-range) queries:
 interval (sound/incomplete), falsifiers (complete for SAT only),
-exhaustive enumeration (exact), SMT phase splitting (exact) and MILP
-big-M (float).  Complete engines must agree; the bench records their
+exhaustive enumeration (exact), SMT phase splitting (exact) and the
+portfolio.  Complete engines must agree; the bench records their
 relative cost — the trade-off the paper's §III-B discusses.
 """
 
@@ -17,7 +17,6 @@ from repro.verify import (
     CornerFalsifier,
     ExhaustiveEnumerator,
     IntervalVerifier,
-    MilpVerifier,
     PortfolioVerifier,
     RandomFalsifier,
     SmtVerifier,
@@ -31,7 +30,6 @@ ENGINES = {
     "random": RandomFalsifier,
     "exhaustive": ExhaustiveEnumerator,
     "smt": SmtVerifier,
-    "milp": MilpVerifier,
     "portfolio": PortfolioVerifier,
 }
 
@@ -45,7 +43,7 @@ def test_robust_query_engines(benchmark, quantized, case_study, engine_name):
     engine = ENGINES[engine_name]()
 
     result = benchmark(lambda: engine.verify(query))
-    if engine_name in ("interval", "exhaustive", "smt", "milp", "portfolio"):
+    if engine_name in ("interval", "exhaustive", "smt", "portfolio"):
         assert result.status is VerificationStatus.ROBUST
     else:
         assert result.status is not VerificationStatus.ROBUST  # falsifiers abstain

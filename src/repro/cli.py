@@ -85,15 +85,6 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
         "prepass (a memory knob; results do not depend on it)",
     )
     parser.add_argument(
-        "--incremental",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="reuse warm per-input ladder sessions for SMT-sized complete "
-        "queries: encode once, assume each rung's noise budget, keep learned "
-        "clauses across the ladder (--no-incremental re-solves every rung "
-        "from scratch; reports are byte-identical either way)",
-    )
-    parser.add_argument(
         "--max-cache-bytes",
         type=int,
         default=None,
@@ -112,7 +103,6 @@ def _runtime_config(args) -> RuntimeConfig:
         persist=not args.no_persist,
         frontier=args.frontier,
         batch_size=args.batch_size,
-        incremental=args.incremental,
         max_cache_bytes=args.max_cache_bytes,
     )
 
@@ -328,11 +318,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--frontier", action=argparse.BooleanOptionalAction, default=True,
         help="frontier-batched bulk prepass inside each runner "
         "(results are bit-identical either way)",
-    )
-    serve.add_argument(
-        "--incremental", action=argparse.BooleanOptionalAction, default=True,
-        help="warm per-input ladder sessions for SMT-sized complete queries "
-        "(results are byte-identical either way)",
     )
     serve.add_argument(
         "--max-cache-bytes", type=int, default=None, metavar="BYTES",
@@ -802,7 +787,6 @@ def _cmd_serve(args) -> int:
         cache=not args.no_cache,
         cache_dir=str(args.cache_dir) if args.cache_dir is not None else None,
         frontier=args.frontier,
-        incremental=args.incremental,
         max_cache_bytes=args.max_cache_bytes,
     )
     config = ServeConfig(

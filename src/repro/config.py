@@ -157,16 +157,6 @@ class RuntimeConfig(_FromMapping):
     or off; ``batch_size`` caps the rows per concatenated bulk network
     evaluation (a memory knob — it can never move a result).
 
-    ``incremental=True`` (the default) routes SMT-sized complete queries
-    through warm per-(input, label) ladder sessions
-    (:mod:`repro.verify.incremental`): the network+input encoding, the
-    simplex tableau and every learned clause survive from rung to rung of
-    a noise ladder and across the frontier's bisection probes.  Sessions
-    are verdict-only accelerators — witnesses are re-derived with the
-    from-scratch search — so reports are byte-identical with the flag on
-    or off, and the flag is deliberately *not* part of the cache-context
-    fingerprint (warm disk verdicts keep short-circuiting either way).
-
     ``max_cache_bytes`` bounds the size of the ``cache_dir`` directory:
     after every flush the oldest-by-mtime store files are evicted until
     the directory fits the budget (see :mod:`repro.runtime.lifecycle`).
@@ -182,7 +172,6 @@ class RuntimeConfig(_FromMapping):
     persist: bool = True
     frontier: bool = True
     batch_size: int = 4096
-    incremental: bool = True
     max_cache_bytes: int | None = None
 
     def __post_init__(self):

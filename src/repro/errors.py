@@ -66,14 +66,6 @@ class SmtError(ReproError):
     """Malformed constraint system or misuse of the SMT layer."""
 
 
-class InfeasibleError(SmtError):
-    """Raised when an LP/feasibility subproblem has no solution."""
-
-
-class UnboundedError(SmtError):
-    """Raised when an LP objective is unbounded."""
-
-
 class VerificationError(ReproError):
     """Failure inside a neural-network verification engine."""
 

@@ -104,11 +104,6 @@ def relative_noise(value: Fraction, percent: int | Fraction) -> Fraction:
     return value * (Fraction(100) + Fraction(percent)) / Fraction(100)
 
 
-def as_float(value: Fraction) -> float:
-    """Lossy float view of a rational (for reporting only)."""
-    return float(value)
-
-
 def lcm_of_denominators(values: Iterable[Fraction]) -> int:
     """Least common multiple of all denominators (1 for an empty input).
 

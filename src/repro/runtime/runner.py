@@ -189,7 +189,6 @@ class QueryRunner:
             verifier = PortfolioVerifier(
                 seeded,
                 engine_stats=self.engine_stats,
-                incremental=self.runtime.incremental,
             )
             self._verifiers[index] = verifier
         return verifier
@@ -446,9 +445,9 @@ class QueryRunner:
         """Complete-engine dispatch for one frontier survivor (memoised).
 
         Routed through the probe's per-input portfolio, which carries the
-        *session affinity*: with ``RuntimeConfig.incremental`` every
-        bisection probe of one input's boundary band lands in the same
-        warm :class:`~repro.verify.incremental.LadderSession`."""
+        *session affinity*: every bisection probe of one input's boundary
+        band lands in the same warm
+        :class:`~repro.verify.incremental.LadderSession`."""
         index = probe.group[0]
         result = self._verifier_for(index).verify_complete(probe.query)
         self.stats.verify_calls += 1
@@ -576,7 +575,6 @@ class QueryRunner:
                 monotone=self.runtime.monotone,
                 frontier=self.runtime.frontier,
                 batch_size=self.runtime.batch_size,
-                incremental=self.runtime.incremental,
                 engine_stats=self.engine_stats.snapshot(),
                 data_digest=self.data_digest,
             )
@@ -674,7 +672,6 @@ class _WorkerContext:
     monotone: bool = True
     frontier: bool = True
     batch_size: int = 4096
-    incremental: bool = True
     engine_stats: dict = field(default_factory=dict)
     data_digest: str | None = None
 
@@ -711,7 +708,6 @@ def _run_task(task) -> _TaskOutcome:
             monotone=context.monotone,
             frontier=context.frontier,
             batch_size=context.batch_size,
-            incremental=context.incremental,
         ),
         verifier=context.verifier,
         data_digest=context.data_digest,

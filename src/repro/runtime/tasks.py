@@ -14,11 +14,11 @@ layer (the analyses wrap task outcomes into their own report types).
 
 Ladder tasks carry *session affinity* for free: every query a task
 issues for its input routes through ``runner._verifier_for(index)``, the
-same per-input portfolio — so with ``RuntimeConfig.incremental`` all of
-one input's boundary-band rungs (search probes and frontier bisection
-alike) reuse one warm :class:`~repro.verify.incremental.LadderSession`.
-Cache keys and contexts are untouched by the flag, so warm disk verdicts
-short-circuit before any session is even created.
+same per-input portfolio — so all of one input's boundary-band rungs
+(search probes and frontier bisection alike) reuse one warm
+:class:`~repro.verify.incremental.LadderSession`.  Sessions leave cache
+keys and contexts untouched, so warm disk verdicts short-circuit before
+any session is even created.
 """
 
 from __future__ import annotations

@@ -14,19 +14,17 @@ Engines, ordered by the guarantees they offer:
 - :class:`RandomFalsifier` / :class:`CornerFalsifier` — find
   counterexamples quickly, never prove robustness.
 - :class:`SmtVerifier` — complete: ReLU phase splitting over the exact
-  rational simplex with integer branch & bound (Reluplex-style).
-- :class:`MilpVerifier` — complete in practice: big-M MILP with scipy
-  (HiGHS) LP relaxations, float-tolerant pruning, and exact recheck of
-  every candidate model.  scipy is imported only when it runs, so no
-  other engine, the CLI or the daemon pays its load time.
+  rational simplex with integer branch & bound (Reluplex-style).  The
+  from-scratch reference; sessions call it to derive canonical witnesses.
 - :class:`PortfolioVerifier` — interval ⇒ falsifiers ⇒ complete engine,
   with the incomplete-stage order chosen per workload from an
   :class:`EngineStats` decide-rate/wall-time table; the default used by
   the FANNet pipeline.
-- :class:`LadderSession` (:mod:`repro.verify.incremental`) — the warm
-  complete stage behind the portfolio's default SMT path: network+input
-  encoded once per adversary, each rung's noise budget expressed as
-  retractable assumption literals and push/pop bound frames, learned
+- :class:`LadderSession` (:mod:`repro.verify.incremental`) — the
+  portfolio's complete stage for boxes too large to enumerate: each
+  adversary encoded once (:func:`~repro.verify.smt_verifier.encode_adversary`,
+  shared with :class:`SmtVerifier`), each rung's noise budget expressed
+  as retractable assumption literals and push/pop bound frames, learned
   clauses and tableau bases reused across the whole ladder.
 - :class:`FrontierPrepass` / :func:`resolve_survivors`
   (:mod:`repro.verify.batch`) — the frontier-batched plane: many queries
@@ -45,7 +43,6 @@ from .exhaustive import ExhaustiveEnumerator
 from .falsify import CornerFalsifier, RandomFalsifier
 from .smt_verifier import SmtVerifier
 from .incremental import LadderSession
-from .milp_verifier import MilpVerifier
 from .stats import EngineStats, StageStat
 from .portfolio import PortfolioVerifier
 from .batch import (
@@ -69,7 +66,6 @@ __all__ = [
     "CornerFalsifier",
     "SmtVerifier",
     "LadderSession",
-    "MilpVerifier",
     "EngineStats",
     "StageStat",
     "PortfolioVerifier",

@@ -324,8 +324,8 @@ def resolve_survivors(
     ``(exact, derived)`` dicts keyed by probe key; ``complete_fn`` is
     invoked once per bisection step and is expected to memoise/account
     on the caller's side.  The runtime's ``complete_fn`` routes every
-    probe of a group through that input's portfolio, so with incremental
-    sessions enabled the whole bisection shares one warm
+    probe of a group through that input's portfolio, so the whole
+    bisection shares one warm
     :class:`~repro.verify.incremental.LadderSession` — probe order does
     not matter to the session (each rung's bounds live in their own
     retractable frame), so bisection jumps are as cheap as ladder steps.

@@ -2,10 +2,11 @@
 
 FANNet's central workload is a *ladder*: one network and one input
 verified at many noise percentages, where only the noise box moves
-between queries.  The from-scratch complete engine
+between queries.  The from-scratch search
 (:class:`~repro.verify.smt_verifier.SmtVerifier`) rebuilds its whole
 encoding — simplex tableau, phase analysis, everything — at every rung;
-:class:`LadderSession` instead keeps, **per adversary label**, one
+:class:`LadderSession`, the portfolio's complete stage for boxes too
+large to enumerate, instead keeps, **per adversary label**, one
 persistent pair of warm solvers alive across the whole ladder and across
 the frontier's bisection probes:
 
@@ -33,8 +34,8 @@ ROBUST rung returns exactly the verdict the cold engine would; for a
 VULNERABLE rung the witness is re-derived by running the from-scratch
 :meth:`SmtVerifier.witness_against <repro.verify.smt_verifier.SmtVerifier.witness_against>`
 search for the first satisfiable adversary — the same deterministic DFS
-a cold run performs — so reports stay byte-identical with sessions on or
-off.  See ``docs/incremental-sessions.md`` for the full lifecycle.
+a cold run performs — so reports carry exactly the from-scratch engine's
+bytes.  See ``docs/incremental-sessions.md`` for the full lifecycle.
 """
 
 from __future__ import annotations
@@ -48,19 +49,7 @@ from ..smt.branch_bound import solve_integer_feasibility
 from ..smt.simplex import BoundKind, BoundRef, Simplex
 from .encoder import ScaledQuery
 from .result import VerificationResult, VerificationStatus
-from .smt_verifier import SmtVerifier
-
-
-@dataclass
-class _SessionNeuron:
-    """One hidden ReLU inside a per-adversary encoding."""
-
-    pre_var: int  # simplex id of the pre-activation (defined row)
-    act_var: int  # simplex id of the post-activation
-    diff_var: int  # defined row: act - pre (0 in the active phase)
-    layer: int
-    index: int
-    phase_bool: int  # SAT variable: true = active phase
+from .smt_verifier import EncodedNeuron, SmtVerifier, encode_adversary
 
 
 @dataclass
@@ -70,7 +59,9 @@ class _AdversaryState:
     sat: CdclSolver
     simplex: Simplex
     noise_vars: list[int]
-    neurons: list[_SessionNeuron]
+    neurons: list[EncodedNeuron]
+    #: One SAT variable per neuron (same order): true = active phase.
+    phases: list[int]
     #: (low tuple, high tuple) -> rung assumption literal.
     rung_literals: dict[tuple, int] = field(default_factory=dict)
     #: Set when the structural encoding alone is refuted: the adversary
@@ -195,13 +186,13 @@ class LadderSession:
                 return False
 
             assumptions = [rung_literal]
-            for neuron in state.neurons:
+            for neuron, phase in zip(state.neurons, state.phases):
                 low = bounds[neuron.layer][0][neuron.index]
                 high = bounds[neuron.layer][1][neuron.index]
                 if low >= 0:
-                    assumptions.append(neuron.phase_bool)
+                    assumptions.append(phase)
                 elif high <= 0:
-                    assumptions.append(-neuron.phase_bool)
+                    assumptions.append(-phase)
 
             while True:
                 self.nodes_explored += 1
@@ -220,30 +211,30 @@ class LadderSession:
                 depth += 1
                 phase_origin: dict[BoundRef, int] = {}
                 conflict = None
-                for neuron in state.neurons:
+                for neuron, phase in zip(state.neurons, state.phases):
                     # A conflicting SimplexResult is falsy (feasible is
                     # False), so sequence the two asserts explicitly.
-                    if model[neuron.phase_bool]:
+                    if model[phase]:
                         # Active: n >= 0, a - n <= 0 (with a >= n permanent).
                         conflict = self._attempt(
                             simplex, neuron.pre_var, BoundKind.LOWER, 0,
-                            neuron.phase_bool, phase_origin,
+                            phase, phase_origin,
                         )
                         if conflict is None:
                             conflict = self._attempt(
                                 simplex, neuron.diff_var, BoundKind.UPPER, 0,
-                                neuron.phase_bool, phase_origin,
+                                phase, phase_origin,
                             )
                     else:
                         # Inactive: n <= 0, a <= 0 (with a >= 0 permanent).
                         conflict = self._attempt(
                             simplex, neuron.pre_var, BoundKind.UPPER, 0,
-                            -neuron.phase_bool, phase_origin,
+                            -phase, phase_origin,
                         )
                         if conflict is None:
                             conflict = self._attempt(
                                 simplex, neuron.act_var, BoundKind.UPPER, 0,
-                                -neuron.phase_bool, phase_origin,
+                                -phase, phase_origin,
                             )
                     if conflict is not None:
                         break
@@ -269,8 +260,8 @@ class LadderSession:
                         # LP-feasible but integer-infeasible: block this
                         # exact phase assignment under this rung.
                         blocking = [-rung_literal] + [
-                            -n.phase_bool if model[n.phase_bool] else n.phase_bool
-                            for n in state.neurons
+                            -phase if model[phase] else phase
+                            for phase in state.phases
                         ]
                         simplex.pop()
                         depth -= 1
@@ -370,74 +361,21 @@ class LadderSession:
     def _encode_adversary(self, query: ScaledQuery, adversary: int) -> _AdversaryState:
         """Structural (rung-independent) encoding, built exactly once.
 
-        The layer structure mirrors :class:`SmtVerifier`'s per-adversary
-        encoding; only the noise-box bounds and the interval activation
-        caps are deferred to the per-rung frame.
+        The simplex side is :func:`encode_adversary`, the encoding
+        :class:`SmtVerifier` builds per query; only the noise-box bounds
+        and the interval activation caps are deferred to the per-rung
+        frame.  The margin threshold depends only on the label pair, never
+        the rung, so it is permanent.
         """
-        sat = CdclSolver()
         simplex = Simplex()
-        one = simplex.new_var()
-        simplex.assert_lower(one, 1)
-        simplex.assert_upper(one, 1)
-
-        noise_vars = [simplex.new_var() for _ in range(query.num_inputs)]
-        neurons: list[_SessionNeuron] = []
-
-        previous_acts = None
-        final_pre_vars: list[int] = []
-        for layer_index in range(query.num_layers):
-            weight = query.weights[layer_index]
-            bias = query.biases[layer_index]
-            layer_pre_vars = []
-            for j in range(weight.shape[0]):
-                if layer_index == 0:
-                    combination = {one: 0}
-                    constant = int(bias[j])
-                    for i in range(query.num_inputs):
-                        coeff = int(weight[j][i])
-                        constant += coeff * 100 * int(query.x[i])
-                        combination[noise_vars[i]] = (
-                            combination.get(noise_vars[i], 0)
-                            + coeff * int(query.x[i])
-                        )
-                    combination[one] = constant
-                else:
-                    combination = {one: int(bias[j])}
-                    for i, act in enumerate(previous_acts):
-                        combination[act] = int(weight[j][i])
-                pre = simplex.define(combination)
-                layer_pre_vars.append(pre)
-
-            if layer_index == query.num_layers - 1:
-                final_pre_vars = layer_pre_vars
-                break
-
-            acts = []
-            for j, pre in enumerate(layer_pre_vars):
-                act = simplex.new_var()
-                diff = simplex.define({act: 1, pre: -1})
-                simplex.assert_lower(act, 0)  # a >= 0
-                simplex.assert_lower(diff, 0)  # a >= n (triangle)
-                neurons.append(
-                    _SessionNeuron(
-                        pre_var=pre,
-                        act_var=act,
-                        diff_var=diff,
-                        layer=layer_index,
-                        index=j,
-                        phase_bool=sat.new_var(),
-                    )
-                )
-                acts.append(act)
-            previous_acts = acts
-
-        # Misclassification margin: N_adv - N_true >= threshold, permanent
-        # (the threshold depends only on the label pair, never the rung).
-        margin = simplex.define(
-            {final_pre_vars[adversary]: 1, final_pre_vars[query.true_label]: -1}
-        )
+        noise_vars, neurons, margin = encode_adversary(simplex, query, adversary)
+        sat = CdclSolver()
         state = _AdversaryState(
-            sat=sat, simplex=simplex, noise_vars=noise_vars, neurons=neurons
+            sat=sat,
+            simplex=simplex,
+            noise_vars=noise_vars,
+            neurons=neurons,
+            phases=[sat.new_var() for _ in neurons],
         )
         if (
             simplex.assert_lower(margin, query.misclass_threshold(adversary))

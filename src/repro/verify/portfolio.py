@@ -27,18 +27,17 @@ from .falsify import CornerFalsifier, RandomFalsifier
 from .incremental import LadderSession
 from .interval import IntervalVerifier
 from .result import VerificationResult, VerificationStatus
-from .smt_verifier import SmtVerifier
 from .stats import EngineStats
 
 #: Warm ladder sessions kept per portfolio: one per (input, label) pair
-#: this verifier has sent to the SMT-sized complete stage.  A per-input
-#: portfolio only ever sees a handful of pairs; the cap is a safety net
-#: against unbounded growth when a verifier is shared across inputs.
+#: whose noise box was too large to enumerate.  A per-input portfolio
+#: only ever sees a handful of pairs; the cap is a safety net against
+#: unbounded growth when a verifier is shared across inputs.
 MAX_SESSIONS = 8
 
 
 class PortfolioVerifier:
-    """interval / corner / random (stats-ordered) ⇒ exhaustive-or-SMT."""
+    """interval / corner / random (stats-ordered) ⇒ exhaustive-or-session."""
 
     name = "portfolio"
 
@@ -47,16 +46,13 @@ class PortfolioVerifier:
         config: VerifierConfig | None = None,
         exhaustive_cutoff: int = 200_000,
         engine_stats: EngineStats | None = None,
-        incremental: bool = True,
     ):
         self.config = config or VerifierConfig()
         self.exhaustive_cutoff = exhaustive_cutoff
-        self.incremental = incremental
         self.interval = IntervalVerifier()
         self.corner = CornerFalsifier()
         self.random = RandomFalsifier(seed=self.config.seed)
         self.exhaustive = ExhaustiveEnumerator()
-        self.smt = SmtVerifier(self.config)
         self.engine_stats = engine_stats if engine_stats is not None else EngineStats()
         self.stage_counts: dict[str, int] = {}
         #: (input values, true label) -> LadderSession, insertion-ordered.
@@ -81,20 +77,18 @@ class PortfolioVerifier:
 
     def verify_complete(self, query: ScaledQuery) -> VerificationResult:
         """The complete stage alone: enumeration when the box is small (it
-        is usually faster than phase splitting there), SMT otherwise —
-        warm via a per-(input, label) :class:`LadderSession` by default,
-        from scratch with ``incremental=False``.  Verdicts and witnesses
-        are byte-identical either way (the session re-derives witnesses
-        canonically); only solver effort differs.
+        is usually faster than phase splitting there), otherwise the warm
+        per-(input, label) :class:`LadderSession`, whose verdicts and
+        witnesses are byte-identical to a from-scratch
+        :class:`~repro.verify.smt_verifier.SmtVerifier` run (the session
+        re-derives witnesses canonically).
 
         Also the entry point for queries whose incomplete stages already
         ran inside a frontier prepass (:mod:`repro.verify.batch`)."""
         if query.noise_space_size() <= self.exhaustive_cutoff:
             stage, engine = "exhaustive", self.exhaustive
-        elif self.incremental:
-            stage, engine = "session", self._session_for(query)
         else:
-            stage, engine = "smt", self.smt
+            stage, engine = "session", self._session_for(query)
         start = time.perf_counter()
         result = engine.verify(query)
         wall = time.perf_counter() - start
@@ -115,13 +109,11 @@ class PortfolioVerifier:
         return session
 
     def complete_pivots(self) -> int:
-        """Simplex pivots spent by the SMT-path complete engines.
+        """Simplex pivots spent by this portfolio's ladder sessions.
 
         The deterministic effort metric the incremental-ladder benchmark
-        compares across ``incremental`` on/off."""
-        return self.smt.total_pivots + sum(
-            session.total_pivots for session in self._sessions.values()
-        )
+        gates on."""
+        return sum(session.total_pivots for session in self._sessions.values())
 
     def _record(
         self, result: VerificationResult, stage: str, wall: float

@@ -28,23 +28,87 @@ from .encoder import ScaledQuery
 from .result import VerificationResult, VerificationStatus
 
 
-@dataclass
-class _Neuron:
+@dataclass(frozen=True)
+class EncodedNeuron:
+    """One hidden ReLU inside a per-adversary simplex encoding."""
+
     layer: int
     index: int
     pre_var: int  # simplex var of the pre-activation (defined row)
     act_var: int  # simplex var of the post-activation
     diff_var: int  # defined row: act - pre  (0 in the active phase)
-    low: int
-    high: int
 
-    @property
-    def ambiguous(self) -> bool:
-        return self.low < 0 < self.high
+
+def encode_adversary(simplex: Simplex, query: ScaledQuery, adversary: int):
+    """The noise-box-independent encoding of "``query`` flips to ``adversary``".
+
+    Adds to ``simplex`` (at decision level 0): the unit variable fixed to
+    1, one unbounded variable per noise component, a defined row per
+    pre-activation, an activation variable and an ``act - pre`` row per
+    hidden neuron under the triangle lower bounds ``act >= 0`` and
+    ``act >= pre``, and the margin row ``N_adv - N_true``.  The caller
+    asserts the noise box, the activation caps and the margin threshold.
+    Bland's rule picks pivots by variable id, so this creation order is
+    part of every pivot bill the tests and benchmarks pin.
+
+    Returns ``(noise_vars, neurons, margin)``.
+    """
+    one = simplex.new_var()
+    simplex.assert_lower(one, 1)
+    simplex.assert_upper(one, 1)
+    noise_vars = [simplex.new_var() for _ in range(query.num_inputs)]
+    neurons: list[EncodedNeuron] = []
+
+    # Layer 1 pre-activations are affine in the noise variables:
+    # N1_j = const_j + Σ (W1_ji · x_i) · p_i.
+    previous_acts = None
+    for layer_index in range(query.num_layers):
+        weight = query.weights[layer_index]
+        bias = query.biases[layer_index]
+        layer_pre_vars = []
+        for j in range(weight.shape[0]):
+            if layer_index == 0:
+                combination = {one: 0}
+                constant = int(bias[j])
+                for i in range(query.num_inputs):
+                    coeff = int(weight[j][i])
+                    constant += coeff * 100 * int(query.x[i])
+                    combination[noise_vars[i]] = (
+                        combination.get(noise_vars[i], 0) + coeff * int(query.x[i])
+                    )
+                combination[one] = constant
+            else:
+                combination = {one: int(bias[j])}
+                for i, act in enumerate(previous_acts):
+                    combination[act] = int(weight[j][i])
+            layer_pre_vars.append(simplex.define(combination))
+
+        if layer_index == query.num_layers - 1:
+            break
+
+        previous_acts = []
+        for j, pre in enumerate(layer_pre_vars):
+            act = simplex.new_var()
+            diff = simplex.define({act: 1, pre: -1})
+            simplex.assert_lower(act, 0)  # a >= 0
+            simplex.assert_lower(diff, 0)  # a >= n (triangle)
+            neurons.append(EncodedNeuron(layer_index, j, pre, act, diff))
+            previous_acts.append(act)
+
+    # Misclassification margin: N_adv - N_true (>= threshold once asserted).
+    margin = simplex.define(
+        {layer_pre_vars[adversary]: 1, layer_pre_vars[query.true_label]: -1}
+    )
+    return noise_vars, neurons, margin
 
 
 class SmtVerifier:
-    """Sound and complete robustness verifier."""
+    """Sound and complete robustness verifier, rebuilt from scratch per query.
+
+    The reference engine: the portfolio's complete stage is
+    :class:`~repro.verify.incremental.LadderSession`, which calls
+    :meth:`witness_against` to derive canonical witnesses.
+    """
 
     name = "smt"
 
@@ -104,95 +168,37 @@ class SmtVerifier:
             self.total_pivots += simplex.total_pivots
 
     def _search_adversary(self, simplex: Simplex, query: ScaledQuery, adversary: int):
-        one = simplex.new_var()
-        simplex.assert_lower(one, 1)
-        simplex.assert_upper(one, 1)
-
-        noise_vars = [simplex.new_var() for _ in range(query.num_inputs)]
+        noise_vars, neurons, margin = encode_adversary(simplex, query, adversary)
         for var, lo, hi in zip(noise_vars, query.low, query.high):
             simplex.assert_lower(var, int(lo))
             simplex.assert_upper(var, int(hi))
-
         bounds = query.layer_bounds()
-        neurons: list[_Neuron] = []
-
-        # Layer 1 pre-activations are affine in the noise variables:
-        # N1_j = const_j + Σ (W1_ji · x_i) · p_i.
-        previous_acts = None
-        for layer_index in range(query.num_layers):
-            weight = query.weights[layer_index]
-            bias = query.biases[layer_index]
-            layer_pre_vars = []
-            for j in range(weight.shape[0]):
-                if layer_index == 0:
-                    combination = {one: 0}
-                    constant = int(bias[j])
-                    for i in range(query.num_inputs):
-                        coeff = int(weight[j][i])
-                        constant += coeff * 100 * int(query.x[i])
-                        combination[noise_vars[i]] = (
-                            combination.get(noise_vars[i], 0)
-                            + coeff * int(query.x[i])
-                        )
-                    combination[one] = constant
-                else:
-                    combination = {one: int(bias[j])}
-                    for i, act in enumerate(previous_acts):
-                        combination[act] = int(weight[j][i])
-                pre = simplex.define(combination)
-                layer_pre_vars.append(pre)
-
-            if layer_index == query.num_layers - 1:
-                final_pre_vars = layer_pre_vars
-                break
-
-            # Hidden layer: create activation vars with ReLU relaxation.
-            pre_low, pre_high = bounds[layer_index]
-            acts = []
-            for j, pre in enumerate(layer_pre_vars):
-                act = simplex.new_var()
-                diff = simplex.define({act: 1, pre: -1})
-                simplex.assert_lower(act, 0)  # a >= 0
-                simplex.assert_lower(diff, 0)  # a >= n (triangle)
-                simplex.assert_upper(act, max(0, pre_high[j]))
-                neurons.append(
-                    _Neuron(
-                        layer=layer_index,
-                        index=j,
-                        pre_var=pre,
-                        act_var=act,
-                        diff_var=diff,
-                        low=pre_low[j],
-                        high=pre_high[j],
-                    )
-                )
-                acts.append(act)
-            previous_acts = acts
-
-        # Misclassification margin: N_adv - N_true >= threshold.
-        margin = simplex.define(
-            {final_pre_vars[adversary]: 1, final_pre_vars[query.true_label]: -1}
-        )
+        for neuron in neurons:
+            high = bounds[neuron.layer][1][neuron.index]
+            simplex.assert_upper(neuron.act_var, max(0, high))
         if simplex.assert_lower(margin, query.misclass_threshold(adversary)) is not None:
             return None
 
-        # Fix phases the interval analysis already decided.
+        # Fix phases the interval analysis already decided; split the rest.
+        ambiguous = []
         for neuron in neurons:
-            if neuron.low >= 0:
+            low = bounds[neuron.layer][0][neuron.index]
+            high = bounds[neuron.layer][1][neuron.index]
+            if low >= 0:
                 if simplex.assert_upper(neuron.diff_var, 0) is not None:
                     return None  # a = n forced infeasible
-            elif neuron.high <= 0:
+            elif high <= 0:
                 if simplex.assert_upper(neuron.act_var, 0) is not None:
                     return None
                 if simplex.assert_upper(neuron.pre_var, 0) is not None:
                     return None
-
-        ambiguous = sorted(
-            (n for n in neurons if n.ambiguous),
-            key=lambda n: (n.layer, -(n.high - n.low)),
+            else:
+                ambiguous.append(neuron)
+        # Layer by layer, widest pre-activation interval first.
+        ambiguous.sort(
+            key=lambda n: (n.layer, bounds[n.layer][0][n.index] - bounds[n.layer][1][n.index])
         )
-        integer_vars = noise_vars
-        return self._dfs(simplex, ambiguous, 0, integer_vars, query)
+        return self._dfs(simplex, ambiguous, 0, noise_vars, query)
 
     def _dfs(self, simplex: Simplex, ambiguous, depth: int, integer_vars, query):
         self.nodes_explored += 1

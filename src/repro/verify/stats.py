@@ -41,9 +41,8 @@ _CANDIDATE_ORDERS: tuple[tuple[str, ...], ...] = (
 )
 
 #: Names counted as complete-engine invocations.  ``session`` is the
-#: incremental ladder session (:mod:`repro.verify.incremental`) — the
-#: warm counterpart of the from-scratch ``smt`` stage.
-COMPLETE_STAGES: tuple[str, ...] = ("exhaustive", "smt", "session", "milp")
+#: warm ladder session (:mod:`repro.verify.incremental`).
+COMPLETE_STAGES: tuple[str, ...] = ("exhaustive", "session")
 
 #: Attempts a stage needs before its observed rates steer the schedule.
 _MIN_SAMPLES = 16

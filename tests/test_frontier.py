@@ -570,15 +570,15 @@ class TestEngineStats:
 
     def test_snapshot_merge_and_delta(self):
         stats = EngineStats()
-        stats.record("smt", True, 0.5)
+        stats.record("session", True, 0.5)
         baseline = stats.snapshot()
-        stats.record("smt", False, 0.25)
+        stats.record("session", False, 0.25)
         stats.record("interval", True, 0.01)
         delta = stats.delta_since(baseline)
-        assert delta["smt"] == {"attempts": 1, "decided": 0, "wall_s": 0.25}
+        assert delta["session"] == {"attempts": 1, "decided": 0, "wall_s": 0.25}
         other = EngineStats()
         other.merge_payload(delta)
-        assert other.stages["smt"].attempts == 1
+        assert other.stages["session"].attempts == 1
         assert other.complete_calls() == 1
 
     def test_malformed_payloads_are_ignored(self):

@@ -6,12 +6,12 @@ Four layers of coverage:
    tests drive one :class:`LadderSession` through random noise ladders
    (ascending and shuffled bisection-like orders) and assert the verdict
    *and witness* match a fresh :class:`SmtVerifier` at every rung.
-2. **Portfolio / frontier parity** — ``incremental=True`` vs ``False``
-   through :meth:`PortfolioVerifier.verify_complete` and
-   :func:`resolve_survivors` must produce identical results, with the
-   session stage accounted under its own name.
-3. **Runtime plumbing** — the ``RuntimeConfig.incremental`` flag crossed
-   with worker counts yields bit-identical tolerance sweeps.
+2. **Portfolio / frontier parity** — :meth:`PortfolioVerifier.verify_complete`
+   and :func:`resolve_survivors` through shared sessions must produce the
+   results of a from-scratch :class:`SmtVerifier`, with the session stage
+   accounted under its own name, and pinned pivot bills for both.
+3. **Runtime plumbing** — worker counts and cache policies yield
+   bit-identical tolerance sweeps.
 4. **Solver satellites** — ``SatResult.failed_assumptions`` (minimal
    refuted cores, solver reusability), the lazily-pruned learnt-DB
    reduction (watch invariants, brute-force agreement), and the
@@ -146,23 +146,21 @@ def canonical(result):
 
 
 class TestPortfolioParity:
-    def test_incremental_flag_never_moves_a_result(self):
+    def test_complete_stage_matches_scratch_smt(self):
         queries = deterministic_ladder(2, range(1, 9))
-        warm = PortfolioVerifier(exhaustive_cutoff=0, incremental=True)
-        cold = PortfolioVerifier(exhaustive_cutoff=0, incremental=False)
+        warm = PortfolioVerifier(exhaustive_cutoff=0)
         for query in queries:
             a = warm.verify_complete(query)
-            b = cold.verify_complete(query)
+            b = SmtVerifier().verify(query)
             assert canonical(a) == canonical(b)
             assert a.stats["stage"] == "session"
-            assert b.stats["stage"] == "smt"
         assert warm.stage_counts["session"] == len(queries)
         assert warm.complete_pivots() > 0
 
     def test_one_session_per_input_label_with_fifo_eviction(self):
         from repro.verify.portfolio import MAX_SESSIONS
 
-        verifier = PortfolioVerifier(exhaustive_cutoff=0, incremental=True)
+        verifier = PortfolioVerifier(exhaustive_cutoff=0)
         rng = np.random.default_rng(9)
         weight = lambda: int(rng.integers(-2000, 2001))  # noqa: E731
         network = make_network([(2, 3), (3, 2)], weight)
@@ -185,44 +183,45 @@ class TestPortfolioParity:
             for p, q in zip(rungs, queries)
         ]
 
-        def run(incremental):
-            verifier = PortfolioVerifier(
-                exhaustive_cutoff=0, incremental=incremental
-            )
+        def run(verify):
             exact, derived = resolve_survivors(
-                probes, lambda probe: verifier.verify_complete(probe.query)
+                probes, lambda probe: verify(probe.query)
             )
             return (
                 {k: canonical(v) for k, v in exact.items()},
                 {k: canonical(v) for k, v in derived.items()},
             )
 
-        assert run(True) == run(False)
+        warm = PortfolioVerifier(exhaustive_cutoff=0)
+        assert run(warm.verify_complete) == run(SmtVerifier().verify)
 
     def test_deep_ladder_pivot_bill_is_pinned(self):
-        """Tableau arithmetic must never move a pivot: this 5-12-12-2
-        ladder (integer weights, no training) crosses its boundary at 9 %
-        in exactly the pivots the dict-of-Fraction tableau took."""
+        """Tableau arithmetic and the shared encoding must never move a
+        pivot: this 5-12-12-2 ladder (integer weights, no training) crosses
+        its boundary at 9 % in exactly the pivots the dict-of-Fraction
+        tableau took, warm (588) and from scratch (755)."""
         rng = np.random.default_rng(5)
         weight = lambda: int(rng.integers(-2000, 2001))  # noqa: E731
         network = make_network([(5, 12), (12, 12), (12, 2)], weight)
         x = np.array([int(v) for v in rng.integers(1, 31, 5)])
         label = network.predict(x)
-        verifier = PortfolioVerifier(exhaustive_cutoff=0, incremental=True)
-        statuses = [
-            verifier.verify_complete(
-                build_query(network, x, label, NoiseConfig(percent))
-            ).status.value
+        queries = [
+            build_query(network, x, label, NoiseConfig(percent))
             for percent in range(6, 11)
         ]
-        assert statuses == ["robust"] * 3 + ["vulnerable"] * 2
+        verifier = PortfolioVerifier(exhaustive_cutoff=0)
+        scratch = SmtVerifier()
+        expected = ["robust"] * 3 + ["vulnerable"] * 2
+        assert [verifier.verify_complete(q).status.value for q in queries] == expected
+        assert [scratch.verify(q).status.value for q in queries] == expected
         assert verifier.complete_pivots() == 588
+        assert scratch.total_pivots == 755
 
 
 # -- 3. runtime plumbing -----------------------------------------------------------
 
 
-class TestRuntimeFlag:
+class TestRuntimeSweep:
     @pytest.fixture(scope="class")
     def substrate(self):
         rng = np.random.default_rng(21)
@@ -239,17 +238,10 @@ class TestRuntimeFlag:
         )
         return analysis.sweep(dataset, list(range(1, 7)))
 
-    def test_incremental_off_and_workers_2_match_baseline(self, substrate):
-        baseline = self.run_sweep(substrate, RuntimeConfig(incremental=True))
-        assert baseline == self.run_sweep(
-            substrate, RuntimeConfig(incremental=False)
-        )
-        assert baseline == self.run_sweep(
-            substrate, RuntimeConfig(incremental=True, workers=2)
-        )
-        assert baseline == self.run_sweep(
-            substrate, RuntimeConfig(incremental=True, cache=False)
-        )
+    def test_workers_2_and_cache_off_match_baseline(self, substrate):
+        baseline = self.run_sweep(substrate, RuntimeConfig())
+        assert baseline == self.run_sweep(substrate, RuntimeConfig(workers=2))
+        assert baseline == self.run_sweep(substrate, RuntimeConfig(cache=False))
 
 
 # -- 4a. failed-assumption cores ---------------------------------------------------

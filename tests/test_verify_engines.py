@@ -1,11 +1,12 @@
 """Tests for the NN verification engines.
 
 The anchor property: on random tiny networks the complete engines (SMT,
-MILP) agree with exhaustive enumeration — the exact ground truth.
+portfolio) agree with exhaustive enumeration — the exact ground truth.
 """
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -24,7 +25,6 @@ from repro.verify import (
     CornerFalsifier,
     ExhaustiveEnumerator,
     IntervalVerifier,
-    MilpVerifier,
     NoiseVectorCollector,
     PortfolioVerifier,
     RandomFalsifier,
@@ -232,22 +232,22 @@ class TestCompleteEnginesAgainstGroundTruth:
         if result.is_vulnerable:
             assert query.misclassified(result.witness)
 
-    @given(random_tiny_network_query())
-    @settings(max_examples=40, deadline=None)
-    def test_milp_matches_exhaustive(self, problem):
-        network, x, label, noise = problem
-        query = build_query(network, x, label, noise)
-        truth = ExhaustiveEnumerator().verify(query)
-        result = MilpVerifier().verify(query)
-        if result.status is VerificationStatus.UNKNOWN:
-            return  # float boundary band: allowed to abstain
-        assert result.status == truth.status
-        if result.is_vulnerable:
-            assert query.misclassified(result.witness)
-
-    def test_scipy_is_not_imported_until_milp_runs(self):
-        """The CLI and the daemon load no scipy: only MilpVerifier needs it,
-        and imports it on first use (exercised by the test above)."""
+    def test_src_never_imports_scipy(self):
+        """No module of the package imports scipy, so the CLI and the daemon
+        never pay its load time (scipy stays a test-only LP oracle)."""
+        package = Path(repro.__file__).parent
+        for path in sorted(package.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    modules = [node.module or ""]
+                else:
+                    continue
+                for module in modules:
+                    assert module.split(".")[0] != "scipy", (
+                        f"{path.relative_to(package.parent)} imports {module}"
+                    )
         env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
         code = (
             "import sys, repro.cli, repro.serve; "
