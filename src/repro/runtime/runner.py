@@ -53,6 +53,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from ..config import NoiseConfig, RuntimeConfig, VerifierConfig
+from ..errors import VerificationError
 from ..verify import (
     EngineStats,
     FrontierPrepass,
@@ -257,10 +258,18 @@ class QueryRunner:
         seeded = replace(self.config, seed=derive_seed(self.config.seed, index))
         collector = NoiseVectorCollector(seeded, exhaustive_cutoff=exhaustive_cutoff)
         collected = collector.collect(query, limit=effective_limit)
-        flipped = [query.predict_single(vector) for vector in collected.vectors]
+        # The collector's labels come from interval proofs and vectorised
+        # passes; one independent pure-Python evaluation per vector audits
+        # them before they reach a report.
+        for vector, label in zip(collected.vectors, collected.labels):
+            if query.predict_single(vector) != label or label == true_label:
+                raise VerificationError(
+                    f"extracted vector {vector} labelled {label}, exact "
+                    f"evaluation disagrees"
+                )
         outcome = {
             "vectors": list(collected.vectors),
-            "flipped_to": flipped,
+            "flipped_to": list(collected.labels),
             "exhausted": collected.exhausted,
         }
         self.stats.extract_calls += 1

@@ -8,7 +8,9 @@ Engines, ordered by the guarantees they offer:
 
 - :class:`ExhaustiveEnumerator` — exact integer evaluation of *every*
   noise vector (vectorised int64 with overflow guard); ground truth for
-  small ranges.
+  small ranges.  Its P3 census queries return the same answers without
+  visiting every point: interval-proved sub-boxes are skipped or emitted
+  whole, and only unproved leaves are evaluated.
 - :class:`IntervalVerifier` — interval bound propagation; proves
   robustness (UNSAT) quickly, never finds counterexamples.
 - :class:`RandomFalsifier` / :class:`CornerFalsifier` — find

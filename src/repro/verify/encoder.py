@@ -16,6 +16,8 @@ network predicts — and strict comparisons become ``≥ 1``.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -105,23 +107,30 @@ class ScaledQuery:
         """Predicted labels per noise row (argmax, ties to lower index)."""
         return np.argmax(self.forward_batch(noise), axis=1)
 
+    @functools.cached_property
+    def _python_ints(self) -> tuple[list, list, list]:
+        """Inputs, weight rows and biases as Python ints, built once."""
+        return (
+            [int(v) for v in self.x],
+            [[[int(v) for v in row] for row in weight] for weight in self.weights],
+            [[int(v) for v in bias] for bias in self.biases],
+        )
+
     def predict_single(self, noise) -> int:
         """Predicted label for one noise vector (pure-python exact ints)."""
-        values = [
-            int(xi) * (100 + int(pi)) for xi, pi in zip(self.x, noise)
-        ]
-        for index, (weight, bias) in enumerate(zip(self.weights, self.biases)):
+        x, weights, biases = self._python_ints
+        values = [xi * (100 + int(pi)) for xi, pi in zip(x, noise)]
+        for rows, bias in zip(weights[:-1], biases[:-1]):
             values = [
-                int(bias[j]) + sum(int(weight[j][i]) * values[i] for i in range(len(values)))
-                for j in range(weight.shape[0])
+                s if (s := b + sum(map(operator.mul, row, values))) > 0 else 0
+                for row, b in zip(rows, bias)
             ]
-            if index < self.num_layers - 1:
-                values = [max(0, v) for v in values]
-        best = 0
-        for k in range(1, len(values)):
-            if values[k] > values[best]:
-                best = k
-        return best
+        logits = [
+            b + sum(map(operator.mul, row, values))
+            for row, b in zip(weights[-1], biases[-1])
+        ]
+        # index() finds the first maximum: ties go to the lower index.
+        return logits.index(max(logits))
 
     def misclassified(self, noise) -> bool:
         return self.predict_single(noise) != self.true_label

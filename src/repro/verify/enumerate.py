@@ -4,9 +4,12 @@
 NV obtained from the generated counterexample is added to e"* — building
 an array of unique noise patterns the network is vulnerable to.
 
-Two strategies behind one interface:
+Two strategies behind one interface, both returning each vector with the
+wrong label it produces:
 
-- small boxes: exact exhaustive sweep (collect every witness);
+- small boxes: the exhaustive enumerator's census, which bisects the box
+  with exact interval bounds and evaluates only the sub-boxes it cannot
+  prove, so it returns every witness without visiting every grid point;
 - large boxes: solver-driven extraction — repeat the complete SMT query
   with *blocking clauses* excluding all previously found vectors, exactly
   the P3 loop of Fig. 2, realised with the DPLL(T) stack.
@@ -28,6 +31,7 @@ class NoiseVectorSet:
     """The paper's ``e`` matrix: unique adversarial noise vectors."""
 
     vectors: list[tuple[int, ...]] = field(default_factory=list)
+    labels: list[int] = field(default_factory=list)  # wrong label per vector
     exhausted: bool = False  # True when no further vector exists
 
     def __len__(self):
@@ -52,13 +56,20 @@ class NoiseVectorCollector:
         self.exhaustive_cutoff = exhaustive_cutoff
 
     def collect(self, query: ScaledQuery, limit: int | None = None) -> NoiseVectorSet:
-        """Gather up to ``limit`` unique noise vectors (all, when None)."""
+        """Gather up to ``limit`` unique noise vectors (all, when None).
+
+        With ``limit=0`` nothing is searched: the set is empty and not
+        exhausted.  A negative ``limit`` raises :class:`VerificationError`.
+        """
+        if limit is not None and limit < 0:
+            raise VerificationError(f"limit must be non-negative, got {limit}")
         if query.noise_space_size() <= self.exhaustive_cutoff:
             enumerator = ExhaustiveEnumerator(max_vectors=self.exhaustive_cutoff)
-            vectors = enumerator.collect_witnesses(query, limit=limit)
+            pairs = enumerator.collect_witnesses(query, limit=limit)
             return NoiseVectorSet(
-                vectors=vectors,
-                exhausted=limit is None or len(vectors) < limit,
+                vectors=[vector for vector, _ in pairs],
+                labels=[label for _, label in pairs],
+                exhausted=limit is None or len(pairs) < limit,
             )
         if limit is None:
             raise VerificationError(
@@ -70,20 +81,26 @@ class NoiseVectorCollector:
 
     def _collect_with_blocking(self, query: ScaledQuery, limit: int) -> NoiseVectorSet:
         """The P3 loop: solve, block the model, repeat."""
-        collected: list[tuple[int, ...]] = []
+        collected = NoiseVectorSet()
         while len(collected) < limit:
-            witness = self._solve_blocked(query, collected)
-            if witness is None:
-                return NoiseVectorSet(vectors=collected, exhausted=True)
-            if witness in collected:
+            found = self._solve_blocked(query, collected.vectors)
+            if found is None:
+                collected.exhausted = True
+                return collected
+            witness, label = found
+            if witness in collected.vectors:
                 raise VerificationError("blocking failed to exclude a vector")
-            collected.append(witness)
-        return NoiseVectorSet(vectors=collected, exhausted=False)
+            collected.vectors.append(witness)
+            collected.labels.append(label)
+        return collected
 
     def _solve_blocked(
         self, query: ScaledQuery, blocked: list[tuple[int, ...]]
-    ) -> tuple[int, ...] | None:
-        """One DPLL(T) query with all of ``blocked`` excluded."""
+    ) -> tuple[tuple[int, ...], int] | None:
+        """One DPLL(T) query with all of ``blocked`` excluded.
+
+        Returns the witness and its wrong label, or None when none is left.
+        """
         solver = DpllTSolver(node_budget=self.config.node_budget)
 
         noise_names = [f"p{i}" for i in range(query.num_inputs)]
@@ -180,6 +197,7 @@ class NoiseVectorCollector:
         if verdict is TheoryResult.UNSAT:
             return None
         witness = tuple(int(model.values[name]) for name in noise_names)
-        if not query.misclassified(witness):
+        label = query.predict_single(witness)
+        if label == query.true_label:
             raise VerificationError("DPLL(T) witness failed the exact recheck")
-        return witness
+        return witness, label

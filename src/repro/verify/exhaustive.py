@@ -1,11 +1,24 @@
 """Exhaustive noise-space enumeration (exact ground truth).
 
-Evaluates the scaled-integer network on *every* noise vector in the box,
-vectorised and chunked.  Integer arithmetic makes this bit-exact, so the
-enumerator doubles as the reference the complete solvers are tested
-against — and as the measurement backend for the paper's
-counterexample-census analyses (training bias, node sensitivity) at
-moderate noise ranges.
+:meth:`ExhaustiveEnumerator.verify` evaluates the scaled-integer network
+on every noise vector in the box, vectorised and chunked, up to the first
+witness.  Integer arithmetic makes this bit-exact, so the enumerator is
+the reference the complete solvers are tested against.
+
+The census queries behind the paper's P3 analyses (every flipping
+vector, its label, per-label counts) are output-sensitive instead of
+walking every grid point.  They bisect the noise box, always on its
+first dimension wider than one point, so every sub-box is a contiguous
+run of the lexicographic grid order.  Each frontier level is bounded in
+one exact interval pass (:func:`~repro.verify.interval.proved_labels`):
+
+- a sub-box proved to keep the true label emits nothing;
+- a sub-box proved to take one wrong label emits all its points with
+  that label, with no forward pass (the census only counts them);
+- an unproved sub-box of at most :data:`LEAF_POINTS` points is evaluated
+  point by point, the rest are split again.
+
+The results equal the flat grid walk's, in the same order.
 """
 
 from __future__ import annotations
@@ -15,21 +28,47 @@ from typing import Iterator
 
 import numpy as np
 
-from ..errors import BudgetExceededError
+from ..errors import BudgetExceededError, VerificationError
 from .encoder import ScaledQuery
+from .interval import proved_labels
 from .result import VerificationResult, VerificationStatus
+
+#: Unproved sub-boxes of at most this many points are evaluated point by
+#: point instead of being split further.
+LEAF_POINTS = 64
 
 
 class ExhaustiveEnumerator:
-    """Full enumeration with a configurable vector budget."""
+    """Full enumeration with a configurable vector budget.
+
+    ``boxes`` and ``leaf_points`` count, over this instance's lifetime,
+    the sub-boxes the census queries bounded and the leaf points they
+    evaluated one by one.
+    """
 
     name = "exhaustive"
 
     def __init__(self, max_vectors: int = 20_000_000, chunk: int = 250_000):
         self.max_vectors = max_vectors
         self.chunk = chunk
+        self.boxes = 0
+        self.leaf_points = 0
 
     # -- enumeration plumbing ---------------------------------------------------
+
+    def _check_budget(self, query: ScaledQuery) -> int:
+        """Number of vectors in the box; raises when it exceeds the budget."""
+        # math.prod over Python ints: np.prod wraps silently at 64 bits,
+        # which let astronomically large boxes slip past the budget check.
+        total = math.prod(
+            int(hi) - int(lo) + 1 for lo, hi in zip(query.low, query.high)
+        )
+        if total > self.max_vectors:
+            raise BudgetExceededError(
+                f"noise space has {total} vectors, budget is {self.max_vectors}",
+                budget=self.max_vectors,
+            )
+        return total
 
     def _grid_chunks(self, query: ScaledQuery) -> Iterator[np.ndarray]:
         """Yield (chunk, n_in) int64 arrays covering the whole box."""
@@ -38,14 +77,7 @@ class ExhaustiveEnumerator:
             for lo, hi in zip(query.low, query.high)
         ]
         sizes = [s.shape[0] for s in spans]
-        # math.prod over Python ints: np.prod wraps silently at 64 bits,
-        # which let astronomically large boxes slip past the budget check.
-        total = math.prod(int(s) for s in sizes)
-        if total > self.max_vectors:
-            raise BudgetExceededError(
-                f"noise space has {total} vectors, budget is {self.max_vectors}",
-                budget=self.max_vectors,
-            )
+        total = self._check_budget(query)
         # Mixed-radix enumeration in blocks.
         radix = np.array(sizes, dtype=np.int64)
         for start in range(0, total, self.chunk):
@@ -80,34 +112,112 @@ class ExhaustiveEnumerator:
             VerificationStatus.ROBUST, engine=self.name, nodes_explored=checked
         )
 
+    def _split(self, query: ScaledQuery):
+        """Bisect the box down to proved sub-boxes and evaluated leaves.
+
+        Returns ``(lo, hi, labels)`` of the sub-boxes proved to take a
+        wrong label, and ``(points, labels)`` of the wrongly labelled leaf
+        points.  Neither is in grid order; callers order by
+        :func:`_ranks`.
+        """
+        self._check_budget(query)
+        width = query.num_inputs
+        lo = np.asarray(query.low, dtype=np.int64).reshape(1, width)
+        hi = np.asarray(query.high, dtype=np.int64).reshape(1, width)
+        boxes: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        leaves: list[tuple[np.ndarray, np.ndarray]] = []
+        while lo.shape[0]:
+            labels = proved_labels(query, lo, hi)
+            self.boxes += labels.shape[0]
+            flipped = (labels >= 0) & (labels != query.true_label)
+            boxes.append((lo[flipped], hi[flipped], labels[flipped]))
+            open_ = labels < 0
+            leaf = open_ & ((hi - lo + 1).prod(axis=1) <= LEAF_POINTS)
+            points = _box_points(lo[leaf], hi[leaf])
+            self.leaf_points += points.shape[0]
+            point_labels = query.labels_for_batch(points)
+            wrong = point_labels != query.true_label
+            leaves.append((points[wrong], point_labels[wrong]))
+            lo, hi = _bisect(lo[open_ & ~leaf], hi[open_ & ~leaf])
+        box_lo, box_hi, box_labels = (np.concatenate(part) for part in zip(*boxes))
+        points, point_labels = (np.concatenate(part) for part in zip(*leaves))
+        return (box_lo, box_hi, box_labels), (points, point_labels)
+
     def count_misclassifications(self, query: ScaledQuery) -> int:
         """Number of misclassifying noise vectors in the box."""
-        count = 0
-        for block in self._grid_chunks(query):
-            labels = query.labels_for_batch(block)
-            count += int((labels != query.true_label).sum())
-        return count
+        return sum(self.misclassification_census(query).values())
 
     def collect_witnesses(
         self, query: ScaledQuery, limit: int | None = None
-    ) -> list[tuple[int, ...]]:
-        """All (or the first ``limit``) misclassifying noise vectors."""
-        witnesses: list[tuple[int, ...]] = []
-        for block in self._grid_chunks(query):
-            labels = query.labels_for_batch(block)
-            for row in np.nonzero(labels != query.true_label)[0]:
-                witnesses.append(tuple(int(v) for v in block[row]))
-                if limit is not None and len(witnesses) >= limit:
-                    return witnesses
-        return witnesses
+    ) -> list[tuple[tuple[int, ...], int]]:
+        """All (or the first ``limit``) misclassifying noise vectors.
+
+        Returns ``(vector, label)`` pairs in lexicographic grid order,
+        ``label`` being the wrong label the network predicts.
+        """
+        if limit is not None and limit < 0:
+            raise VerificationError(f"limit must be non-negative, got {limit}")
+        if limit == 0:
+            return []
+        (box_lo, box_hi, box_labels), (points, labels) = self._split(query)
+        # Proved boxes are disjoint runs of the grid order: once the first
+        # boxes in that order hold ``limit`` points, later boxes hold only
+        # later points and need not be materialised.
+        order = np.argsort(_ranks(query, box_lo))
+        box_lo, box_hi, box_labels = box_lo[order], box_hi[order], box_labels[order]
+        sizes = (box_hi - box_lo + 1).prod(axis=1)
+        if limit is not None:
+            keep = int(np.searchsorted(np.cumsum(sizes), limit)) + 1
+            box_lo, box_hi, box_labels = box_lo[:keep], box_hi[:keep], box_labels[:keep]
+            sizes = sizes[:keep]
+        points = np.concatenate([_box_points(box_lo, box_hi), points])
+        labels = np.concatenate([np.repeat(box_labels, sizes), labels])
+        order = np.argsort(_ranks(query, points))[:limit]
+        return list(zip(map(tuple, points[order].tolist()), labels[order].tolist()))
 
     def misclassification_census(self, query: ScaledQuery) -> dict[int, int]:
         """Histogram: wrong label → count (used by the bias analysis)."""
+        (box_lo, box_hi, box_labels), (_, labels) = self._split(query)
         census: dict[int, int] = {}
-        for block in self._grid_chunks(query):
-            labels = query.labels_for_batch(block)
-            wrong = labels[labels != query.true_label]
-            values, counts = np.unique(wrong, return_counts=True)
-            for value, count in zip(values, counts):
-                census[int(value)] = census.get(int(value), 0) + int(count)
-        return census
+        sizes = (box_hi - box_lo + 1).prod(axis=1)
+        for label, size in zip(box_labels.tolist(), sizes.tolist()):
+            census[label] = census.get(label, 0) + size
+        for label in labels.tolist():
+            census[label] = census.get(label, 0) + 1
+        return dict(sorted(census.items()))
+
+
+def _ranks(query: ScaledQuery, points: np.ndarray) -> np.ndarray:
+    """Position of each point (or box corner) in the box's grid order."""
+    low = np.asarray(query.low, dtype=np.int64)
+    radix = np.asarray(query.high, dtype=np.int64) - low + 1
+    strides = np.concatenate([np.cumprod(radix[:0:-1])[::-1], [1]]).astype(np.int64)
+    return (points - low) @ strides
+
+
+def _box_points(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Every point of each ``(B, n)`` box, box after box, in grid order."""
+    radix = hi - lo + 1
+    sizes = radix.prod(axis=1)
+    owner = np.repeat(np.arange(sizes.shape[0]), sizes)
+    offset = np.arange(int(sizes.sum()), dtype=np.int64) - np.repeat(
+        np.cumsum(sizes) - sizes, sizes
+    )
+    columns = []
+    for dim in reversed(range(lo.shape[1])):
+        size = radix[owner, dim]
+        columns.append(lo[owner, dim] + offset % size)
+        offset = offset // size
+    return np.stack(columns[::-1], axis=1)
+
+
+def _bisect(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Halve each box on its first dimension wider than one point."""
+    rows = np.arange(lo.shape[0])
+    axis = np.argmax(hi > lo, axis=1)
+    middle = (lo[rows, axis] + hi[rows, axis]) // 2
+    left_hi = hi.copy()
+    left_hi[rows, axis] = middle
+    right_lo = lo.copy()
+    right_lo[rows, axis] = middle + 1
+    return np.concatenate([lo, right_lo]), np.concatenate([left_hi, hi])

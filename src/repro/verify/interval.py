@@ -19,6 +19,11 @@ replacing the per-query per-element Python loops.  Queries are grouped
 by integer dtype — int64 where the magnitude analysis proved it safe,
 exact object integers otherwise — so the arithmetic stays bit-exact
 either way.  :class:`IntervalVerifier` is the single-query wrapper.
+
+:func:`proved_labels` runs the same pass over many sub-boxes of one
+query's noise box and reports, per sub-box, the label the interval lower
+bounds prove every point takes — the pruning step of the exhaustive
+enumerator's box splitting.
 """
 
 from __future__ import annotations
@@ -34,22 +39,27 @@ from .result import VerificationResult, VerificationStatus
 _NAME = "interval"
 
 
-def _input_bounds(queries, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked activation bounds at the network input, shape ``(Q, n_in)``."""
-    x = np.stack([q.x for q in queries]).astype(dtype)
-    lo = np.stack([q.low for q in queries]).astype(dtype)
-    hi = np.stack([q.high for q in queries]).astype(dtype)
-    a = x * (100 + lo)
-    b = x * (100 + hi)
+def _input_bounds(x, lo, hi, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Activation bounds at the network input, one row per box ``(B, n_in)``.
+
+    ``lo``/``hi`` are ``(B, n_in)`` noise-percent boxes; ``x`` is one
+    input row per box or a single input shared by every box.
+    """
+    x = x.astype(dtype)
+    a = x * (100 + lo.astype(dtype))
+    b = x * (100 + hi.astype(dtype))
     # Negative inputs flip the interval; stay general, as the scalar did.
     return np.minimum(a, b), np.maximum(a, b)
 
 
-def _propagate(queries, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Activation bounds entering the final layer for one dtype group."""
-    act_low, act_high = _input_bounds(queries, dtype)
-    weights = queries[0].weights
-    biases = queries[0].biases
+def _propagate(weights, biases, x, lo, hi, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Activation bounds entering the final layer, one row per box.
+
+    Sound for any sub-box of a query's noise box in the query's dtype: a
+    sub-box only shrinks the magnitudes the encoder's int64 analysis
+    bounded.
+    """
+    act_low, act_high = _input_bounds(x, lo, hi, dtype)
     for weight, bias in zip(weights[:-1], biases[:-1]):
         w = weight.astype(dtype)
         w_pos = np.maximum(w, 0)
@@ -60,6 +70,39 @@ def _propagate(queries, dtype) -> tuple[np.ndarray, np.ndarray]:
         act_low = np.maximum(pre_low, 0)
         act_high = np.maximum(pre_high, 0)
     return act_low, act_high
+
+
+def proved_labels(query: ScaledQuery, lo, hi) -> np.ndarray:
+    """The label every point of each sub-box provably takes, or -1.
+
+    ``lo``/``hi`` are ``(B, n_in)`` sub-boxes of ``query``'s noise box.
+    Label ``k`` is proved for a box when the interval lower bound of
+    ``N_k - N_j`` reaches the argmax tie threshold for every other
+    ``j``: 0 when ``k < j`` (ties go to the lower index), 1 otherwise
+    (a strict win; all scaled values are integers).
+    """
+    dtype = object if query.exact_dtype else np.int64
+    act_low, act_high = _propagate(
+        query.weights, query.biases, query.x, lo, hi, dtype
+    )
+    final_w = query.weights[-1].astype(dtype)
+    final_b = query.biases[-1].astype(dtype)
+    labels = np.full(act_low.shape[0], -1, dtype=np.int64)
+    for k in range(query.num_outputs):
+        proved = np.ones(act_low.shape[0], dtype=bool)
+        for j in range(query.num_outputs):
+            if j == k:
+                continue
+            # act* attains the lower bound of N_k - N_j over the box; two
+            # dot products, as in _decide_group, stay within the encoder's
+            # int64 magnitude analysis.
+            act_star = np.where(final_w[k] >= final_w[j], act_low, act_high)
+            lower = (act_star @ final_w[k] + final_b[k]) - (
+                act_star @ final_w[j] + final_b[j]
+            )
+            proved &= lower >= (0 if k < j else 1)
+        labels[proved] = k
+    return labels
 
 
 def interval_bulk(queries: Sequence[ScaledQuery]) -> list[VerificationResult]:
@@ -86,7 +129,14 @@ def interval_bulk(queries: Sequence[ScaledQuery]) -> list[VerificationResult]:
 
 
 def _decide_group(group, dtype) -> list[VerificationResult]:
-    act_low, act_high = _propagate(group, dtype)
+    act_low, act_high = _propagate(
+        group[0].weights,
+        group[0].biases,
+        np.stack([q.x for q in group]),
+        np.stack([q.low for q in group]),
+        np.stack([q.high for q in group]),
+        dtype,
+    )
     final_w = group[0].weights[-1].astype(dtype)
     final_b = group[0].biases[-1].astype(dtype)
     num_outputs = group[0].num_outputs

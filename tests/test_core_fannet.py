@@ -161,7 +161,7 @@ class TestProperties:
         module, query = network_noise_module(network, x, label, NoiseConfig(4))
         from repro.verify import ExhaustiveEnumerator
 
-        witnesses = ExhaustiveEnumerator().collect_witnesses(query)
+        witnesses = [v for v, _ in ExhaustiveEnumerator().collect_witnesses(query)]
         if not witnesses:
             pytest.skip("fixture not vulnerable at ±4%")
         known = witnesses[: len(witnesses) // 2] or witnesses[:1]

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.config import NoiseConfig, RuntimeConfig, VerifierConfig
-from repro.errors import ConfigError
+from repro.errors import ConfigError, VerificationError
 from repro.nn.quantize import QuantizedLayer, QuantizedNetwork
 from repro.runtime import (
     MISS,
@@ -399,6 +399,26 @@ class TestRunnerCaching:
         assert runner.stats.extract_calls == 1
         assert first is second
         assert first["vectors"]  # ±20 % flips this input
+
+    @pytest.mark.parametrize("relabel", ["next", "true"])
+    def test_extraction_audits_every_label(self, network, x, label, relabel, monkeypatch):
+        """collect_at re-evaluates each extracted vector exactly and refuses
+        a label the enumerator got wrong."""
+        from repro.verify import ExhaustiveEnumerator
+
+        honest = ExhaustiveEnumerator.collect_witnesses
+
+        def mislabelled(self, query, limit=None):
+            pairs = honest(self, query, limit)
+            vector, wrong = pairs[-1]
+            pairs[-1] = (vector, wrong + 1 if relabel == "next" else query.true_label)
+            return pairs
+
+        monkeypatch.setattr(ExhaustiveEnumerator, "collect_witnesses", mislabelled)
+        with pytest.raises(VerificationError, match="exact evaluation disagrees"):
+            QueryRunner(network).collect_at(
+                x, label, 20, limit=None, exhaustive_cutoff=10**6
+            )
 
     def test_probe_checks_are_memoised(self, network, x, label):
         runner = QueryRunner(network)

@@ -7,9 +7,11 @@ portfolio) agree with exhaustive enumeration — the exact ground truth.
 from __future__ import annotations
 
 import ast
+import itertools
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,6 +30,7 @@ from repro.verify import (
     NoiseVectorCollector,
     PortfolioVerifier,
     RandomFalsifier,
+    ScaledQuery,
     SmtVerifier,
     VerificationStatus,
     build_query,
@@ -64,6 +67,89 @@ def simple_network():
     )
 
 
+@st.composite
+def random_scaled_query(draw):
+    """A scaled query on a random network and an asymmetric noise box.
+
+    1-2 hidden layers, 2-4 outputs, signed weights; int64 or forced
+    object arithmetic, the latter sometimes with weights far past int64.
+    Each bias is drawn inside its neuron's interval range over the box,
+    so ReLUs and decision boundaries tend to cross the box.  Some draws
+    copy one output row onto another, so two labels tie at every point
+    and argmax must keep the lower index.
+    """
+    num_inputs = draw(st.integers(2, 4))
+    hidden = [draw(st.integers(2, 5)) for _ in range(draw(st.integers(1, 2)))]
+    sizes = [num_inputs, *hidden, draw(st.integers(2, 4))]
+    exact = draw(st.booleans())
+    scale = 10**15 if exact and draw(st.booleans()) else 1
+    x = [draw(st.integers(1, 30)) for _ in range(num_inputs)]
+    low = [draw(st.integers(-12, 4)) for _ in range(num_inputs)]
+    high = [lo + draw(st.integers(0, 12)) for lo in low]
+    act_low = [xi * (100 + lo) for xi, lo in zip(x, low)]
+    act_high = [xi * (100 + hi) for xi, hi in zip(x, high)]
+    weights, biases = [], []
+    for fan_in, fan_out in zip(sizes, sizes[1:]):
+        rows = [[draw(st.integers(-9, 9)) * scale for _ in range(fan_in)]
+                for _ in range(fan_out)]
+        pre_low = [
+            sum(w * (a if w >= 0 else b) for w, a, b in zip(row, act_low, act_high))
+            for row in rows
+        ]
+        pre_high = [
+            sum(w * (b if w >= 0 else a) for w, a, b in zip(row, act_low, act_high))
+            for row in rows
+        ]
+        bias = [-draw(st.integers(lo, hi)) for lo, hi in zip(pre_low, pre_high)]
+        act_low = [max(0, lo + b) for lo, b in zip(pre_low, bias)]
+        act_high = [max(0, hi + b) for hi, b in zip(pre_high, bias)]
+        weights.append(np.array(rows, dtype=object))
+        biases.append(np.array(bias, dtype=object))
+    if draw(st.booleans()):
+        source, target = draw(st.permutations(range(sizes[-1])))[:2]
+        weights[-1][target] = weights[-1][source]
+        biases[-1][target] = biases[-1][source]
+    dtype = object if exact else np.int64
+    return ScaledQuery(
+        weights=[w.astype(dtype) for w in weights],
+        biases=[b.astype(dtype) for b in biases],
+        x=np.array(x, dtype=np.int64),
+        true_label=draw(st.integers(0, sizes[-1] - 1)),
+        low=np.array(low, dtype=np.int64),
+        high=np.array(high, dtype=np.int64),
+        exact_dtype=exact,
+    )
+
+
+def flat_grid_witnesses(query):
+    """Every grid point evaluated, in lexicographic order: the reference."""
+    axes = [range(int(lo), int(hi) + 1) for lo, hi in zip(query.low, query.high)]
+    points = np.array(list(itertools.product(*axes)), dtype=np.int64)
+    labels = query.labels_for_batch(points)
+    return [
+        (tuple(int(v) for v in point), int(label))
+        for point, label in zip(points, labels)
+        if label != query.true_label
+    ]
+
+
+def reference_predict(query, noise):
+    """The per-element pure-Python forward pass ``predict_single`` replaced."""
+    values = [int(xi) * (100 + int(pi)) for xi, pi in zip(query.x, noise)]
+    for index, (weight, bias) in enumerate(zip(query.weights, query.biases)):
+        values = [
+            int(bias[j]) + sum(int(weight[j][i]) * values[i] for i in range(len(values)))
+            for j in range(weight.shape[0])
+        ]
+        if index < query.num_layers - 1:
+            values = [max(0, v) for v in values]
+    best = 0
+    for k in range(1, len(values)):
+        if values[k] > values[best]:
+            best = k
+    return best
+
+
 class TestBuildQuery:
     def test_rejects_non_integer_input(self, simple_network):
         with pytest.raises(VerificationError):
@@ -88,6 +174,16 @@ class TestBuildQuery:
         labels = query.labels_for_batch(batch)
         for row, label in zip(batch, labels):
             assert query.predict_single(row) == int(label)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_predict_single_matches_reference_formula(self, data):
+        query = data.draw(random_scaled_query())
+        rows = st.tuples(
+            *(st.integers(int(lo), int(hi)) for lo, hi in zip(query.low, query.high))
+        )
+        for noise in data.draw(st.lists(rows, min_size=1, max_size=8)):
+            assert query.predict_single(noise) == reference_predict(query, noise)
 
     def test_layer_bounds_contain_all_evaluations(self, simple_network):
         x = np.array([10, 20])
@@ -173,6 +269,47 @@ class TestExhaustive:
         assert count == len(witnesses)
         census = enumerator.misclassification_census(query)
         assert sum(census.values()) == count
+
+
+class TestSplitEnumerator:
+    """The box-splitting census against the flat grid walk it replaced."""
+
+    @pytest.fixture
+    def vulnerable_query(self, simple_network):
+        x = np.array([10, 20])
+        query = build_query(
+            simple_network, x, simple_network.predict(x), NoiseConfig(25)
+        )
+        assert ExhaustiveEnumerator().collect_witnesses(query)
+        return query
+
+    def test_zero_limit_returns_nothing(self, vulnerable_query):
+        assert ExhaustiveEnumerator().collect_witnesses(vulnerable_query, limit=0) == []
+        collected = NoiseVectorCollector().collect(vulnerable_query, limit=0)
+        assert (collected.vectors, collected.labels) == ([], [])
+        assert not collected.exhausted  # nothing was searched
+
+    def test_negative_limit_raises(self, vulnerable_query):
+        with pytest.raises(VerificationError):
+            ExhaustiveEnumerator().collect_witnesses(vulnerable_query, limit=-1)
+        for cutoff in (10**6, 1):  # split enumerator and blocking path
+            with pytest.raises(VerificationError):
+                NoiseVectorCollector(exhaustive_cutoff=cutoff).collect(
+                    vulnerable_query, limit=-1
+                )
+
+    @given(random_scaled_query())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_flat_grid(self, query):
+        expected = flat_grid_witnesses(query)
+        enumerator = ExhaustiveEnumerator()
+        assert enumerator.collect_witnesses(query) == expected
+        total = len(expected)
+        for limit in {1, total // 4, total // 2, total - 1, total + 1} - {0, -1}:
+            assert enumerator.collect_witnesses(query, limit=limit) == expected[:limit]
+        census = Counter(label for _, label in expected)
+        assert enumerator.misclassification_census(query) == dict(census)
+        assert enumerator.count_misclassifications(query) == total
 
 
 class TestFalsifiers:
@@ -277,7 +414,7 @@ class TestNoiseVectorCollector:
         expected = ExhaustiveEnumerator().collect_witnesses(query)
         collected = NoiseVectorCollector().collect(query)
         assert collected.exhausted
-        assert sorted(collected.vectors) == sorted(expected)
+        assert list(zip(collected.vectors, collected.labels)) == expected
 
     def test_limit_respected(self, simple_network):
         x = np.array([10, 20])
@@ -297,7 +434,7 @@ class TestNoiseVectorCollector:
         # Force the DPLL(T) blocking path by shrinking the cutoff.
         collector = NoiseVectorCollector(exhaustive_cutoff=1)
         collected = collector.collect(query, limit=max(1, len(expected)))
-        assert set(collected.vectors) <= expected or not expected
+        assert set(zip(collected.vectors, collected.labels)) <= expected or not expected
         if expected:
             assert len(collected) >= 1
             for vector in collected:
