@@ -1,11 +1,11 @@
 """E9 — adversarial noise-vector extraction throughput (the P3 loop).
 
-Measures both extraction paths: the exact census (interval-pruned box
-splitting, which evaluates only the sub-boxes it cannot prove) and the
-solver-driven blocking loop (DPLL(T)), which is the literal Fig.-2 P3
-realisation.  One arm times the census against the flat grid walk it
-replaced, which evaluates every grid point, and requires identical
-vectors and labels in identical order.
+P3 has one extraction path: the exact census (interval-pruned box
+splitting, which evaluates only the sub-boxes it cannot prove).  One arm
+times it against the flat grid walk it replaced, which evaluates every
+grid point, and requires identical vectors and labels in identical
+order.  Another runs it with ``limit=10``, which must return the first
+ten vectors of the unlimited run while evaluating fewer leaf points.
 """
 
 from __future__ import annotations
@@ -63,24 +63,27 @@ def test_split_matches_flat_grid(quantized, vulnerable_input):
     assert enumerator.leaf_points < size
 
 
-def test_blocking_loop_extraction(benchmark, quantized, case_study, vulnerable_input):
-    """P3 with blocking clauses, 10 vectors per run."""
+def test_limited_extraction(benchmark, quantized, vulnerable_input):
+    """P3 with ``limit=10``: the split stops once the first ten are known."""
     index, x, label, min_flip = vulnerable_input
     query = build_query(quantized, x, label, NoiseConfig(max_percent=min_flip + 1))
-    collector = NoiseVectorCollector(exhaustive_cutoff=1)  # force solver path
+    unlimited = ExhaustiveEnumerator()
+    full = unlimited.collect_witnesses(query)
+    limited = ExhaustiveEnumerator()
 
     def collect_ten():
-        return collector.collect(query, limit=10)
+        return limited.collect_witnesses(query, limit=10)
 
     result = benchmark.pedantic(collect_ten, rounds=1, iterations=1)
-    print(f"\nblocking loop extracted {len(result)} NVs")
-    assert len(result) == 10
-    assert len(set(result.vectors)) == 10
-    for vector in result:
-        assert query.misclassified(vector)
-    # Consistency with the exact path: every vector appears in the full set.
-    full = set(ExhaustiveEnumerator().collect_witnesses(query))
-    assert set(zip(result.vectors, result.labels)) <= full
+    print(
+        f"\nlimit=10: {limited.leaf_points} leaf points evaluated, "
+        f"against {unlimited.leaf_points} for all {len(full)} NVs"
+    )
+    assert result == full[:10]
+    assert limited.leaf_points < unlimited.leaf_points
+    collected = NoiseVectorCollector().collect(query, limit=10)
+    assert list(zip(collected.vectors, collected.labels)) == full[:10]
+    assert not collected.exhausted
 
 
 def _census(report):

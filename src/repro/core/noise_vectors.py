@@ -73,13 +73,11 @@ class NoiseVectorExtraction:
         network: QuantizedNetwork,
         config: VerifierConfig | None = None,
         per_input_limit: int | None = None,
-        exhaustive_cutoff: int = 8_000_000,
         runner: QueryRunner | None = None,
         runtime: RuntimeConfig | None = None,
     ):
         self.network = network
         self.per_input_limit = per_input_limit
-        self.exhaustive_cutoff = exhaustive_cutoff
         self.runner = runner or QueryRunner(network, config or VerifierConfig(), runtime)
         # The runner's config is the single source of truth — an injected
         # runner's budgets/seed win over a separately passed ``config``.
@@ -92,7 +90,6 @@ class NoiseVectorExtraction:
             true_label=true_label,
             percent=noise_percent,
             limit=self.per_input_limit,
-            exhaustive_cutoff=self.exhaustive_cutoff,
         )
 
     def extract_for_input(

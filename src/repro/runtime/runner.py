@@ -231,14 +231,15 @@ class QueryRunner:
         true_label: int,
         percent: int,
         limit: int | None,
-        exhaustive_cutoff: int,
         index: int = -1,
     ) -> dict:
-        """P3 collection at ``±percent``, memoised; reuses robust verdicts."""
+        """P3 collection at ``±percent``, memoised; reuses robust verdicts.
+
+        Collects the first ``limit`` flipping vectors in grid order, or
+        every one when ``limit`` is None.
+        """
         x = tuple(int(v) for v in x)
-        key = make_key(
-            "extract", index, x, true_label, percent, extra=(limit, exhaustive_cutoff)
-        )
+        key = make_key("extract", index, x, true_label, percent, extra=(limit,))
         cached = self.cache.get(key)
         if cached is not MISS:
             return cached
@@ -250,14 +251,7 @@ class QueryRunner:
             self.cache.put(key, outcome)
             return outcome
         query = self._build_query(x, true_label, percent)
-        effective_limit = limit
-        if query.noise_space_size() > exhaustive_cutoff and effective_limit is None:
-            effective_limit = 1000  # solver-driven extraction needs a bound
-        # Same (seed, index) derivation as _verifier_for: every engine a
-        # task touches must see the per-input seed, not the base one.
-        seeded = replace(self.config, seed=derive_seed(self.config.seed, index))
-        collector = NoiseVectorCollector(seeded, exhaustive_cutoff=exhaustive_cutoff)
-        collected = collector.collect(query, limit=effective_limit)
+        collected = NoiseVectorCollector().collect(query, limit=limit)
         # The collector's labels come from interval proofs and vectorised
         # passes; one independent pure-Python evaluation per vector audits
         # them before they reach a report.

@@ -68,7 +68,9 @@ MAGIC = b"FANNET-QCACHE\n"
 #: collector's seed derivation moved from the run-wide base seed to the
 #: per-input ``(seed, index)`` contract, so solver-driven "extract"
 #: entries cached by version-2 code would serve old-stream vector sets
-#: that a cold run of the current code cannot reproduce.
+#: that a cold run of the current code cannot reproduce.  Dropping the
+#: cutoff from the "extract" key (``(limit, cutoff)`` → ``(limit,)``)
+#: needed no bump: old keys cannot collide with new ones, they only miss.
 STORE_VERSION = 3
 
 _LEN_BYTES = 8

@@ -75,7 +75,6 @@ class ExtractionTask:
     true_label: int
     percent: int
     limit: int | None
-    exhaustive_cutoff: int
     warm: WarmEntries = field(default_factory=dict)
     # "verify" rides along for the robust-verdict short-circuit.
     warm_kinds = ("extract", "verify")
@@ -86,7 +85,6 @@ class ExtractionTask:
             self.true_label,
             self.percent,
             limit=self.limit,
-            exhaustive_cutoff=self.exhaustive_cutoff,
             index=self.index,
         )
 

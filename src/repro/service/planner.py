@@ -224,7 +224,6 @@ class BatchPlanner:
                             true_label=true_label,
                             percent=job.extraction.percent,
                             limit=job.extraction.limit,
-                            exhaustive_cutoff=job.extraction.exhaustive_cutoff,
                         ),
                     )
                 )

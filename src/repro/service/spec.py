@@ -311,21 +311,16 @@ class ExtractionSpec:
 
     percent: int = 8
     limit: int | None = None
-    exhaustive_cutoff: int = 8_000_000
 
     def __post_init__(self):
         if self.percent < 1:
             raise ConfigError("extraction percent must be >= 1")
         if self.limit is not None and self.limit < 1:
             raise ConfigError("extraction limit must be >= 1 (or null)")
-        if self.exhaustive_cutoff < 1:
-            raise ConfigError("exhaustive_cutoff must be >= 1")
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExtractionSpec":
-        _reject_unknown(
-            payload, ("percent", "limit", "exhaustive_cutoff"), "extraction"
-        )
+        _reject_unknown(payload, ("percent", "limit"), "extraction")
         return _build(cls, payload, "extraction")
 
 

@@ -2,32 +2,26 @@
 
 Exact linear arithmetic over the rationals:
 
-- :mod:`repro.smt.linexpr` — linear expressions and constraints;
 - :mod:`repro.smt.simplex` — incremental Dutertre–de Moura general
-  simplex with exact ``Fraction`` pivoting and conflict extraction;
-- :mod:`repro.smt.branch_bound` — integer feasibility via branch & bound;
-- :mod:`repro.smt.dpllt` — lazy DPLL(T): the CDCL core from
-  :mod:`repro.sat` combined with the simplex as theory solver.
+  simplex, exact and fraction-free: each tableau row holds integer
+  coefficients over one positive row denominator, and values and bounds
+  stay ``Fraction``; with conflict extraction;
+- :mod:`repro.smt.branch_bound` — integer feasibility via branch & bound.
+
+The verifiers in :mod:`repro.verify` combine these with the CDCL core
+from :mod:`repro.sat`.
 
 nuXmv reaches its SMT backend (MathSAT) for exactly this role; here the
 stack is self-contained.
 """
 
-from .linexpr import Constraint, LinExpr, Relation
 from .simplex import BoundKind, Simplex, SimplexResult
 from .branch_bound import IntegerFeasibilityResult, solve_integer_feasibility
-from .dpllt import DpllTSolver, TheoryAtom, TheoryResult
 
 __all__ = [
-    "LinExpr",
-    "Constraint",
-    "Relation",
     "Simplex",
     "SimplexResult",
     "BoundKind",
     "solve_integer_feasibility",
     "IntegerFeasibilityResult",
-    "DpllTSolver",
-    "TheoryAtom",
-    "TheoryResult",
 ]

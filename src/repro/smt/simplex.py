@@ -13,9 +13,9 @@ numbers and a SAT/UNSAT verdict is a theorem about the model, not a
 float guess.
 
 Supports ``push`` / ``pop`` of bound assertions, which is what both the
-lazy DPLL(T) loop and the ReLU phase-splitting verifier need, and returns
-*conflict sets* (the subset of asserted bounds proving infeasibility) so
-callers can learn small blocking clauses.
+incremental ladder sessions and the ReLU phase-splitting verifier need,
+and returns *conflict sets* (the subset of asserted bounds proving
+infeasibility) so callers can learn small blocking clauses.
 """
 
 from __future__ import annotations

@@ -18,12 +18,14 @@ one exact interval pass (:func:`~repro.verify.interval.proved_labels`):
 - an unproved sub-box of at most :data:`LEAF_POINTS` points is evaluated
   point by point, the rest are split again.
 
-The results equal the flat grid walk's, in the same order.
+The results equal the flat grid walk's, in the same order.  Their cost
+is the leaf points, not the box size, so they are complete at every
+noise range; a ``limit`` on the witnesses ends the split as soon as the
+first ``limit`` of them in grid order are known.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterator
 
 import numpy as np
@@ -37,9 +39,14 @@ from .result import VerificationResult, VerificationStatus
 #: point instead of being split further.
 LEAF_POINTS = 64
 
+#: Box splitting ranks grid points in int64, so boxes must hold fewer
+#: points than this.
+GRID_LIMIT = 2**63
+
 
 class ExhaustiveEnumerator:
-    """Full enumeration with a configurable vector budget.
+    """Full enumeration; ``max_vectors`` bounds the flat walk of
+    :meth:`verify`.
 
     ``boxes`` and ``leaf_points`` count, over this instance's lifetime,
     the sub-boxes the census queries bounded and the leaf points they
@@ -58,11 +65,9 @@ class ExhaustiveEnumerator:
 
     def _check_budget(self, query: ScaledQuery) -> int:
         """Number of vectors in the box; raises when it exceeds the budget."""
-        # math.prod over Python ints: np.prod wraps silently at 64 bits,
+        # A product of Python ints: np.prod wraps silently at 64 bits,
         # which let astronomically large boxes slip past the budget check.
-        total = math.prod(
-            int(hi) - int(lo) + 1 for lo, hi in zip(query.low, query.high)
-        )
+        total = query.noise_space_size()
         if total > self.max_vectors:
             raise BudgetExceededError(
                 f"noise space has {total} vectors, budget is {self.max_vectors}",
@@ -112,20 +117,33 @@ class ExhaustiveEnumerator:
             VerificationStatus.ROBUST, engine=self.name, nodes_explored=checked
         )
 
-    def _split(self, query: ScaledQuery):
+    def _split(self, query: ScaledQuery, limit: int | None = None):
         """Bisect the box down to proved sub-boxes and evaluated leaves.
 
         Returns ``(lo, hi, labels)`` of the sub-boxes proved to take a
         wrong label, and ``(points, labels)`` of the wrongly labelled leaf
         points.  Neither is in grid order; callers order by
-        :func:`_ranks`.
+        :func:`_ranks`.  With a ``limit``, once the wrong points found
+        hold at least ``limit`` points, open sub-boxes that start after
+        the ``limit``-th of them in grid order are dropped: they hold
+        only later points.
+
+        The cost is the leaf points, not the box size, so the only bound
+        is the int64 grid rank: boxes of 2^63 points or more raise.
         """
-        self._check_budget(query)
+        total = query.noise_space_size()
+        if total >= GRID_LIMIT:
+            raise BudgetExceededError(
+                f"noise space has {total} vectors; grid ranks are int64",
+                budget=GRID_LIMIT - 1,
+            )
         width = query.num_inputs
         lo = np.asarray(query.low, dtype=np.int64).reshape(1, width)
         hi = np.asarray(query.high, dtype=np.int64).reshape(1, width)
         boxes: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        leaves: list[tuple[np.ndarray, np.ndarray]] = []
+        leaves = [(np.empty((0, width), dtype=np.int64), np.empty(0, dtype=np.int64))]
+        step = max(1, self.chunk // LEAF_POINTS)  # leaf boxes per forward pass
+        found = 0
         while lo.shape[0]:
             labels = proved_labels(query, lo, hi)
             self.boxes += labels.shape[0]
@@ -133,12 +151,22 @@ class ExhaustiveEnumerator:
             boxes.append((lo[flipped], hi[flipped], labels[flipped]))
             open_ = labels < 0
             leaf = open_ & ((hi - lo + 1).prod(axis=1) <= LEAF_POINTS)
-            points = _box_points(lo[leaf], hi[leaf])
-            self.leaf_points += points.shape[0]
-            point_labels = query.labels_for_batch(points)
-            wrong = point_labels != query.true_label
-            leaves.append((points[wrong], point_labels[wrong]))
-            lo, hi = _bisect(lo[open_ & ~leaf], hi[open_ & ~leaf])
+            leaf_lo, leaf_hi = lo[leaf], hi[leaf]
+            for start in range(0, leaf_lo.shape[0], step):
+                points = _box_points(
+                    leaf_lo[start : start + step], leaf_hi[start : start + step]
+                )
+                self.leaf_points += points.shape[0]
+                point_labels = query.labels_for_batch(points)
+                wrong = point_labels != query.true_label
+                leaves.append((points[wrong], point_labels[wrong]))
+                found += int(wrong.sum())
+            found += int((hi[flipped] - lo[flipped] + 1).prod(axis=1).sum())
+            lo, hi = lo[open_ & ~leaf], hi[open_ & ~leaf]
+            if limit is not None and found >= limit:
+                keep = _ranks(query, lo) <= _rank_of(query, boxes, leaves, limit)
+                lo, hi = lo[keep], hi[keep]
+            lo, hi = _bisect(lo, hi)
         box_lo, box_hi, box_labels = (np.concatenate(part) for part in zip(*boxes))
         points, point_labels = (np.concatenate(part) for part in zip(*leaves))
         return (box_lo, box_hi, box_labels), (points, point_labels)
@@ -159,7 +187,7 @@ class ExhaustiveEnumerator:
             raise VerificationError(f"limit must be non-negative, got {limit}")
         if limit == 0:
             return []
-        (box_lo, box_hi, box_labels), (points, labels) = self._split(query)
+        (box_lo, box_hi, box_labels), (points, labels) = self._split(query, limit)
         # Proved boxes are disjoint runs of the grid order: once the first
         # boxes in that order hold ``limit`` points, later boxes hold only
         # later points and need not be materialised.
@@ -193,6 +221,23 @@ def _ranks(query: ScaledQuery, points: np.ndarray) -> np.ndarray:
     radix = np.asarray(query.high, dtype=np.int64) - low + 1
     strides = np.concatenate([np.cumprod(radix[:0:-1])[::-1], [1]]).astype(np.int64)
     return (points - low) @ strides
+
+
+def _rank_of(query: ScaledQuery, boxes, leaves, limit: int) -> int:
+    """Grid rank of the ``limit``-th point among proved boxes and leaves."""
+    starts = np.concatenate(
+        [_ranks(query, lo) for lo, _, _ in boxes]
+        + [_ranks(query, points) for points, _ in leaves]
+    )
+    sizes = np.concatenate(
+        [(hi - lo + 1).prod(axis=1) for lo, hi, _ in boxes]
+        + [np.ones(points.shape[0], dtype=np.int64) for points, _ in leaves]
+    )
+    order = np.argsort(starts)
+    starts, sizes = starts[order], sizes[order]
+    ends = np.cumsum(sizes)
+    run = int(np.searchsorted(ends, limit))  # the run holding the limit-th point
+    return int(starts[run] + limit - 1 - (ends[run] - sizes[run]))
 
 
 def _box_points(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

@@ -310,10 +310,10 @@ class LadderSession:
     def _attempt(simplex, var, kind, bound, origin, origin_map) -> object | None:
         """Assert one bound, recording ``origin`` when it becomes active.
 
-        Mirrors the origin-tracking pattern of
-        :meth:`repro.smt.dpllt.DpllTSolver._assert_constraint`: the origin
-        is recorded when the bound actually tightened (it now *owns* the
-        current bound) or when the assertion itself conflicts.
+        The origin is recorded when the bound actually tightened (it now
+        *owns* the current bound) or when the assertion itself conflicts;
+        a bound that did not tighten leaves the current owner in place, so
+        conflict cores map to the literals that really caused them.
         """
         ref = BoundRef(var, kind)
         index = 0 if kind is BoundKind.LOWER else 1

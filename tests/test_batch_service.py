@@ -131,6 +131,12 @@ ceiling = 8
                 "ceiling must be",
             ),
             (
+                lambda d: d["jobs"][0]["analyses"]["extraction"].update(
+                    exhaustive_cutoff=10**6
+                ),
+                "unknown extraction key",
+            ),
+            (
                 lambda d: d["jobs"][0]["dataset"].update(start=1),
                 "not both",
             ),

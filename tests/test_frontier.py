@@ -373,6 +373,12 @@ class TestGridChunkOverflowRegression:
         enumerator = ExhaustiveEnumerator(max_vectors=10**6)
         with pytest.raises(BudgetExceededError):
             enumerator.verify(query)
+        # Box splitting ignores max_vectors, but ranks grid points in
+        # int64: the census queries must refuse the box, not wrap.
+        with pytest.raises(BudgetExceededError):
+            enumerator.collect_witnesses(query)
+        with pytest.raises(BudgetExceededError):
+            enumerator.misclassification_census(query)
 
     def test_in_budget_boxes_still_enumerate(self):
         network = QuantizedNetwork(

@@ -13,9 +13,8 @@ Four layers of coverage:
 3. **Runtime plumbing** — worker counts and cache policies yield
    bit-identical tolerance sweeps.
 4. **Solver satellites** — ``SatResult.failed_assumptions`` (minimal
-   refuted cores, solver reusability), the lazily-pruned learnt-DB
-   reduction (watch invariants, brute-force agreement), and the
-   DPLL(T) conflict budget (``UNKNOWN``, never a fabricated verdict).
+   refuted cores, solver reusability) and the lazily-pruned learnt-DB
+   reduction (watch invariants, brute-force agreement).
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from repro.core import NoiseToleranceAnalysis
 from repro.data.dataset import Dataset
 from repro.nn.quantize import QuantizedLayer, QuantizedNetwork
 from repro.sat import CdclSolver, Cnf, SatStatus, brute_force_satisfiable
-from repro.smt import DpllTSolver, TheoryResult
 from repro.verify import (
     FrontierProbe,
     LadderSession,
@@ -400,34 +398,3 @@ class TestLazyReduceDb:
         assert (result.status is SatStatus.SAT) == brute_force_satisfiable(cnf)
         if result.status is SatStatus.SAT:
             assert cnf.evaluate(result.model)
-
-
-# -- 4c. DPLL(T) conflict budget ---------------------------------------------------
-
-
-def unsat_xor_square(solver: DpllTSolver) -> None:
-    a, b = solver.new_bool(), solver.new_bool()
-    solver.add_clause([a, b])
-    solver.add_clause([a, -b])
-    solver.add_clause([-a, b])
-    solver.add_clause([-a, -b])
-
-
-class TestDpllTBudget:
-    def test_exhausted_budget_is_unknown_not_unsat(self):
-        solver = DpllTSolver(max_conflicts=1)
-        unsat_xor_square(solver)
-        verdict, model = solver.solve()
-        assert verdict is TheoryResult.UNKNOWN
-        assert model is None
-
-    def test_generous_budget_still_refutes(self):
-        solver = DpllTSolver(max_conflicts=10_000)
-        unsat_xor_square(solver)
-        verdict, _ = solver.solve()
-        assert verdict is TheoryResult.UNSAT
-
-    def test_unbounded_default_is_unchanged(self):
-        solver = DpllTSolver()
-        unsat_xor_square(solver)
-        assert solver.solve()[0] is TheoryResult.UNSAT

@@ -388,14 +388,14 @@ class TestRunnerCaching:
         runner = QueryRunner(network)
         result = runner.verify_at(x, label, 1)
         assert result.is_robust
-        outcome = runner.collect_at(x, label, 1, limit=None, exhaustive_cutoff=10**6)
+        outcome = runner.collect_at(x, label, 1, limit=None)
         assert outcome == {"vectors": [], "flipped_to": [], "exhausted": True}
         assert runner.stats.extract_calls == 0  # no collector run happened
 
     def test_extraction_is_memoised(self, network, x, label):
         runner = QueryRunner(network)
-        first = runner.collect_at(x, label, 20, limit=None, exhaustive_cutoff=10**6)
-        second = runner.collect_at(x, label, 20, limit=None, exhaustive_cutoff=10**6)
+        first = runner.collect_at(x, label, 20, limit=None)
+        second = runner.collect_at(x, label, 20, limit=None)
         assert runner.stats.extract_calls == 1
         assert first is second
         assert first["vectors"]  # ±20 % flips this input
@@ -416,9 +416,7 @@ class TestRunnerCaching:
 
         monkeypatch.setattr(ExhaustiveEnumerator, "collect_witnesses", mislabelled)
         with pytest.raises(VerificationError, match="exact evaluation disagrees"):
-            QueryRunner(network).collect_at(
-                x, label, 20, limit=None, exhaustive_cutoff=10**6
-            )
+            QueryRunner(network).collect_at(x, label, 20, limit=None)
 
     def test_probe_checks_are_memoised(self, network, x, label):
         runner = QueryRunner(network)
@@ -427,28 +425,34 @@ class TestRunnerCaching:
         assert first == second
         assert runner.stats.probe_evals == 1
 
-    def test_collect_at_derives_the_per_input_seed(self, network, x, label, monkeypatch):
-        """Regression: the collector ran on the base config, breaking the
-        documented (seed, index) contract that _verifier_for honours."""
-        import repro.runtime.runner as runner_module
-        from repro.verify import NoiseVectorCollector
+    def test_unlimited_extraction_above_the_old_cutoff_is_complete(self):
+        """No hidden cap: ±12 % on five inputs is 9.8 M points, where
+        extraction used to stop at 1,000 vectors.
 
-        seen: list[int] = []
-
-        class SpyCollector(NoiseVectorCollector):
-            def __init__(self, config, **kwargs):
-                seen.append(config.seed)
-                super().__init__(config, **kwargs)
-
-        monkeypatch.setattr(runner_module, "NoiseVectorCollector", SpyCollector)
-        runner = QueryRunner(network)
-        for index in (0, 7, -1):
-            runner.collect_at(
-                x, label, 20, limit=3, exhaustive_cutoff=10**6, index=index
-            )
-        assert seen == [
-            derive_seed(runner.config.seed, index) for index in (0, 7, -1)
-        ]
+        With d = p0 - p1 + p2 - p3 + p4, output 0 is 10 + d/10 and output 1
+        is 10.1 minus that, so label 1 wins exactly when d <= -50: C(15, 5)
+        = 3003 vectors (shift each coordinate to ±p + 12 in [0, 24]; their
+        sum must be at most 10).
+        """
+        signs = (1, -1, 1, -1, 1)
+        network = QuantizedNetwork(
+            [
+                QuantizedLayer(
+                    (
+                        tuple(Fraction(s) for s in signs),
+                        tuple(Fraction(-s) for s in signs),
+                    ),
+                    (Fraction(0), Fraction(101, 10)),
+                    relu=False,
+                )
+            ]
+        )
+        x = (10,) * 5
+        assert network.predict(x) == 0
+        outcome = QueryRunner(network).collect_at(x, 0, 12, limit=None)
+        assert outcome["exhausted"]
+        assert len(outcome["vectors"]) == len(set(outcome["vectors"])) == 3003
+        assert outcome["flipped_to"] == [1] * 3003
 
     def test_verify_result_matches_direct_portfolio(self, network, x, label):
         runner = QueryRunner(network, VerifierConfig())
@@ -500,7 +504,7 @@ class TestRunnerMonotoneReuse:
         runner = QueryRunner(network)
         assert runner.verify_at(x, label, 3).is_robust
         # No exact verify entry at ±2, but robust@3 implies the box is clean.
-        outcome = runner.collect_at(x, label, 2, limit=None, exhaustive_cutoff=10**6)
+        outcome = runner.collect_at(x, label, 2, limit=None)
         assert outcome == {"vectors": [], "flipped_to": [], "exhausted": True}
         assert runner.stats.extract_calls == 0
 
@@ -578,7 +582,7 @@ class TestRunnerPersistence:
         verifier = CountingVerifier()
         cold = QueryRunner(network, runtime=runtime, verifier=verifier)
         cold.verify_at(x, label, 10)
-        cold.collect_at(x, label, 10, limit=5, exhaustive_cutoff=10**6)
+        cold.collect_at(x, label, 10, limit=5)
         cold.close()
         assert cold.store.saved_entries == 2
         assert list(tmp_path.glob("*.qcache"))
@@ -587,10 +591,10 @@ class TestRunnerPersistence:
         warm = QueryRunner(network, runtime=runtime, verifier=warm_verifier)
         assert warm.store.loaded_entries == 2
         first = warm.verify_at(x, label, 10)
-        again = warm.collect_at(x, label, 10, limit=5, exhaustive_cutoff=10**6)
+        again = warm.collect_at(x, label, 10, limit=5)
         assert warm_verifier.calls == 0 and warm.stats.solver_calls == 0
         assert first.status == cold.verify_at(x, label, 10).status
-        assert again == cold.collect_at(x, label, 10, limit=5, exhaustive_cutoff=10**6)
+        assert again == cold.collect_at(x, label, 10, limit=5)
 
     def test_warm_replay_does_not_rewrite_the_file(self, tmp_path, network, x, label):
         runtime = RuntimeConfig(cache_dir=str(tmp_path))
@@ -672,7 +676,6 @@ class TestRunnerFanOut:
                 true_label=label,
                 percent=10,
                 limit=5,
-                exhaustive_cutoff=10**6,
             )
         ]
 

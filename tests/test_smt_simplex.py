@@ -1,4 +1,4 @@
-"""Tests for the exact simplex, branch & bound and LinExpr algebra."""
+"""Tests for the exact simplex and branch & bound."""
 
 from __future__ import annotations
 
@@ -13,58 +13,8 @@ from scipy.optimize import linprog
 
 from repro.errors import BudgetExceededError, SmtError
 from repro.rational import to_fraction
-from repro.smt import (
-    Constraint,
-    LinExpr,
-    Relation,
-    Simplex,
-    solve_integer_feasibility,
-)
+from repro.smt import Simplex, solve_integer_feasibility
 from repro.smt.simplex import BoundKind, BoundRef, SimplexResult
-
-
-class TestLinExpr:
-    def test_algebra(self):
-        x = LinExpr.var("x")
-        y = LinExpr.var("y")
-        expr = 2 * x + y - 3
-        assert expr.coeffs == {"x": Fraction(2), "y": Fraction(1)}
-        assert expr.constant == Fraction(-3)
-
-    def test_zero_coefficients_dropped(self):
-        x = LinExpr.var("x")
-        expr = x - x
-        assert expr.is_constant
-
-    def test_evaluate(self):
-        expr = LinExpr({"x": 2, "y": -1}, 5)
-        assert expr.evaluate({"x": 3, "y": 4}) == Fraction(7)
-
-    def test_evaluate_missing_var(self):
-        with pytest.raises(SmtError):
-            LinExpr({"x": 1}).evaluate({})
-
-    def test_relations(self):
-        c = LinExpr.var("x") <= 5
-        assert c.relation is Relation.LE
-        assert c.satisfied_by({"x": 5})
-        assert not c.satisfied_by({"x": 6})
-
-    def test_negation_integer(self):
-        c = LinExpr({"x": 1}, -5) <= 0  # x <= 5
-        neg = c.negated()  # x >= 6
-        assert neg.satisfied_by({"x": 6})
-        assert not neg.satisfied_by({"x": 5})
-
-    def test_negation_fractional_rejected(self):
-        c = LinExpr({"x": Fraction(1, 2)}) <= 0
-        with pytest.raises(SmtError):
-            c.negated()
-
-    def test_negation_of_equality_rejected(self):
-        c = Constraint(LinExpr({"x": 1}), Relation.EQ)
-        with pytest.raises(SmtError):
-            c.negated()
 
 
 class TestSimplexBasics:

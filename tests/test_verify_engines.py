@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import ast
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -35,6 +36,7 @@ from repro.verify import (
     VerificationStatus,
     build_query,
 )
+from repro.verify import exhaustive
 
 SCALE = 1000
 
@@ -292,24 +294,36 @@ class TestSplitEnumerator:
     def test_negative_limit_raises(self, vulnerable_query):
         with pytest.raises(VerificationError):
             ExhaustiveEnumerator().collect_witnesses(vulnerable_query, limit=-1)
-        for cutoff in (10**6, 1):  # split enumerator and blocking path
-            with pytest.raises(VerificationError):
-                NoiseVectorCollector(exhaustive_cutoff=cutoff).collect(
-                    vulnerable_query, limit=-1
-                )
+        with pytest.raises(VerificationError):
+            NoiseVectorCollector().collect(vulnerable_query, limit=-1)
 
-    @given(random_scaled_query())
+    @given(random_scaled_query(), st.integers(1, 2000))
     @settings(max_examples=80, deadline=None)
-    def test_matches_flat_grid(self, query):
+    def test_matches_flat_grid(self, query, drawn_limit):
         expected = flat_grid_witnesses(query)
         enumerator = ExhaustiveEnumerator()
         assert enumerator.collect_witnesses(query) == expected
         total = len(expected)
-        for limit in {1, total // 4, total // 2, total - 1, total + 1} - {0, -1}:
+        limits = {1, total // 4, total // 2, total - 1, total + 1, drawn_limit} - {0, -1}
+        for limit in limits:
             assert enumerator.collect_witnesses(query, limit=limit) == expected[:limit]
+        # Split down to single points, one leaf per forward pass: many
+        # more levels, so the limit prunes far more often.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exhaustive, "LEAF_POINTS", 1)
+            fine = ExhaustiveEnumerator(chunk=1)
+            for limit in limits:
+                assert fine.collect_witnesses(query, limit=limit) == expected[:limit]
         census = Counter(label for _, label in expected)
         assert enumerator.misclassification_census(query) == dict(census)
         assert enumerator.count_misclassifications(query) == total
+
+    def test_limit_stops_the_split_early(self, vulnerable_query):
+        unlimited = ExhaustiveEnumerator()
+        expected = unlimited.collect_witnesses(vulnerable_query)
+        limited = ExhaustiveEnumerator()
+        assert limited.collect_witnesses(vulnerable_query, limit=3) == expected[:3]
+        assert limited.leaf_points < unlimited.leaf_points
 
 
 class TestFalsifiers:
@@ -426,28 +440,43 @@ class TestNoiseVectorCollector:
         collected = NoiseVectorCollector().collect(query, limit=3)
         assert len(collected) == 3
 
-    def test_blocking_path_matches_exhaustive(self, simple_network):
-        x = np.array([10, 20])
-        label = simple_network.predict(x)
-        query = build_query(simple_network, x, label, NoiseConfig(6))
-        expected = set(ExhaustiveEnumerator().collect_witnesses(query))
-        # Force the DPLL(T) blocking path by shrinking the cutoff.
-        collector = NoiseVectorCollector(exhaustive_cutoff=1)
-        collected = collector.collect(query, limit=max(1, len(expected)))
-        assert set(zip(collected.vectors, collected.labels)) <= expected or not expected
-        if expected:
-            assert len(collected) >= 1
-            for vector in collected:
-                assert query.misclassified(vector)
-
-    def test_blocking_exhausts_when_no_witnesses(self, simple_network):
+    def test_exhausts_when_no_witnesses(self, simple_network):
         x = np.array([10, 20])
         label = simple_network.predict(x)
         query = build_query(simple_network, x, label, NoiseConfig(1))
         expected = ExhaustiveEnumerator().collect_witnesses(query)
         if expected:
             pytest.skip("expected a robust range for this test")
-        collector = NoiseVectorCollector(exhaustive_cutoff=1)
-        collected = collector.collect(query, limit=5)
+        collected = NoiseVectorCollector().collect(query, limit=5)
         assert collected.exhausted
         assert len(collected) == 0
+
+    def test_box_above_the_old_cutoff_collects_all(self):
+        """A box of 9.8 M points (above the 8 M points where extraction
+        used to switch to a capped solver loop) yields every vector.
+
+        With d = p0 - p1 + p2 - p3 + p4, output 0 is 10·(100 + d) and
+        output 1 is 1020 minus that, so label 1 wins exactly when
+        d <= -50: shifting each coordinate to q = ±p + 12 in [0, 24],
+        that is q0 + ... + q4 <= 10, which C(15, 5) = 3003 vectors meet.
+        """
+        weights = [np.array([[1, -1, 1, -1, 1], [-1, 1, -1, 1, -1]], dtype=np.int64)]
+        biases = [np.array([0, 1020], dtype=np.int64)]
+        query = ScaledQuery(
+            weights=weights,
+            biases=biases,
+            x=np.full(5, 10, dtype=np.int64),
+            true_label=0,
+            low=np.full(5, -12, dtype=np.int64),
+            high=np.full(5, 12, dtype=np.int64),
+            exact_dtype=False,
+        )
+        assert query.noise_space_size() > 8_000_000
+        collected = NoiseVectorCollector().collect(query)
+        assert collected.exhausted
+        assert len(collected) == len(set(collected.vectors)) == math.comb(15, 5)
+        assert collected.labels == [1] * len(collected)
+        for vector in collected.vectors:
+            p0, p1, p2, p3, p4 = vector
+            assert p0 - p1 + p2 - p3 + p4 <= -50
+        assert collected.vectors == sorted(collected.vectors)
