@@ -20,7 +20,6 @@ from ..errors import VerificationError
 from ..nn import Network, accuracy, quantize_network, train_paper_network
 from ..nn.quantize import QuantizedNetwork
 from ..runtime import QueryRunner
-from ..verify import build_query
 from .bias import BiasReport, TrainingBiasAnalysis
 from .boundary import BoundaryEstimation, BoundaryReport
 from .noise_vectors import ExtractionReport, NoiseVectorExtraction
@@ -121,9 +120,9 @@ class Fannet:
         Raises :class:`VerificationError` on the first disagreement.
         """
         for dataset in (self.train_set, self.test_set):
-            for x, label in zip(dataset.features, dataset.labels):
+            exact_labels = self.runner.encoding.labels(dataset.features)
+            for x, exact_label in zip(dataset.features, exact_labels):
                 float_label = int(self.network.predict(np.asarray(x, dtype=float)))
-                exact_label = self.quantized.predict(x)
                 if float_label != exact_label:
                     raise VerificationError(
                         "quantisation changed a prediction; increase weight_scale"

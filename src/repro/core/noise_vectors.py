@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..config import RuntimeConfig, VerifierConfig
 from ..data.dataset import Dataset
 from ..nn.quantize import QuantizedNetwork
@@ -109,13 +107,10 @@ class NoiseVectorExtraction:
         or worker process — spins up.
         """
         report = ExtractionReport(noise_percent=noise_percent)
-        tasks: list[ExtractionTask] = []
-        for index in range(dataset.num_samples):
-            x = np.asarray(dataset.features[index])
-            true_label = int(dataset.labels[index])
-            if self.network.predict(x) != true_label:
-                continue
-            tasks.append(self._task(x, true_label, noise_percent, index))
+        tasks = [
+            self._task(x, true_label, noise_percent, index)
+            for index, x, true_label in self.runner.correctly_classified(dataset)
+        ]
         if getattr(self.runner, "frontier_enabled", False):
             self.runner.verify_frontier(
                 [(t.index, t.x, t.true_label, t.percent) for t in tasks],

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..config import RuntimeConfig, VerifierConfig
 from ..data.dataset import Dataset
 from ..nn.quantize import QuantizedNetwork
@@ -163,14 +161,7 @@ class InputSensitivityAnalysis:
 
     def _probe_inputs(self, dataset: Dataset) -> tuple:
         """Correctly-classified ``(index, x, label)`` triples for the tasks."""
-        inputs = []
-        for index in range(dataset.num_samples):
-            x = np.asarray(dataset.features[index])
-            true_label = int(dataset.labels[index])
-            if self.network.predict(x) != true_label:
-                continue
-            inputs.append((index, tuple(int(v) for v in x), true_label))
-        return tuple(inputs)
+        return tuple(self.runner.correctly_classified(dataset))
 
     def single_node_probe(
         self,

@@ -46,8 +46,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..config import RuntimeConfig, VerifierConfig
 from ..data.dataset import Dataset
 from ..errors import ConfigError
@@ -160,22 +158,17 @@ class NoiseToleranceAnalysis:
             search_ceiling=self.search_ceiling,
             total_inputs=dataset.num_samples,
         )
-        tasks: list[ToleranceSearchTask] = []
-        for index in range(dataset.num_samples):
-            x = np.asarray(dataset.features[index])
-            true_label = int(dataset.labels[index])
-            if self.network.predict(x) != true_label:
-                continue  # excluded, as in the paper
-            report.correctly_classified += 1
-            tasks.append(
-                ToleranceSearchTask(
-                    index=index,
-                    x=tuple(int(v) for v in x),
-                    true_label=true_label,
-                    ceiling=self.search_ceiling,
-                    schedule=self.schedule,
-                )
+        tasks = [
+            ToleranceSearchTask(
+                index=index,
+                x=x,
+                true_label=true_label,
+                ceiling=self.search_ceiling,
+                schedule=self.schedule,
             )
+            for index, x, true_label in self.runner.correctly_classified(dataset)
+        ]
+        report.correctly_classified = len(tasks)
         for task, outcome in zip(tasks, self.runner.run_tasks(tasks)):
             report.per_input.append(
                 InputTolerance(index=task.index, true_label=task.true_label, **outcome)
@@ -202,15 +195,11 @@ class NoiseToleranceAnalysis:
         """
         from ..runtime import make_key
 
-        grid: list[tuple[int, tuple, int, int]] = []
-        for index in range(dataset.num_samples):
-            x = np.asarray(dataset.features[index])
-            true_label = int(dataset.labels[index])
-            if self.network.predict(x) != true_label:
-                continue  # excluded, as in analyze()
-            x = tuple(int(v) for v in x)
-            for percent in percents:
-                grid.append((index, x, true_label, percent))
+        grid = [
+            (index, x, true_label, percent)
+            for index, x, true_label in self.runner.correctly_classified(dataset)
+            for percent in percents
+        ]
         results = self.runner.verify_frontier(grid, complete=True)
         vulnerable: dict[int, list[int]] = {p: [] for p in percents}
         for index, x, true_label, percent in grid:

@@ -16,6 +16,7 @@ up verifying the input.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import asdict
 
@@ -69,13 +70,15 @@ def runtime_context(
     return f"{base}:{data_digest[:20]}"
 
 
+@functools.lru_cache(maxsize=4096)
 def derive_seed(base_seed: int, index: int) -> int:
     """Deterministic per-input seed from ``(base_seed, input index)``.
 
     Routed through :class:`numpy.random.SeedSequence` so nearby indices do
     not produce correlated falsifier sample streams.  ``index`` may be -1
     (the single-input convenience APIs); it is offset before masking so
-    every index maps to a distinct non-negative entropy word.
+    every index maps to a distinct non-negative entropy word.  Memoised:
+    every frontier probe of an input asks for the same seed.
     """
     entropy = (int(base_seed) & _MASK32, (int(index) + 1) & _MASK32)
     return int(np.random.SeedSequence(entropy).generate_state(1)[0])

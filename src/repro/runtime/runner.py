@@ -46,6 +46,7 @@ verification work.  It provides:
 
 from __future__ import annotations
 
+import functools
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -58,9 +59,9 @@ from ..verify import (
     EngineStats,
     FrontierPrepass,
     FrontierProbe,
+    NetworkEncoding,
     NoiseVectorCollector,
     PortfolioVerifier,
-    build_query,
     labels_for_rows,
     resolve_survivors,
 )
@@ -194,13 +195,32 @@ class QueryRunner:
             self._verifiers[index] = verifier
         return verifier
 
+    @functools.cached_property
+    def encoding(self) -> NetworkEncoding:
+        """The network's scaled-integer weights, shared by every query."""
+        return NetworkEncoding(self.network)
+
     def _build_query(self, x, true_label: int, percent: int):
-        return build_query(
-            self.network,
+        return self.encoding.query(
             np.asarray(x, dtype=np.int64),
             true_label,
             NoiseConfig(max_percent=percent),
         )
+
+    def correctly_classified(self, dataset) -> list[tuple[int, tuple, int]]:
+        """``(index, x, label)`` of every input the network labels correctly.
+
+        The paper analyses only these inputs *"for fair analysis of the
+        impact of noise"*; one exact batched pass labels the whole set.
+        """
+        predicted = self.encoding.labels(dataset.features)
+        return [
+            (index, tuple(int(v) for v in x), int(label))
+            for index, (x, label, guess) in enumerate(
+                zip(dataset.features, dataset.labels, predicted)
+            )
+            if guess == label
+        ]
 
     # -- cached building blocks -----------------------------------------------------
 
@@ -392,47 +412,9 @@ class QueryRunner:
             seed=derive_seed(self.config.seed, index),
         )
 
-    def _frontier_probes(self, probes) -> list[FrontierProbe]:
-        """Build probe objects with one encoder run per input, not per rung.
-
-        All rungs of one input share the network encoding — only the
-        noise box differs — so the (pure-Python, Fraction-scaling)
-        :func:`~repro.verify.build_query` runs once at the ladder's top
-        percent and the smaller rungs reuse its weights.  The top box
-        dominates the magnitude analysis, so its dtype choice is safe
-        for every nested box.
-        """
-        by_input: dict = {}
-        for probe in probes:
-            by_input.setdefault(probe[1:4], []).append(probe)
-        frontier = []
-        for (index, x, true_label), group in by_input.items():
-            seed = derive_seed(self.config.seed, index)
-            top = max(percent for _, _, _, _, percent in group)
-            base = self._build_query(x, true_label, top)
-            for key, _, _, _, percent in group:
-                if percent == top:
-                    query = base
-                else:
-                    query = replace(
-                        base,
-                        low=np.full(base.num_inputs, -percent, dtype=np.int64),
-                        high=np.full(base.num_inputs, percent, dtype=np.int64),
-                    )
-                frontier.append(
-                    FrontierProbe(
-                        key=key,
-                        query=query,
-                        percent=percent,
-                        group=(index, x, true_label),
-                        seed=seed,
-                    )
-                )
-        return frontier
-
     def _prepass(self, probes):
         """Run the bulk incomplete stages; memoise every decided verdict."""
-        frontier = self._frontier_probes(probes)
+        frontier = [self._frontier_probe(*probe) for probe in probes]
         prepass = FrontierPrepass(
             batch_size=self.runtime.batch_size, engine_stats=self.engine_stats
         )

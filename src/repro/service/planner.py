@@ -23,8 +23,6 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
-
 from ..config import TrainConfig
 from ..data import load_leukemia_case_study
 from ..data.dataset import Dataset
@@ -36,6 +34,7 @@ from ..runtime import (
     ToleranceSearchTask,
     runtime_context,
 )
+from ..verify import NetworkEncoding
 from .spec import BatchSpec, JobSpec, NetworkSpec
 
 
@@ -187,13 +186,14 @@ class BatchPlanner:
 
         # The paper's convention everywhere: only correctly-classified
         # inputs carry noise-tolerance information.
-        triples = []
-        for position, index in enumerate(indices):
-            x = np.asarray(dataset.features[position])
-            true_label = int(dataset.labels[position])
-            if quantized.predict(x) != true_label:
-                continue
-            triples.append((int(index), tuple(int(v) for v in x), true_label))
+        predicted = NetworkEncoding(quantized).labels(dataset.features)
+        triples = [
+            (int(index), tuple(int(v) for v in x), int(true_label))
+            for index, x, true_label, guess in zip(
+                indices, dataset.features, dataset.labels, predicted
+            )
+            if guess == true_label
+        ]
 
         name = job.name
         prefix = planned.identity_prefix

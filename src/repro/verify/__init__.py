@@ -34,11 +34,14 @@ Engines, ordered by the guarantees they offer:
   vectorised incomplete passes, with only the boundary band dispatched
   to the complete engines along a monotone bisection.
 
-All engines consume the same :class:`ScaledQuery` built by
-:func:`build_query`, whose arithmetic is integer-exact by construction.
+All engines consume the same :class:`ScaledQuery`, whose arithmetic is
+integer-exact by construction.  A :class:`NetworkEncoding` scales one
+network's weights once and builds every query over that network from
+them; it also labels many inputs exactly in one pass.
+:func:`build_query` is the one-off form.
 """
 
-from .encoder import ScaledQuery, build_query
+from .encoder import NetworkEncoding, ScaledQuery, build_query
 from .result import VerificationResult, VerificationStatus
 from .interval import IntervalVerifier, interval_bulk
 from .exhaustive import ExhaustiveEnumerator
@@ -57,6 +60,7 @@ from .batch import (
 from .enumerate import NoiseVectorCollector
 
 __all__ = [
+    "NetworkEncoding",
     "ScaledQuery",
     "build_query",
     "VerificationResult",

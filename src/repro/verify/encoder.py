@@ -12,6 +12,14 @@ denominators dividing ``S`` (the quantisation scale):
 Every coefficient is an integer, positive rescaling commutes with ReLU
 and argmax, so the integer pipeline predicts exactly what the rational
 network predicts — and strict comparisons become ``≥ 1``.
+
+The scaled weights depend only on the network, so
+:class:`NetworkEncoding` computes them once and every query over that
+network shares them: :meth:`NetworkEncoding.query` builds one
+:class:`ScaledQuery` per (input, label, noise box), and
+:meth:`NetworkEncoding.labels` gives the exact zero-noise labels of many
+inputs in one vectorised pass (the "correctly classified" filter of every
+analysis).  :func:`build_query` is the one-off form.
 """
 
 from __future__ import annotations
@@ -54,7 +62,8 @@ class ScaledQuery:
     ``weights[l]`` and ``biases[l]`` are integer numpy matrices/vectors
     (dtype int64 or object, chosen by magnitude analysis); hidden layers
     are ReLU, the final layer is linear, classification is argmax with
-    ties to the lower index.
+    ties to the lower index.  Queries built by a :class:`NetworkEncoding`
+    share its read-only weight and bias arrays.
     """
 
     weights: list[np.ndarray]
@@ -195,6 +204,160 @@ class ScaledQuery:
         return size
 
 
+class NetworkEncoding:
+    """One network's scaled-integer weights, built once, shared by every query.
+
+    Scaling a ``Fraction`` weight into an integer depends only on the
+    network and ``weight_scale``, so it runs here once per weight and
+    bias instead of once per query.  The object-dtype arrays and their
+    lazily built int64 copies are read-only: every :class:`ScaledQuery`
+    this encoding builds aliases them, so an in-place write through one
+    query would otherwise corrupt every later one.  Each layer's row mass
+    and bias mass are kept too, which makes the int64 magnitude analysis
+    of a query cost ``O(layers)``.
+
+    Raises :class:`VerificationError` when a weight or bias does not fit
+    the scale — that would silently break exactness.
+    """
+
+    def __init__(self, network: QuantizedNetwork, weight_scale: int = 1000):
+        self.num_inputs = network.num_inputs
+        self.num_outputs = network.num_outputs
+        self.weight_scale = weight_scale
+        weights: list[np.ndarray] = []
+        biases: list[np.ndarray] = []
+        masses: list[tuple[int, int]] = []
+        scale_factor = 100  # running scale of the incoming activations
+        for layer in network.layers:
+            weight_rows = [
+                [_as_scaled_int(w, weight_scale) for w in row]
+                for row in layer.weights
+            ]
+            scale_factor *= weight_scale
+            bias_row = [
+                _scaled_bias(b, weight_scale, scale_factor) for b in layer.bias
+            ]
+            masses.append(
+                (
+                    max((sum(map(abs, row)) for row in weight_rows), default=0),
+                    max(map(abs, bias_row), default=0),
+                )
+            )
+            weights.append(_read_only(np.array(weight_rows, dtype=object)))
+            biases.append(_read_only(np.array(bias_row, dtype=object)))
+        self._exact = (weights, biases)
+        self._masses = tuple(masses)
+
+    @functools.cached_property
+    def _int64(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        weights, biases = self._exact
+        return (
+            [_read_only(w.astype(np.int64)) for w in weights],
+            [_read_only(b.astype(np.int64)) for b in biases],
+        )
+
+    def _arrays(self, exact: bool) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Fresh lists of the shared (read-only) weight and bias arrays."""
+        weights, biases = self._exact if exact else self._int64
+        return list(weights), list(biases)
+
+    def _int64_safe(self, magnitude: int) -> bool:
+        """Whether int64 arithmetic is exact from input magnitude ``magnitude``.
+
+        ``magnitude`` bounds every scaled input ``|x_i·(100+p_i)|``.  The
+        bound must cover more than the reachable activation values: the
+        vectorised engines split each affine form into sign-separated
+        matmul halves (``W⁺ @ act_low + W⁻ @ act_high`` in the interval
+        pass) and accumulate dot products term by term, and those partial
+        sums are not bounded by the cancellation-aware interval totals.
+        The triangle inequality is: propagate ``m ← max_row Σ_j |w_ij| · m
+        + max_i |b_i|``, which dominates every partial sum, every matmul
+        half and every difference-of-logits bound any engine forms.
+        Arithmetic here is pure Python ints, so the check cannot wrap.
+        """
+        if magnitude >= _INT64_SAFE:
+            return False
+        for row_mass, bias_mass in self._masses:
+            magnitude = row_mass * magnitude + bias_mass
+            if magnitude >= _INT64_SAFE:
+                return False
+        return True
+
+    def query(self, x, true_label: int, noise: NoiseConfig) -> ScaledQuery:
+        """Encode input + noise range as a :class:`ScaledQuery`.
+
+        Raises :class:`VerificationError` when the input is not an
+        integer vector of the right length or the label is out of range.
+        """
+        x = np.asarray(x)
+        if x.ndim != 1 or x.shape[0] != self.num_inputs:
+            raise VerificationError(
+                f"input must be a vector of length {self.num_inputs}"
+            )
+        if not np.issubdtype(x.dtype, np.integer):
+            raise VerificationError("inputs must be integers (scale them first)")
+        if not 0 <= true_label < self.num_outputs:
+            raise VerificationError(f"true label {true_label} out of range")
+        reach = max(abs(100 + noise.low), abs(100 + noise.high))
+        magnitude = max((abs(int(v)) for v in x), default=0) * reach
+        exact = not self._int64_safe(magnitude)
+        weights, biases = self._arrays(exact)
+        return ScaledQuery(
+            weights=weights,
+            biases=biases,
+            x=x.astype(np.int64),
+            true_label=true_label,
+            low=np.full(self.num_inputs, noise.low, dtype=np.int64),
+            high=np.full(self.num_inputs, noise.high, dtype=np.int64),
+            exact_dtype=exact,
+        )
+
+    @functools.cached_property
+    def _int64_input_bound(self) -> int:
+        """Largest ``max_i |x_i|`` whose zero-noise pass is int64-exact (-1: none)."""
+        low, high = -1, _INT64_SAFE // 100
+        while low < high:
+            middle = (low + high + 1) // 2
+            if self._int64_safe(100 * middle):
+                low = middle
+            else:
+                high = middle - 1
+        return low
+
+    def labels(self, rows) -> np.ndarray:
+        """Exact zero-noise labels (argmax, ties to the lower index) of many inputs.
+
+        One :func:`forward_scaled` pass over every row whose magnitude
+        the int64 analysis proves exact, one object-int pass over the
+        rest; equal to ``QuantizedNetwork.predict`` row by row.
+        """
+        rows = np.asarray(rows)
+        if rows.shape[:1] == (0,):
+            return np.empty(0, dtype=np.int64)
+        if rows.ndim != 2 or rows.shape[1] != self.num_inputs:
+            raise VerificationError(f"input rows must be (m, {self.num_inputs})")
+        if rows.dtype == object:
+            if not all(
+                isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                for v in rows.flat
+            ):
+                raise VerificationError("inputs must be integers (scale them first)")
+            rows = np.frompyfunc(int, 1, 1)(rows)  # numpy scalars would wrap
+        elif not np.issubdtype(rows.dtype, np.integer):
+            raise VerificationError("inputs must be integers (scale them first)")
+        bound = self._int64_input_bound
+        fast = ((rows <= bound) & (rows >= -bound)).all(axis=1).astype(bool)
+        out = np.empty(rows.shape[0], dtype=np.int64)
+        for exact, selected in ((False, fast), (True, ~fast)):
+            if selected.any():
+                dtype = object if exact else np.int64
+                values = forward_scaled(
+                    100 * rows[selected].astype(dtype), *self._arrays(exact)
+                )
+                out[selected] = np.argmax(values, axis=1)
+        return out
+
+
 def build_query(
     network: QuantizedNetwork,
     x,
@@ -204,86 +367,15 @@ def build_query(
 ) -> ScaledQuery:
     """Encode ``network`` + input + noise range as a :class:`ScaledQuery`.
 
-    Raises :class:`VerificationError` when the network's rationals do not
-    fit the scale or the input is not integral — both would silently
-    break exactness.
+    A one-off :class:`NetworkEncoding`; callers issuing many queries
+    over one network should keep the encoding instead.
     """
-    x = np.asarray(x)
-    if x.ndim != 1 or x.shape[0] != network.num_inputs:
-        raise VerificationError(
-            f"input must be a vector of length {network.num_inputs}"
-        )
-    if not np.issubdtype(x.dtype, np.integer):
-        raise VerificationError("inputs must be integers (scale them first)")
-    if not 0 <= true_label < network.num_outputs:
-        raise VerificationError(f"true label {true_label} out of range")
-
-    weights: list[np.ndarray] = []
-    biases: list[np.ndarray] = []
-    scale_factor = 100  # running scale of the incoming activations
-    for layer in network.layers:
-        weight_rows = []
-        for row in layer.weights:
-            weight_rows.append([_as_scaled_int(w, weight_scale) for w in row])
-        scale_factor *= weight_scale
-        bias_row = [
-            _scaled_bias(b, weight_scale, scale_factor) for b in layer.bias
-        ]
-        weights.append(np.array(weight_rows, dtype=object))
-        biases.append(np.array(bias_row, dtype=object))
-
-    low = np.full(network.num_inputs, noise.low, dtype=np.int64)
-    high = np.full(network.num_inputs, noise.high, dtype=np.int64)
-
-    query = ScaledQuery(
-        weights=weights,
-        biases=biases,
-        x=x.astype(np.int64),
-        true_label=true_label,
-        low=low,
-        high=high,
-        exact_dtype=True,
-    )
-    # Magnitude analysis: drop to fast int64 when provably safe.
-    if _int64_partial_sums_safe(weights, biases, x, low, high):
-        query.weights = [w.astype(np.int64) for w in weights]
-        query.biases = [b.astype(np.int64) for b in biases]
-        query.exact_dtype = False
-    return query
+    return NetworkEncoding(network, weight_scale).query(x, true_label, noise)
 
 
-def _int64_partial_sums_safe(weights, biases, x, low, high) -> bool:
-    """Whether *every* int64 computation on this query is overflow-free.
-
-    The bound must cover more than the reachable activation values: the
-    vectorised engines split each affine form into sign-separated matmul
-    halves (``W⁺ @ act_low + W⁻ @ act_high`` in the interval pass) and
-    accumulate dot products term by term, and those partial sums are not
-    bounded by the cancellation-aware interval totals.  The triangle
-    inequality is: propagate ``m ← max_row Σ_j |w_ij| · m + max_i |b_i|``
-    from ``m = max_i |x_i| · max(|100+lo_i|, |100+hi_i|)``, which
-    dominates every partial sum, every matmul half and every
-    difference-of-logits bound any engine forms.  Arithmetic here is
-    pure Python ints, so the check itself cannot wrap.
-    """
-    magnitude = max(
-        (
-            abs(int(xi)) * max(abs(100 + int(lo)), abs(100 + int(hi)))
-            for xi, lo, hi in zip(x, low, high)
-        ),
-        default=0,
-    )
-    if magnitude >= _INT64_SAFE:
-        return False
-    for weight, bias in zip(weights, biases):
-        row_mass = max(
-            (sum(abs(int(v)) for v in row) for row in weight), default=0
-        )
-        bias_mass = max((abs(int(v)) for v in bias), default=0)
-        magnitude = row_mass * magnitude + bias_mass
-        if magnitude >= _INT64_SAFE:
-            return False
-    return True
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 def _as_scaled_int(value: Fraction, scale: int) -> int:

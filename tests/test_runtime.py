@@ -462,6 +462,40 @@ class TestRunnerCaching:
         assert via_runner.status == direct.status
 
 
+class TestSharedEncoding:
+    def test_each_weight_is_scaled_once_per_runner(self, network, x, label, monkeypatch):
+        from repro.verify import encoder
+
+        scaled = []
+        real = encoder._as_scaled_int
+
+        def counting(value, scale):
+            scaled.append(value)
+            return real(value, scale)
+
+        monkeypatch.setattr(encoder, "_as_scaled_int", counting)
+        runner = QueryRunner(network)
+        runner.prepass_ladder(x, label, range(1, 31), index=0)
+        runner.verify_at(x, label, 7, index=0)
+        runner.verify_frontier([(1, x, label, p) for p in (3, 9, 15, 40)])
+        runner.collect_at(x, label, 20, limit=None, index=0)
+        runner.probe_ladder([(0, x, label)], node=0, sign=1, ceiling=30)
+        runner.flips_single_node(x, label, node=1, sign=-1, percent=40, index=0)
+        assert runner.stats.frontier_queries and runner.stats.extract_calls
+        assert runner.stats.probe_evals == 1
+        weights = [w for layer in network.layers for row in layer.weights for w in row]
+        assert scaled == weights
+
+    def test_correctly_classified_excludes_a_misclassified_input(self, network, x, label):
+        from repro.data.dataset import Dataset
+
+        other = (20, 10)
+        wrong = 1 - network.predict(other)
+        dataset = Dataset(np.array([x, other, x]), np.array([label, wrong, label]))
+        runner = QueryRunner(network)
+        assert runner.correctly_classified(dataset) == [(0, x, label), (2, x, label)]
+
+
 class TestRunnerMonotoneReuse:
     def test_implied_verdicts_skip_the_solver(self, network, x, label):
         verifier = CountingVerifier()

@@ -28,6 +28,7 @@ from repro.verify import (
     CornerFalsifier,
     ExhaustiveEnumerator,
     IntervalVerifier,
+    NetworkEncoding,
     NoiseVectorCollector,
     PortfolioVerifier,
     RandomFalsifier,
@@ -216,6 +217,116 @@ class TestBuildQuery:
         assert query.misclass_threshold(0) == 0
         query = build_query(simple_network, np.array([10, 20]), 0, NoiseConfig(3))
         assert query.misclass_threshold(1) == 1
+
+
+@st.composite
+def random_encodable_network(draw):
+    """A random quantised network: 0-2 hidden layers, 2-4 classes, signed
+    thousandth weights and biases."""
+    sizes = [draw(st.integers(1, 4))]
+    sizes += [draw(st.integers(1, 5)) for _ in range(draw(st.integers(0, 2)))]
+    sizes.append(draw(st.integers(2, 4)))
+    coefficient = st.integers(-3000, 3000).map(lambda v: Fraction(v, SCALE))
+    layers = []
+    for position, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
+        weights = tuple(
+            tuple(draw(coefficient) for _ in range(fan_in)) for _ in range(fan_out)
+        )
+        bias = tuple(draw(coefficient) for _ in range(fan_out))
+        layers.append(QuantizedLayer(weights, bias, relu=position < len(sizes) - 2))
+    return QuantizedNetwork(layers)
+
+
+#: Small inputs stay on int64; the larger ones push the magnitude
+#: analysis onto exact object ints at some layer (or already at the input).
+encodable_input = st.one_of(
+    st.integers(-100, 100), st.integers(-(2**62), 2**62), st.integers(-(10**9), 10**9)
+)
+
+
+def fresh_encoding(network, x, noise):
+    """Scale every weight for this one query and pick its dtype, as the
+    per-query encoder did before weights were shared."""
+    weights, biases = [], []
+    factor = 100
+    for layer in network.layers:
+        weights.append([[int(w * SCALE) for w in row] for row in layer.weights])
+        factor *= SCALE
+        biases.append([int(b * factor) for b in layer.bias])
+    reach = max(abs(100 + noise.low), abs(100 + noise.high))
+    magnitude = max(abs(v) for v in x) * reach
+    safe = magnitude < 2**62
+    for rows, bias in zip(weights, biases):
+        magnitude = max(sum(map(abs, row)) for row in rows) * magnitude + max(
+            map(abs, bias)
+        )
+        safe = safe and magnitude < 2**62
+    return weights, biases, not safe
+
+
+class TestNetworkEncoding:
+    @given(random_encodable_network(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_a_fresh_encoding_and_the_rational_network(self, network, data):
+        encoding = NetworkEncoding(network)
+        rows = data.draw(
+            st.lists(
+                st.lists(
+                    encodable_input,
+                    min_size=network.num_inputs,
+                    max_size=network.num_inputs,
+                ),
+                min_size=1,
+                max_size=6,
+            )
+        )
+        for x in rows:
+            label = data.draw(st.integers(0, network.num_outputs - 1))
+            high = data.draw(st.integers(0, 60))
+            noise = NoiseConfig(high, min_percent=data.draw(st.integers(-300, high)))
+            query = encoding.query(np.array(x, dtype=np.int64), label, noise)
+            weights, biases, exact = fresh_encoding(network, x, noise)
+            dtype = object if exact else np.int64
+            assert query.exact_dtype == exact
+            assert [w.dtype for w in query.weights] == [np.dtype(dtype)] * len(weights)
+            assert [b.dtype for b in query.biases] == [np.dtype(dtype)] * len(biases)
+            assert [w.tolist() for w in query.weights] == weights
+            assert [b.tolist() for b in query.biases] == biases
+            assert query.x.dtype == np.int64 and query.x.tolist() == x
+            assert query.true_label == label
+            assert query.low.dtype == query.high.dtype == np.int64
+            assert query.low.tolist() == [noise.low] * network.num_inputs
+            assert query.high.tolist() == [noise.high] * network.num_inputs
+        # Past int64 as well: the labels take plain Python ints.
+        rows.append([3**41 * (-1) ** i for i in range(network.num_inputs)])
+        expected = [network.predict(x) for x in rows]
+        assert encoding.labels(np.array(rows, dtype=object)).tolist() == expected
+        assert encoding.labels(rows[:-1]).tolist() == expected[:-1]
+
+    def test_labels_of_no_rows(self, simple_network):
+        assert NetworkEncoding(simple_network).labels(np.empty((0, 2))).shape == (0,)
+
+    def test_labels_reject_non_integer_rows(self, simple_network):
+        encoding = NetworkEncoding(simple_network)
+        with pytest.raises(VerificationError):
+            encoding.labels(np.array([[1.5, 2.0]]))
+        with pytest.raises(VerificationError):
+            encoding.labels(np.array([[1, 2, 3]]))
+
+    @pytest.mark.parametrize("x", [[10, 20], [2**61, 3]])
+    def test_built_queries_cannot_write_the_shared_arrays(self, simple_network, x):
+        encoding = NetworkEncoding(simple_network)
+        query = encoding.query(np.array(x), 0, NoiseConfig(5))
+        assert query.exact_dtype == (x[0] > 2**40)
+        with pytest.raises(ValueError, match="read-only"):
+            query.weights[0][0, 0] = 7
+        with pytest.raises(ValueError, match="read-only"):
+            query.biases[-1][0] += 1
+        later = encoding.query(np.array(x), 1, NoiseConfig(3))
+        assert later.weights[0] is query.weights[0]
+        assert later.weights[0].tolist() == build_query(
+            simple_network, np.array(x), 1, NoiseConfig(3)
+        ).weights[0].tolist()
 
 
 class TestIntervalVerifier:
