@@ -3,7 +3,9 @@
 The claim under test: on the Fig.-4 tolerance workload (the live
 misclassification sweep over every ``(input, percent)`` grid point), the
 frontier-batched plane issues **≥ 5× fewer complete-engine invocations**
-than the per-query portfolio — the vectorised incomplete passes decide
+than the per-query portfolio — one ``QueryRunner.verify_at`` per grid
+point on a fresh runner (monotone cache on, as in production) — the
+vectorised incomplete passes decide
 the cheap mass in bulk, and each input's boundary band is dispatched
 along a monotone bisection (``O(log w)`` complete calls instead of
 ``w``) — at a measurable wall-clock win, with bit-identical results.
@@ -25,10 +27,10 @@ import time
 
 import numpy as np
 
-from repro.config import RuntimeConfig
 from repro.core import NoiseToleranceAnalysis
 from repro.nn import Network, SgdTrainer, quantize_network
 from repro.nn.layers import DenseLayer
+from repro.runtime import QueryRunner
 
 #: Sweep resolution of the Fig.-4 grid.  The deep substrate's bands must
 #: be wide enough to show the log-vs-linear dispatch gap; ±100 % keeps the
@@ -57,26 +59,39 @@ def deep_case_study_network(case_study) -> "quantize_network":
     return quantize_network(network)
 
 
-def run_sweep(network, dataset, ceiling, runtime):
-    analysis = NoiseToleranceAnalysis(network, search_ceiling=ceiling, runtime=runtime)
+def run_sweep(network, dataset, ceiling):
+    """The frontier arm: ``NoiseToleranceAnalysis.sweep`` over the grid."""
+    analysis = NoiseToleranceAnalysis(network, search_ceiling=ceiling)
     start = time.perf_counter()
     sweep = analysis.sweep(dataset, list(range(1, ceiling + 1)))
     wall = time.perf_counter() - start
     return sweep, analysis.runner.engine_stats, wall
 
 
+def run_per_query_sweep(network, dataset, ceiling):
+    """The per-query arm: the same grid, one ``verify_at`` per point."""
+    runner = QueryRunner(network)
+    percents = list(range(1, ceiling + 1))
+    start = time.perf_counter()
+    sweep: dict[int, list[int]] = {p: [] for p in percents}
+    for index, x, label in runner.correctly_classified(dataset):
+        for percent in percents:
+            if runner.verify_at(x, label, percent, index=index).is_vulnerable:
+                sweep[percent].append(index)
+    wall = time.perf_counter() - start
+    return sweep, runner.engine_stats, wall
+
+
 def test_frontier_prepass_vs_per_query_portfolio(benchmark, case_study):
     network = deep_case_study_network(case_study)
 
     frontier_sweep, frontier_stats, frontier_wall = benchmark.pedantic(
-        lambda: run_sweep(
-            network, case_study.test, DEEP_CEILING, RuntimeConfig(frontier=True)
-        ),
+        lambda: run_sweep(network, case_study.test, DEEP_CEILING),
         rounds=1,
         iterations=1,
     )
-    perquery_sweep, perquery_stats, perquery_wall = run_sweep(
-        network, case_study.test, DEEP_CEILING, RuntimeConfig(frontier=False)
+    perquery_sweep, perquery_stats, perquery_wall = run_per_query_sweep(
+        network, case_study.test, DEEP_CEILING
     )
 
     frontier_complete = frontier_stats.complete_calls()
@@ -114,10 +129,10 @@ def test_paper_substrate_grid_needs_no_complete_engine(quantized, case_study):
     network shows up as a benchmark delta, not a silent slowdown.
     """
     frontier_sweep, frontier_stats, frontier_wall = run_sweep(
-        quantized, case_study.test, PAPER_CEILING, RuntimeConfig(frontier=True)
+        quantized, case_study.test, PAPER_CEILING
     )
-    perquery_sweep, perquery_stats, perquery_wall = run_sweep(
-        quantized, case_study.test, PAPER_CEILING, RuntimeConfig(frontier=False)
+    perquery_sweep, perquery_stats, perquery_wall = run_per_query_sweep(
+        quantized, case_study.test, PAPER_CEILING
     )
     print(
         f"\nFig.-4 sweep, paper substrate (±{PAPER_CEILING}%): "

@@ -41,9 +41,7 @@ def test_verification_cost_by_scale(benchmark, trained, case_study, scale):
     quantized = quantize_network(trained.network, weight_scale=scale)
     x = np.asarray(case_study.test.features[0])
     label = quantized.predict(x)
-    query = build_query(
-        quantized, x, label, NoiseConfig(max_percent=10), weight_scale=scale
-    )
+    query = build_query(quantized, x, label, NoiseConfig(max_percent=10))
 
     result = benchmark(lambda: SmtVerifier().verify(query))
     assert result.status.value in ("robust", "vulnerable")

@@ -69,22 +69,6 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
         help="with --cache-dir: neither read nor write the disk cache this run",
     )
     parser.add_argument(
-        "--frontier",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="resolve whole probe ladders/grids through the frontier-batched "
-        "bulk prepass before any complete engine runs (--no-frontier falls "
-        "back to one query at a time; reports are bit-identical either way)",
-    )
-    parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=4096,
-        metavar="ROWS",
-        help="rows per concatenated bulk network evaluation in the frontier "
-        "prepass (a memory knob; results do not depend on it)",
-    )
-    parser.add_argument(
         "--max-cache-bytes",
         type=int,
         default=None,
@@ -101,8 +85,6 @@ def _runtime_config(args) -> RuntimeConfig:
         cache=not args.no_cache,
         cache_dir=str(args.cache_dir) if args.cache_dir is not None else None,
         persist=not args.no_persist,
-        frontier=args.frontier,
-        batch_size=args.batch_size,
         max_cache_bytes=args.max_cache_bytes,
     )
 
@@ -313,11 +295,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cache-dir", type=Path, default=None, metavar="DIR",
         help="persist per-context query caches under DIR so warmth "
         "survives daemon restarts",
-    )
-    serve.add_argument(
-        "--frontier", action=argparse.BooleanOptionalAction, default=True,
-        help="frontier-batched bulk prepass inside each runner "
-        "(results are bit-identical either way)",
     )
     serve.add_argument(
         "--max-cache-bytes", type=int, default=None, metavar="BYTES",
@@ -786,7 +763,6 @@ def _cmd_serve(args) -> int:
         workers=args.task_workers,
         cache=not args.no_cache,
         cache_dir=str(args.cache_dir) if args.cache_dir is not None else None,
-        frontier=args.frontier,
         max_cache_bytes=args.max_cache_bytes,
     )
     config = ServeConfig(

@@ -129,6 +129,10 @@ class VerifierConfig(_FromMapping):
 class RuntimeConfig(_FromMapping):
     """Execution policy for the analysis runtime (:mod:`repro.runtime`).
 
+    The analyses always submit whole probe ladders and grids to the
+    frontier-batched verification plane (:mod:`repro.verify.batch`); the
+    fields below only choose where and how often that work runs.
+
     ``workers=1`` runs every query inline; higher counts fan per-input
     tasks out over a process pool.  Results are bit-identical either way:
     stochastic engines seed from ``(VerifierConfig.seed, input index)``,
@@ -148,15 +152,6 @@ class RuntimeConfig(_FromMapping):
     ``cache_dir`` untouched (neither read nor written) for this run.
     ``cache_dir=None`` (the default) disables persistence entirely.
 
-    ``frontier=True`` (the default) lets the analyses submit whole probe
-    ladders to the frontier-batched verification plane
-    (:mod:`repro.verify.batch`): a vectorised bulk prepass resolves the
-    cheap mass of every ladder before any complete engine runs, and
-    grid-shaped workloads dispatch their boundary-band survivors along a
-    monotone bisection.  Reports are bit-identical with the frontier on
-    or off; ``batch_size`` caps the rows per concatenated bulk network
-    evaluation (a memory knob — it can never move a result).
-
     ``max_cache_bytes`` bounds the size of the ``cache_dir`` directory:
     after every flush the oldest-by-mtime store files are evicted until
     the directory fits the budget (see :mod:`repro.runtime.lifecycle`).
@@ -170,15 +165,11 @@ class RuntimeConfig(_FromMapping):
     monotone: bool = True
     cache_dir: str | None = None
     persist: bool = True
-    frontier: bool = True
-    batch_size: int = 4096
     max_cache_bytes: int | None = None
 
     def __post_init__(self):
         if self.workers <= 0:
             raise ConfigError("workers must be positive")
-        if self.batch_size <= 0:
-            raise ConfigError("batch_size must be positive")
         if self.max_cache_bytes is not None and self.max_cache_bytes < 0:
             raise ConfigError("max_cache_bytes must be >= 0 (or null: unbounded)")
 

@@ -131,11 +131,7 @@ class Fannet:
         x = np.asarray(self.test_set.features[0])
         label = int(self.test_set.labels[0])
         module, query = network_noise_module(
-            self.quantized,
-            x,
-            label,
-            NoiseConfig(max_percent=1),
-            weight_scale=self.config.weight_scale,
+            self.quantized, x, label, NoiseConfig(max_percent=1)
         )
         probe_vectors = [
             tuple([1] * query.num_inputs),

@@ -100,22 +100,20 @@ class NoiseVectorExtraction:
     def extract(self, dataset: Dataset, noise_percent: int) -> ExtractionReport:
         """P3 extraction over every correctly-classified input.
 
-        With the frontier plane enabled, the whole input frontier at
-        ``±noise_percent`` is first bulk-verified by the cheap passes
-        (no complete engines): inputs the prepass proves robust
-        short-circuit to an empty vector set before any collector —
-        or worker process — spins up.
+        The whole input frontier at ``±noise_percent`` is first
+        bulk-verified by the cheap passes (no complete engines): inputs
+        the prepass proves robust short-circuit to an empty vector set
+        before any collector — or worker process — spins up.
         """
         report = ExtractionReport(noise_percent=noise_percent)
         tasks = [
             self._task(x, true_label, noise_percent, index)
             for index, x, true_label in self.runner.correctly_classified(dataset)
         ]
-        if getattr(self.runner, "frontier_enabled", False):
-            self.runner.verify_frontier(
-                [(t.index, t.x, t.true_label, t.percent) for t in tasks],
-                complete=False,
-            )
+        self.runner.verify_frontier(
+            [(t.index, t.x, t.true_label, t.percent) for t in tasks],
+            complete=False,
+        )
         for task, outcome in zip(tasks, self.runner.run_tasks(tasks)):
             report.per_input.append(
                 InputNoiseVectors(index=task.index, true_label=task.true_label, **outcome)

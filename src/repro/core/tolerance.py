@@ -24,12 +24,12 @@ therefore share verdicts with each other, with the Fig.-4 sweep and with
 the later P3 extraction pass, and parallel runs reproduce serial runs
 bit for bit.
 
-With ``RuntimeConfig.frontier`` (the default) each task also submits its
-whole probe ladder — every rung up to the ceiling, binary-search rungs
-included, speculatively — to the frontier-batched prepass
-(:mod:`repro.verify.batch`) before searching: the vectorised incomplete
-passes decide the cheap mass of the ladder in bulk, and the search's own
-probes only reach a complete engine inside the thin boundary band.
+Each task also submits its whole probe ladder — every rung up to the
+ceiling, binary-search rungs included, speculatively — to the
+frontier-batched prepass (:mod:`repro.verify.batch`) before searching:
+the vectorised incomplete passes decide the cheap mass of the ladder in
+bulk, and the search's own probes only reach a complete engine inside
+the thin boundary band.
 
 Both schedules also consume *implied* verdicts: the runner's default
 :class:`~repro.runtime.MonotoneCache` answers a probe at ±P from any
@@ -110,7 +110,6 @@ class NoiseToleranceAnalysis:
         self,
         network: QuantizedNetwork,
         config: VerifierConfig | None = None,
-        verifier=None,
         search_ceiling: int = 60,
         schedule: str = "binary",
         runner: QueryRunner | None = None,
@@ -122,7 +121,7 @@ class NoiseToleranceAnalysis:
         self.search_ceiling = search_ceiling
         self.schedule = schedule
         self.runner = runner or QueryRunner(
-            network, config or VerifierConfig(), runtime, verifier=verifier
+            network, config or VerifierConfig(), runtime
         )
 
     # -- single input ----------------------------------------------------------

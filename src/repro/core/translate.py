@@ -52,7 +52,6 @@ def network_noise_module(
     x,
     true_label: int,
     noise: NoiseConfig,
-    weight_scale: int = 1000,
     module_name: str = "fannet",
     noisy_bias_node: bool = False,
 ) -> tuple[SmvModule, ScaledQuery]:
@@ -74,7 +73,7 @@ def network_noise_module(
     (the arithmetic engines answer the same question — the test suite
     keeps the two paths in agreement).
     """
-    query = build_query(network, x, true_label, noise, weight_scale)
+    query = build_query(network, x, true_label, noise)
 
     module = SmvModule(name=module_name)
     module.variables["phase"] = EnumType(("initial", "eval"))

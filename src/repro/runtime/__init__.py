@@ -7,9 +7,9 @@ This package turns that structure into throughput:
 
 - :class:`QueryRunner` — the chokepoint every analysis submits work
   through: memoised single queries, whole-ladder/grid frontiers resolved
-  by the vectorised bulk prepass of :mod:`repro.verify.batch`
-  (``RuntimeConfig.frontier``), plus per-input task fan-out over a
-  process pool with deterministic ``(seed, input index)`` seeding.  An
+  by the vectorised bulk prepass of :mod:`repro.verify.batch` (the only
+  implementation of the incomplete stages), plus per-input task fan-out
+  over a process pool with deterministic ``(seed, input index)`` seeding.  An
   :class:`~repro.verify.stats.EngineStats` table — persisted alongside
   the cache — records per-stage decide rates and wall time and drives
   the portfolio's stage order per workload;

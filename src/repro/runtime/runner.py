@@ -18,15 +18,15 @@ verification work.  It provides:
   / :meth:`QueryRunner.close`, so repeated CLI runs over the same model
   and budget issue zero solver calls.  The per-engine statistics table
   rides in the same file, so stage scheduling warm-starts too.
-- **Frontier batching** — with ``RuntimeConfig.frontier`` (the default),
-  the analyses submit whole probe ladders and grids
-  (:meth:`prepass_ladder`, :meth:`verify_frontier`,
+- **Frontier batching** — the analyses submit whole probe ladders and
+  grids (:meth:`prepass_ladder`, :meth:`verify_frontier`,
   :meth:`probe_ladder`): a vectorised bulk prepass
   (:class:`~repro.verify.batch.FrontierPrepass`) resolves the cheap mass
   of the frontier — one interval matmul pair per layer for *all*
   queries, concatenated falsifier evaluations — and only the boundary
   band reaches a complete engine, per query (lazily for searches,
-  monotone-bisected for grids).  Bit-identical to the per-query path.
+  monotone-bisected for grids).  A lone :meth:`verify_at` miss runs the
+  same prepass on a frontier of one inside its portfolio.
 - **Portfolio scheduling** — an :class:`~repro.verify.stats.EngineStats`
   table records per-stage decide rates and wall time; the per-index
   portfolios and the bulk prepass reorder their incomplete stages from
@@ -117,7 +117,6 @@ class QueryRunner:
         network,
         config: VerifierConfig | None = None,
         runtime: RuntimeConfig | None = None,
-        verifier=None,
         cache: QueryCache | None = None,
         store: CacheStore | None = None,
         data_digest: str | None = None,
@@ -125,7 +124,6 @@ class QueryRunner:
         self.network = network
         self.config = config or VerifierConfig()
         self.runtime = runtime or RuntimeConfig()
-        self._fixed_verifier = verifier
         #: Content digest of an external dataset source (None for the
         #: case-study splits): part of the cache context, so results over
         #: one file revision never warm-start an analysis over another.
@@ -167,24 +165,8 @@ class QueryRunner:
 
     # -- engine selection -------------------------------------------------------
 
-    @property
-    def frontier_enabled(self) -> bool:
-        """Whether bulk prepasses may run.
-
-        Requires the cache (prepass results are only useful memoised) and
-        the stock portfolio (an injected verifier's semantics are opaque,
-        so the prepass could not emulate its stages).
-        """
-        return (
-            self.runtime.frontier
-            and self.cache.enabled
-            and self._fixed_verifier is None
-        )
-
-    def _verifier_for(self, index: int):
+    def _verifier_for(self, index: int) -> PortfolioVerifier:
         """Per-input verifier with a seed derived from (base seed, index)."""
-        if self._fixed_verifier is not None:
-            return self._fixed_verifier
         verifier = self._verifiers.get(index)
         if verifier is None:
             seeded = replace(self.config, seed=derive_seed(self.config.seed, index))
@@ -305,17 +287,8 @@ class QueryRunner:
         cached = self.cache.get(key)
         if cached is not MISS:
             return cached
-        if self.frontier_enabled:
-            threshold = self._probe_threshold(index, x, true_label, node, sign, percent)
-            flips = threshold is not None and threshold <= percent
-        else:
-            flips = False
-            vector = [0] * len(x)
-            for magnitude in range(1, percent + 1):
-                vector[node] = sign * magnitude
-                if self.network.predict_noisy(x, vector) != true_label:
-                    flips = True
-                    break
+        threshold = self._probe_threshold(index, x, true_label, node, sign, percent)
+        flips = threshold is not None and threshold <= percent
         self.stats.probe_evals += 1
         self.cache.put(key, flips)
         return flips
@@ -327,13 +300,9 @@ class QueryRunner:
 
         Submits every ``±percent`` of ``percents`` whose answer is not
         already cached (or implied, or known-undecidable) to the frontier
-        prepass.  Decided verdicts are memoised exactly as the per-query
-        path would have; survivors are remembered so the search's own
-        probes skip straight to the complete engine.  A no-op when the
-        frontier is disabled — the search then probes one query at a time.
+        prepass.  Decided verdicts are memoised; survivors are remembered
+        so the search's own probes skip straight to the complete engine.
         """
-        if not self.frontier_enabled:
-            return
         x = tuple(int(v) for v in x)
         probes = []
         for percent in percents:
@@ -361,18 +330,6 @@ class QueryRunner:
         complete dispatch (the extraction prepass never needs them).
         """
         results: dict = {}
-        if not self.frontier_enabled:
-            # Per-query fallback: verify_at does its own (single, counted)
-            # cache lookup per probe, exactly as a scalar sweep loop would.
-            if complete:
-                for index, x, true_label, percent in probes:
-                    x = tuple(int(v) for v in x)
-                    key = make_key("verify", index, x, true_label, int(percent))
-                    if key not in results:
-                        results[key] = self.verify_at(
-                            x, true_label, int(percent), index=index
-                        )
-            return results
         pending = []
         for index, x, true_label, percent in probes:
             x = tuple(int(v) for v in x)
@@ -415,10 +372,7 @@ class QueryRunner:
     def _prepass(self, probes):
         """Run the bulk incomplete stages; memoise every decided verdict."""
         frontier = [self._frontier_probe(*probe) for probe in probes]
-        prepass = FrontierPrepass(
-            batch_size=self.runtime.batch_size, engine_stats=self.engine_stats
-        )
-        outcome = prepass.resolve(frontier)
+        outcome = FrontierPrepass(engine_stats=self.engine_stats).resolve(frontier)
         for key, result in outcome.decided.items():
             self.cache.put(key, result)
         self.stats.verify_calls += len(outcome.decided)
@@ -446,10 +400,8 @@ class QueryRunner:
         One concatenated exact network evaluation covers every magnitude
         ``1..ceiling`` of every input, seeding the threshold memo the
         Eq.-3 probes read — the probe bisections then never evaluate the
-        network again.  A no-op when the frontier is disabled.
+        network again.
         """
-        if not self.frontier_enabled:
-            return
         todo = []
         for index, x, true_label in inputs:
             x = tuple(int(v) for v in x)
@@ -466,7 +418,7 @@ class QueryRunner:
             block = np.zeros((ceiling, len(x)), dtype=np.int64)
             block[:, node] = sign * np.arange(1, ceiling + 1, dtype=np.int64)
             blocks.append((query, block))
-        labels = labels_for_rows(blocks, self.runtime.batch_size)
+        labels = labels_for_rows(blocks)
         for (group, x, true_label), row_labels in zip(todo, labels):
             flips = np.nonzero(row_labels != true_label)[0]
             threshold = int(flips[0]) + 1 if flips.size else None
@@ -556,10 +508,7 @@ class QueryRunner:
             context = _WorkerContext(
                 network=self.network,
                 config=self.config,
-                verifier=self._fixed_verifier,
                 monotone=self.runtime.monotone,
-                frontier=self.runtime.frontier,
-                batch_size=self.runtime.batch_size,
                 engine_stats=self.engine_stats.snapshot(),
                 data_digest=self.data_digest,
             )
@@ -653,10 +602,7 @@ class _WorkerContext:
 
     network: object
     config: VerifierConfig
-    verifier: object = None
     monotone: bool = True
-    frontier: bool = True
-    batch_size: int = 4096
     engine_stats: dict = field(default_factory=dict)
     data_digest: str | None = None
 
@@ -687,14 +633,7 @@ def _run_task(task) -> _TaskOutcome:
     runner = QueryRunner(
         context.network,
         context.config,
-        RuntimeConfig(
-            workers=1,
-            cache=True,
-            monotone=context.monotone,
-            frontier=context.frontier,
-            batch_size=context.batch_size,
-        ),
-        verifier=context.verifier,
+        RuntimeConfig(workers=1, cache=True, monotone=context.monotone),
         data_digest=context.data_digest,
     )
     # Scheduling prior: the parent's stage statistics at pool start.

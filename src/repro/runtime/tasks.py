@@ -36,12 +36,12 @@ WarmEntries = dict
 class ToleranceSearchTask:
     """P2 for one input: smallest ±P admitting a counterexample.
 
-    With the frontier plane enabled, the whole probe ladder ``1..ceiling``
-    — every rung either search schedule could visit, binary-search rungs
-    included — is submitted speculatively to the bulk prepass first: the
-    vectorised incomplete passes and the monotone implication closure
-    resolve most rungs, and the search's own probes then only reach a
-    complete engine inside the thin boundary band.
+    The whole probe ladder ``1..ceiling`` — every rung either search
+    schedule could visit, binary-search rungs included — is submitted
+    speculatively to the bulk prepass first: the vectorised incomplete
+    passes and the monotone implication closure resolve most rungs, and
+    the search's own probes then only reach a complete engine inside the
+    thin boundary band.
     """
 
     index: int
@@ -94,10 +94,10 @@ class ProbeTask:
     """Eq.-3 probe: minimal single-node noise (one node, one sign) that
     flips *any* of the given correctly-classified inputs.
 
-    With the frontier plane enabled, the task submits its whole ladder —
-    every input × every magnitude up to the ceiling — as one bulk exact
-    network evaluation before bisecting; the bisections then read the
-    memoised flip thresholds and never evaluate the network again.
+    The task submits its whole ladder — every input × every magnitude up
+    to the ceiling — as one bulk exact network evaluation before
+    bisecting; the bisections then read the memoised flip thresholds and
+    never evaluate the network again.
     """
 
     node: int
@@ -108,8 +108,7 @@ class ProbeTask:
     warm_kinds = ("probe",)
 
     def run(self, runner) -> int | None:
-        if getattr(runner, "frontier_enabled", False):
-            runner.probe_ladder(self.inputs, self.node, self.sign, self.ceiling)
+        runner.probe_ladder(self.inputs, self.node, self.sign, self.ceiling)
         best: int | None = None
         for index, x, true_label in self.inputs:
             low = 1

@@ -14,14 +14,16 @@ Engines, ordered by the guarantees they offer:
 - :class:`IntervalVerifier` — interval bound propagation; proves
   robustness (UNSAT) quickly, never finds counterexamples.
 - :class:`RandomFalsifier` / :class:`CornerFalsifier` — find
-  counterexamples quickly, never prove robustness.
+  counterexamples quickly, never prove robustness.  These three scalar
+  engines are the single-query references the frontier plane's bulk
+  passes are tested against.
 - :class:`SmtVerifier` — complete: ReLU phase splitting over the exact
   rational simplex with integer branch & bound (Reluplex-style).  The
   from-scratch reference; sessions call it to derive canonical witnesses.
 - :class:`PortfolioVerifier` — interval ⇒ falsifiers ⇒ complete engine,
-  with the incomplete-stage order chosen per workload from an
-  :class:`EngineStats` decide-rate/wall-time table; the default used by
-  the FANNet pipeline.
+  with the incomplete stages run as a one-probe :class:`FrontierPrepass`
+  in the order an :class:`EngineStats` decide-rate/wall-time table
+  chooses per workload; the default used by the FANNet pipeline.
 - :class:`LadderSession` (:mod:`repro.verify.incremental`) — the
   portfolio's complete stage for boxes too large to enumerate: each
   adversary encoded once (:func:`~repro.verify.smt_verifier.encode_adversary`,
@@ -29,10 +31,11 @@ Engines, ordered by the guarantees they offer:
   as retractable assumption literals and push/pop bound frames, learned
   clauses and tableau bases reused across the whole ladder.
 - :class:`FrontierPrepass` / :func:`resolve_survivors`
-  (:mod:`repro.verify.batch`) — the frontier-batched plane: many queries
-  (same network, many inputs × many percents) resolved in bulk by
-  vectorised incomplete passes, with only the boundary band dispatched
-  to the complete engines along a monotone bisection.
+  (:mod:`repro.verify.batch`) — the frontier-batched plane and the only
+  implementation of the incomplete stages: many queries (same network,
+  many inputs × many percents) resolved in bulk by vectorised incomplete
+  passes, with only the boundary band dispatched to the complete engines
+  along a monotone bisection.
 
 All engines consume the same :class:`ScaledQuery`, whose arithmetic is
 integer-exact by construction.  A :class:`NetworkEncoding` scales one

@@ -3,8 +3,7 @@
 The paper's P2/P3 workflow resolves almost every ``(input, percent)``
 query with an *incomplete* engine — an interval proof or a falsifier
 witness — and only the thin boundary band ever needs a complete solver.
-This module exploits that economics in bulk: instead of running the
-portfolio one query at a time, a whole **frontier** of
+This module exploits that economics in bulk: a whole **frontier** of
 :class:`~repro.verify.encoder.ScaledQuery` grids (same network, many
 inputs × many percents) is resolved together:
 
@@ -21,13 +20,19 @@ inputs × many percents) is resolved together:
   every smaller surviving percent, a VULNERABLE one every larger, so a
   band of width ``w`` costs ``O(log w)`` complete calls instead of ``w``.
 
-Determinism contract (inherited from the runtime): every decided result
-is bit-identical to what the per-query portfolio would produce — the
-passes evaluate the same candidate streams in the same order with the
-same seeds, and the monotone implications used for skipping mirror the
-:class:`~repro.runtime.cache.MonotoneCache` rules exactly.  Batch size
-only chunks the concatenated evaluations; it can never move a verdict,
-a witness or a node count.
+:class:`FrontierPrepass` is the only implementation of the incomplete
+stages: a single query's portfolio
+(:meth:`~repro.verify.portfolio.PortfolioVerifier.verify`) resolves a
+frontier of one probe.  Determinism contract (inherited from the
+runtime): every decided result is bit-identical to what the scalar
+reference engines (:class:`~repro.verify.interval.IntervalVerifier`,
+:class:`~repro.verify.falsify.CornerFalsifier`,
+:class:`~repro.verify.falsify.RandomFalsifier`) produce for that probe
+alone — the passes evaluate the same candidate streams in the same order
+with the same seeds, and the monotone implications used for skipping
+mirror the :class:`~repro.runtime.cache.MonotoneCache` rules exactly.
+Row chunking (:data:`ROW_CHUNK`) only splits the concatenated
+evaluations; it can never move a verdict, a witness or a node count.
 """
 
 from __future__ import annotations
@@ -39,18 +44,13 @@ from typing import Any, Callable, Iterable, Sequence
 import numpy as np
 
 from .encoder import ScaledQuery, forward_scaled
-from .falsify import (
-    RANDOM_BLOCK,
-    RANDOM_SAMPLES,
-    corner_grid,
-    draw_noise_block,
-)
+from .falsify import RANDOM_BLOCK, RANDOM_SAMPLES, corner_grid, draw_noise_block
 from .interval import interval_bulk
 from .result import VerificationResult, VerificationStatus
 from .stats import CANONICAL_INCOMPLETE, EngineStats
 
-#: Default cap on rows per concatenated network evaluation.
-DEFAULT_BATCH_SIZE = 4096
+#: Cap on rows per concatenated network evaluation (bounds peak memory).
+ROW_CHUNK = 4096
 
 
 @dataclass
@@ -61,8 +61,7 @@ class FrontierProbe:
     ``group`` identifies the monotone implication group — probes of one
     group must share input, label and per-node noise shape so that their
     boxes nest along the percent axis.  ``seed`` feeds the random
-    falsifier (the runtime derives it from ``(base seed, input index)``,
-    exactly as the per-query path does).
+    falsifier (the runtime derives it from ``(base seed, input index)``).
     """
 
     key: Any
@@ -88,13 +87,13 @@ class FrontierOutcome:
 
 def labels_for_rows(
     blocks: Sequence[tuple[ScaledQuery, np.ndarray]],
-    batch_size: int = DEFAULT_BATCH_SIZE,
+    chunk: int = ROW_CHUNK,
 ) -> list[np.ndarray]:
     """Predicted labels for many per-query noise blocks, evaluated together.
 
     Concatenates the scaled inputs ``x_q · (100 + noise)`` of every block
     into one matrix per dtype group and pushes each through the shared
-    network in ``batch_size``-row chunks — the bulk counterpart of
+    network in ``chunk``-row slices — the bulk counterpart of
     :meth:`ScaledQuery.labels_for_batch`, exact in the same way.
     """
     labels: list[np.ndarray | None] = [None] * len(blocks)
@@ -115,9 +114,9 @@ def labels_for_rows(
             ]
         )
         out = np.empty(rows.shape[0], dtype=np.int64)
-        for start in range(0, rows.shape[0], batch_size):
-            values = forward_scaled(rows[start:start + batch_size], weights, biases)
-            out[start:start + batch_size] = np.argmax(values, axis=1)
+        for start in range(0, rows.shape[0], chunk):
+            values = forward_scaled(rows[start:start + chunk], weights, biases)
+            out[start:start + chunk] = np.argmax(values, axis=1)
         offset = 0
         for p in positions:
             size = blocks[p][1].shape[0]
@@ -129,9 +128,13 @@ def labels_for_rows(
 class FrontierPrepass:
     """Bulk incomplete-stage resolution over a frontier of probes.
 
-    Stage order follows the same statistics-driven scheduler as the
-    per-query portfolio (interval floats, corner always precedes random),
-    and every per-probe result is bit-identical to the scalar engine's.
+    Stage order follows the statistics-driven scheduler of
+    :meth:`EngineStats.incomplete_order` (interval floats, corner always
+    precedes random), and every per-probe result is bit-identical to the
+    scalar engine's.  Corner grids use the falsifier defaults (midpoints
+    on, at most :data:`~repro.verify.falsify.MAX_CORNERS` rows); random
+    probes draw :data:`~repro.verify.falsify.RANDOM_SAMPLES` rows in
+    :data:`~repro.verify.falsify.RANDOM_BLOCK`-row rounds.
     """
 
     #: Corner rungs evaluated per implication group per ascending wave:
@@ -139,21 +142,8 @@ class FrontierPrepass:
     #: bound the speculative work to one wave past the flip boundary.
     corner_wave = 8
 
-    def __init__(
-        self,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        engine_stats: EngineStats | None = None,
-        include_midpoints: bool = True,
-        max_corners: int = 4096,
-        samples: int = RANDOM_SAMPLES,
-        block: int = RANDOM_BLOCK,
-    ):
-        self.batch_size = batch_size
+    def __init__(self, engine_stats: EngineStats | None = None):
         self.engine_stats = engine_stats if engine_stats is not None else EngineStats()
-        self.include_midpoints = include_midpoints
-        self.max_corners = max_corners
-        self.samples = samples
-        self.block = block
 
     # -- implication bookkeeping --------------------------------------------------
 
@@ -206,7 +196,7 @@ class FrontierPrepass:
         for probe, result in zip(active, results):
             if result.is_robust:
                 decided += 1
-                outcome.decided[probe.key] = _decorate(result, "interval", mean_wall)
+                outcome.decided[probe.key] = stamp(result, "interval", mean_wall)
         self.engine_stats.record_bulk("interval", len(active), decided, wall)
         return [p for p in pending if p.key not in outcome.decided]
 
@@ -233,7 +223,7 @@ class FrontierPrepass:
             blocks: list[tuple[ScaledQuery, np.ndarray]] = []
             for probe in wave:
                 attempted.add(probe.key)
-                grid = corner_grid(probe.query, self.include_midpoints, self.max_corners)
+                grid = corner_grid(probe.query)
                 if grid is None:
                     # Over the corner budget: the scalar falsifier returns
                     # UNKNOWN with zero nodes — the probe just moves on.
@@ -243,7 +233,7 @@ class FrontierPrepass:
             attempts += len(wave)
             if not blocks:
                 continue
-            labels = labels_for_rows(blocks, self.batch_size)
+            labels = labels_for_rows(blocks)
             for probe, (query, block), row_labels in zip(evaluated, blocks, labels):
                 bad = np.nonzero(row_labels != query.true_label)[0]
                 if bad.size:
@@ -260,7 +250,7 @@ class FrontierPrepass:
         wall = time.perf_counter() - start
         mean_wall = wall / max(1, attempts)
         for key, result in stage_decided.items():
-            outcome.decided[key] = _decorate(result, "corner", mean_wall)
+            outcome.decided[key] = stamp(result, "corner", mean_wall)
         self.engine_stats.record_bulk("corner", attempts, decided, wall)
         return [p for p in pending if p.key not in outcome.decided]
 
@@ -272,17 +262,17 @@ class FrontierPrepass:
             p.key: np.random.default_rng(p.seed) for p in active
         }
         tried = {p.key: 0 for p in active}
-        remaining = self.samples
+        remaining = RANDOM_SAMPLES
         attempts = len(active)
         decided = 0
         while remaining > 0 and active:
-            block_size = min(self.block, remaining)
+            block_size = min(RANDOM_BLOCK, remaining)
             remaining -= block_size
             blocks = [
                 (p.query, draw_noise_block(streams[p.key], p.query, block_size))
                 for p in active
             ]
-            labels = labels_for_rows(blocks, self.batch_size)
+            labels = labels_for_rows(blocks)
             still = []
             for probe, (query, block), row_labels in zip(active, blocks, labels):
                 tried[probe.key] += block_size
@@ -306,7 +296,7 @@ class FrontierPrepass:
         wall = time.perf_counter() - start
         mean_wall = wall / max(1, attempts)
         for key, result in stage_decided.items():
-            outcome.decided[key] = _decorate(result, "random", mean_wall)
+            outcome.decided[key] = stamp(result, "random", mean_wall)
         self.engine_stats.record_bulk("random", attempts, decided, wall)
         return [p for p in pending if p.key not in outcome.decided]
 
@@ -388,18 +378,14 @@ def derived_vulnerable(
     )
 
 
-def _decorate(
-    result: VerificationResult, stage: str, mean_wall_s: float
-) -> VerificationResult:
-    """Stamp the portfolio-style stage stats onto a bulk-pass result.
+def stamp(result: VerificationResult, stage: str, wall_s: float) -> VerificationResult:
+    """Record the deciding stage and its wall time in ``result.stats``.
 
-    ``wall_s`` is the bulk pass's per-attempt mean (stamped once, at
-    stage end) — the amortised analogue of the per-query path's stage
-    duration, flagged by ``stats["frontier"]`` so readers know which
-    semantics they are looking at.
+    For a bulk pass ``wall_s`` is the stage's per-attempt mean (stamped
+    once, at stage end); for a frontier of one probe — and for the
+    complete engines — that is simply the stage's duration.
     """
     result.stats["stage"] = stage
     result.stats["portfolio"] = True
-    result.stats["frontier"] = True
-    result.stats["wall_s"] = mean_wall_s
+    result.stats["wall_s"] = wall_s
     return result

@@ -1,8 +1,9 @@
 """Scaled-integer encoding of the FANNet noise query.
 
 The paper's model works over integers (Fig. 3 declares inputs in ``Z``);
-the trick that makes that exact is a per-layer rescaling.  With weight
-denominators dividing ``S`` (the quantisation scale):
+the trick that makes that exact is a per-layer rescaling.  With ``S`` the
+least common denominator of every weight and bias (the quantisation
+scale, or a divisor of it):
 
 - noisy scaled input:   ``A0_i = x_i·(100 + p_i)``             (scale 100)
 - hidden pre-act:       ``N1 = 100·S·b1 + (S·w1) @ A0``        (scale 100·S)
@@ -25,9 +26,9 @@ analysis).  :func:`build_query` is the one-off form.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -208,22 +209,29 @@ class NetworkEncoding:
     """One network's scaled-integer weights, built once, shared by every query.
 
     Scaling a ``Fraction`` weight into an integer depends only on the
-    network and ``weight_scale``, so it runs here once per weight and
-    bias instead of once per query.  The object-dtype arrays and their
-    lazily built int64 copies are read-only: every :class:`ScaledQuery`
-    this encoding builds aliases them, so an in-place write through one
-    query would otherwise corrupt every later one.  Each layer's row mass
-    and bias mass are kept too, which makes the int64 magnitude analysis
-    of a query cost ``O(layers)``.
-
-    Raises :class:`VerificationError` when a weight or bias does not fit
-    the scale — that would silently break exactness.
+    network, so it runs here once per weight and bias instead of once per
+    query.  The scale ``weight_scale`` is read off the network itself —
+    the least common denominator of every weight and bias — so every
+    parameter fits it exactly, whatever scale the network was quantised
+    at.  The object-dtype arrays and their lazily built int64 copies are
+    read-only: every :class:`ScaledQuery` this encoding builds aliases
+    them, so an in-place write through one query would otherwise corrupt
+    every later one.  Each layer's row mass and bias mass are kept too,
+    which makes the int64 magnitude analysis of a query cost
+    ``O(layers)``.
     """
 
-    def __init__(self, network: QuantizedNetwork, weight_scale: int = 1000):
+    def __init__(self, network: QuantizedNetwork):
         self.num_inputs = network.num_inputs
         self.num_outputs = network.num_outputs
-        self.weight_scale = weight_scale
+        self.weight_scale = weight_scale = math.lcm(
+            *(
+                value.denominator
+                for layer in network.layers
+                for row in (*layer.weights, layer.bias)
+                for value in row
+            )
+        )
         weights: list[np.ndarray] = []
         biases: list[np.ndarray] = []
         masses: list[tuple[int, int]] = []
@@ -234,9 +242,7 @@ class NetworkEncoding:
                 for row in layer.weights
             ]
             scale_factor *= weight_scale
-            bias_row = [
-                _scaled_bias(b, weight_scale, scale_factor) for b in layer.bias
-            ]
+            bias_row = [int(b * scale_factor) for b in layer.bias]
             masses.append(
                 (
                     max((sum(map(abs, row)) for row in weight_rows), default=0),
@@ -359,18 +365,14 @@ class NetworkEncoding:
 
 
 def build_query(
-    network: QuantizedNetwork,
-    x,
-    true_label: int,
-    noise: NoiseConfig,
-    weight_scale: int = 1000,
+    network: QuantizedNetwork, x, true_label: int, noise: NoiseConfig
 ) -> ScaledQuery:
     """Encode ``network`` + input + noise range as a :class:`ScaledQuery`.
 
     A one-off :class:`NetworkEncoding`; callers issuing many queries
     over one network should keep the encoding instead.
     """
-    return NetworkEncoding(network, weight_scale).query(x, true_label, noise)
+    return NetworkEncoding(network).query(x, true_label, noise)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -378,19 +380,8 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _as_scaled_int(value: Fraction, scale: int) -> int:
-    scaled = value * scale
-    if scaled.denominator != 1:
-        raise VerificationError(
-            f"weight {value} does not fit scale 1/{scale}; re-quantise the network"
-        )
-    return int(scaled)
+def _as_scaled_int(value, scale: int) -> int:
+    """``value·scale`` as an int; exact, since ``scale`` is a multiple of
+    every weight's denominator."""
+    return int(value * scale)
 
-
-def _scaled_bias(value: Fraction, scale: int, scale_factor: int) -> int:
-    scaled = value * scale_factor
-    if scaled.denominator != 1:
-        raise VerificationError(
-            f"bias {value} does not fit the layer scale; re-quantise the network"
-        )
-    return int(scaled)

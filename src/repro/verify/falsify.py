@@ -4,12 +4,13 @@ These play the role adversarial-attack baselines play against formal
 tools: when a misclassifying noise vector exists they usually find one in
 milliseconds, letting the portfolio skip the complete engines.
 
-Both falsifiers are fully vectorised and expose their candidate
-generation as module-level helpers (:func:`corner_grid`,
-:func:`draw_noise_block`), which the frontier plane
-(:mod:`repro.verify.batch`) reuses verbatim — the bulk passes evaluate
-*exactly* the candidate streams the per-query falsifiers would, which is
-what keeps frontier-on and frontier-off reports bit-identical.
+The candidate generation lives in module-level helpers
+(:func:`corner_grid`, :func:`draw_noise_block`) and budget constants,
+which the frontier plane (:mod:`repro.verify.batch`) — the only
+implementation of the incomplete stages on the production path — uses
+verbatim.  :class:`CornerFalsifier` and :class:`RandomFalsifier` are the
+single-query references: the bulk passes evaluate *exactly* the
+candidate streams these would, and the tests hold them to it.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import numpy as np
 from .encoder import ScaledQuery
 from .result import VerificationResult, VerificationStatus
 
-#: Default sampling budget / block size of the random falsifier; the
-#: frontier plane imports these so both paths draw identical streams.
+#: Sampling budget / block size of the random falsifier; the frontier
+#: plane imports these so it draws the reference falsifier's streams.
 RANDOM_SAMPLES = 4096
 RANDOM_BLOCK = 512
 
@@ -84,9 +85,9 @@ def draw_noise_block(
     """One block of uniform noise rows — a single ``rng.integers`` call.
 
     The per-node bounds broadcast over the row axis, replacing the old
-    one-``integers``-call-per-dimension construction; both paths (scalar
-    falsifier and bulk frontier pass) consume this helper, so their
-    sample streams are identical by construction.
+    one-``integers``-call-per-dimension construction; the scalar
+    falsifier and the bulk frontier pass both consume this helper, so
+    their sample streams are identical by construction.
     """
     return rng.integers(
         query.low.astype(np.int64),

@@ -5,15 +5,18 @@ The schedule mirrors how the paper's workflow spends effort: most
 microseconds) or clearly vulnerable (a falsifier finds a witness), and
 only the thin boundary band needs the complete solver.
 
-Stage *order* is no longer hard-coded: an :class:`~repro.verify.stats.EngineStats`
-table (shared with the runner, persisted in the cache store) records each
-stage's decide rate and wall time, and the scheduler reorders the
-incomplete stages to minimise expected time on the observed workload.
-Reordering is verdict- and witness-preserving: the incomplete stages can
-only fail towards UNKNOWN, and the corner falsifier always runs before
-the random one, so the returned result is bit-identical to the canonical
-interval → corner → random → complete order — statistics may only change
-*which* engine answers first among agreeing engines.
+The incomplete stages (interval → corner → random) are the frontier
+plane's :class:`~repro.verify.batch.FrontierPrepass` run on a frontier
+of one probe.  Stage *order* is not hard-coded: an
+:class:`~repro.verify.stats.EngineStats` table (shared with the runner,
+persisted in the cache store) records each stage's decide rate and wall
+time, and the scheduler reorders the incomplete stages to minimise
+expected time on the observed workload.  Reordering is verdict- and
+witness-preserving: the incomplete stages can only fail towards UNKNOWN,
+and the corner falsifier always runs before the random one, so the
+returned result is bit-identical to the canonical interval → corner →
+random → complete order — statistics may only change *which* engine
+answers first among agreeing engines.
 """
 
 from __future__ import annotations
@@ -21,11 +24,10 @@ from __future__ import annotations
 import time
 
 from ..config import VerifierConfig
+from .batch import FrontierPrepass, FrontierProbe, stamp
 from .encoder import ScaledQuery
 from .exhaustive import ExhaustiveEnumerator
-from .falsify import CornerFalsifier, RandomFalsifier
 from .incremental import LadderSession
-from .interval import IntervalVerifier
 from .result import VerificationResult, VerificationStatus
 from .stats import EngineStats
 
@@ -49,30 +51,26 @@ class PortfolioVerifier:
     ):
         self.config = config or VerifierConfig()
         self.exhaustive_cutoff = exhaustive_cutoff
-        self.interval = IntervalVerifier()
-        self.corner = CornerFalsifier()
-        self.random = RandomFalsifier(seed=self.config.seed)
         self.exhaustive = ExhaustiveEnumerator()
         self.engine_stats = engine_stats if engine_stats is not None else EngineStats()
         self.stage_counts: dict[str, int] = {}
         #: (input values, true label) -> LadderSession, insertion-ordered.
         self._sessions: dict[tuple, LadderSession] = {}
-        self._incomplete = {
-            "interval": self.interval,
-            "corner": self.corner,
-            "random": self.random,
-        }
 
     def verify(self, query: ScaledQuery) -> VerificationResult:
-        """Complete verdict; ``stats['stage']`` records the deciding engine."""
-        for stage in self.engine_stats.incomplete_order():
-            start = time.perf_counter()
-            result = self._incomplete[stage].verify(query)
-            wall = time.perf_counter() - start
-            decided = result.status is not VerificationStatus.UNKNOWN
-            self.engine_stats.record(stage, decided, wall)
-            if decided:
-                return self._record(result, stage, wall)
+        """Complete verdict; ``stats['stage']`` records the deciding engine.
+
+        The incomplete stages run as a one-probe frontier prepass whose
+        random stage is seeded with ``config.seed``."""
+        probe = FrontierProbe(
+            key=None, query=query, percent=0, group=None, seed=self.config.seed
+        )
+        prepass = FrontierPrepass(engine_stats=self.engine_stats)
+        decided = prepass.resolve([probe]).decided
+        if decided:
+            result = decided[None]
+            self._count(result.stats["stage"])
+            return result
         return self.verify_complete(query)
 
     def verify_complete(self, query: ScaledQuery) -> VerificationResult:
@@ -84,7 +82,7 @@ class PortfolioVerifier:
         re-derives witnesses canonically).
 
         Also the entry point for queries whose incomplete stages already
-        ran inside a frontier prepass (:mod:`repro.verify.batch`)."""
+        ran inside a bulk frontier prepass (:mod:`repro.verify.batch`)."""
         if query.noise_space_size() <= self.exhaustive_cutoff:
             stage, engine = "exhaustive", self.exhaustive
         else:
@@ -95,7 +93,8 @@ class PortfolioVerifier:
         self.engine_stats.record(
             stage, result.status is not VerificationStatus.UNKNOWN, wall
         )
-        return self._record(result, stage, wall)
+        self._count(stage)
+        return stamp(result, stage, wall)
 
     def _session_for(self, query: ScaledQuery) -> LadderSession:
         """The warm session for this query's (input, label) ladder."""
@@ -115,11 +114,5 @@ class PortfolioVerifier:
         gates on."""
         return sum(session.total_pivots for session in self._sessions.values())
 
-    def _record(
-        self, result: VerificationResult, stage: str, wall: float
-    ) -> VerificationResult:
+    def _count(self, stage: str) -> None:
         self.stage_counts[stage] = self.stage_counts.get(stage, 0) + 1
-        result.stats["stage"] = stage
-        result.stats["portfolio"] = True
-        result.stats["wall_s"] = wall
-        return result

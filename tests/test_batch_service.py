@@ -119,6 +119,8 @@ ceiling = 8
             (lambda d: d.update(jobs=[]), "at least one job"),
             (lambda d: d.update(extra=1), "unknown manifest key"),
             (lambda d: d["runtime"].update(worker_count=4), "unknown RuntimeConfig"),
+            (lambda d: d["runtime"].update(frontier=False), "unknown RuntimeConfig"),
+            (lambda d: d["runtime"].update(batch_size=512), "unknown RuntimeConfig"),
             (lambda d: d["jobs"][0].pop("name"), "every job needs a 'name'"),
             (lambda d: d["jobs"][0].update(name="bad name!"), "job name"),
             (lambda d: d["jobs"][0]["network"].update(kind="hive"), "network kind"),

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.config import NoiseConfig
+from repro.config import FannetConfig, NoiseConfig
 from repro.core import (
     Fannet,
     NoiseVectorExtraction,
@@ -73,6 +73,37 @@ class TestE6Accuracies:
 class TestP1Validation:
     def test_translation_validates(self, fannet):
         assert fannet.validate() is True
+
+    def test_non_decimal_weight_scale_runs_end_to_end(self, trained):
+        """A quantisation scale whose denominators do not divide 1000:
+        the encoding reads its scale off the network, so P1 validates and
+        the P2 search agrees with the exact rational network."""
+        case_study, result = trained
+        fannet = Fannet(
+            result.network,
+            case_study.train,
+            case_study.test,
+            FannetConfig(weight_scale=1024),
+        )
+        assert fannet.runner.encoding.weight_scale == 1024
+        assert fannet.validate() is True
+        report = fannet.noise_tolerance(search_ceiling=12)
+        correct = [
+            index
+            for index, (x, label) in enumerate(
+                zip(case_study.test.features, case_study.test.labels)
+            )
+            if fannet.quantized.predict(x) == label
+        ]
+        assert [entry.index for entry in report.per_input] == correct
+        assert any(entry.min_flip_percent is not None for entry in report.per_input)
+        for entry in report.per_input:
+            if entry.min_flip_percent is None:
+                continue
+            x = case_study.test.features[entry.index]
+            assert max(abs(v) for v in entry.witness) <= entry.min_flip_percent
+            flipped = fannet.quantized.predict_noisy(x, entry.witness)
+            assert flipped == entry.flipped_to != entry.true_label
 
 
 class TestE2NoiseTolerance:

@@ -1,15 +1,19 @@
-"""Tests for the frontier-batched verification plane (PR 3).
+"""Tests for the frontier-batched verification plane.
 
-Three layers of coverage:
+The bulk prepass is the only implementation of the incomplete stages —
+a single query's portfolio runs it as a frontier of one — so the scalar
+engines (``IntervalVerifier``, ``CornerFalsifier``, ``RandomFalsifier``)
+serve as its references.  Three layers of coverage:
 
 1. **Bulk = scalar, bit for bit** — hypothesis property tests on random
    small networks assert that the vectorised interval pass and the
-   batched falsifier passes produce exactly the results their
-   single-query counterparts do (verdict, witness, node counts), and
-   that in-frontier implications are sound against a cold solver.
-2. **Determinism matrix** — frontier on/off × workers 1/4 × cache
-   cold/warm (and monotone on/off) must produce bit-identical tolerance
-   reports and Fig.-4 sweeps on the case-study substrate.
+   batched falsifier passes (in bulk and through
+   ``PortfolioVerifier.verify``) produce exactly the results the scalar
+   reference engines do (verdict, witness, node counts), and that
+   in-frontier implications are sound against exhaustive ground truth.
+2. **Determinism matrix** — workers 1/4 × cache on/off/warm × monotone
+   on/off must produce bit-identical tolerance reports and Fig.-4 sweeps
+   on the case-study substrate; row chunking never moves a label.
 3. **Satellites** — the ``_grid_chunks`` int64-overflow regression, the
    mixed-radix corner order, the engine-stats table (scheduling,
    persistence, merging) and the survivor bisection.
@@ -26,7 +30,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.config import NoiseConfig, RuntimeConfig
+from repro.config import NoiseConfig, RuntimeConfig, VerifierConfig
 from repro.data import load_leukemia_case_study
 from repro.data.dataset import Dataset
 from repro.errors import BudgetExceededError
@@ -39,13 +43,20 @@ from repro.verify import (
     FrontierPrepass,
     FrontierProbe,
     IntervalVerifier,
+    PortfolioVerifier,
     RandomFalsifier,
     ScaledQuery,
     build_query,
     interval_bulk,
+    labels_for_rows,
     resolve_survivors,
 )
-from repro.verify.falsify import corner_grid, corner_spans, mixed_radix_grid
+from repro.verify.falsify import (
+    corner_grid,
+    corner_spans,
+    draw_noise_block,
+    mixed_radix_grid,
+)
 from repro.verify.result import VerificationResult, VerificationStatus
 from repro.verify.stats import CANONICAL_INCOMPLETE
 
@@ -192,6 +203,7 @@ class TestPrepassEqualsScalarPortfolio:
 
         interval = IntervalVerifier()
         corner = CornerFalsifier()
+        portfolio = PortfolioVerifier(VerifierConfig(seed=seed))
         for percent, query in zip(range(1, ceiling + 1), queries):
             # The scalar incomplete prefix of the portfolio.
             expected = interval.verify(query)
@@ -199,6 +211,16 @@ class TestPrepassEqualsScalarPortfolio:
                 expected = corner.verify(query)
                 if not expected.is_vulnerable:
                     expected = RandomFalsifier(seed=seed).verify(query)
+
+            if expected.status is not VerificationStatus.UNKNOWN:
+                # A single query's portfolio (a one-probe prepass) decides
+                # every rung the scalar chain decides, identically.
+                single = portfolio.verify(query)
+                assert single.status == expected.status
+                assert single.witness == expected.witness
+                assert single.predicted_label == expected.predicted_label
+                assert single.engine == expected.engine
+                assert single.nodes_explored == expected.nodes_explored
 
             if percent in outcome.decided:
                 got = outcome.decided[percent]
@@ -225,15 +247,15 @@ class TestPrepassEqualsScalarPortfolio:
     def test_runner_frontier_matches_cold_runner(self, network, x, ceiling):
         label = network.predict(x)
         frontier = QueryRunner(network)
-        cold = QueryRunner(
-            network, runtime=RuntimeConfig(cache=False)
-        )
-        assert frontier.frontier_enabled and not cold.frontier_enabled
         grid = [(0, tuple(x), label, p) for p in range(1, ceiling + 1)]
         results = frontier.verify_frontier(grid, complete=True)
         for index, xv, lab, percent in grid:
             key = make_key("verify", index, xv, lab, percent)
-            assert results[key].status == cold.verify_at(xv, lab, percent, index=0).status
+            query = build_query(
+                network, np.asarray(xv, dtype=np.int64), lab, NoiseConfig(percent)
+            )
+            truth = ExhaustiveEnumerator().verify(query)
+            assert results[key].status == truth.status
 
 
 CEILING = 12
@@ -266,43 +288,48 @@ def run_workload(network, dataset, runtime):
 
 
 class TestFrontierDeterminismMatrix:
-    """frontier on/off × workers 1/4 × cache cold/warm ⇒ identical reports."""
+    """workers 1/4 × cache on/off/warm × monotone on/off ⇒ identical reports."""
 
     @pytest.fixture(scope="class")
     def baseline(self, substrate):
         network, dataset = substrate
-        outcome, _ = run_workload(network, dataset, RuntimeConfig(frontier=False))
+        outcome, _ = run_workload(network, dataset, RuntimeConfig())
         return outcome
 
     @pytest.mark.parametrize(
         "runtime",
         [
-            RuntimeConfig(frontier=True, workers=1),
-            RuntimeConfig(frontier=True, workers=4),
-            RuntimeConfig(frontier=False, workers=4),
-            RuntimeConfig(frontier=True, monotone=False),
-            RuntimeConfig(frontier=True, cache=False),  # frontier auto-off
-            RuntimeConfig(frontier=False, cache=False),
-            RuntimeConfig(frontier=True, batch_size=7),  # odd chunking
+            RuntimeConfig(workers=4),
+            RuntimeConfig(monotone=False),
+            RuntimeConfig(cache=False),
         ],
-        ids=[
-            "frontier-w1",
-            "frontier-w4",
-            "perquery-w4",
-            "frontier-exact-cache",
-            "frontier-no-cache",
-            "perquery-no-cache",
-            "frontier-batch7",
-        ],
+        ids=["frontier-w4", "frontier-exact-cache", "frontier-no-cache"],
     )
-    def test_variant_matches_per_query_baseline(self, substrate, baseline, runtime):
+    def test_variant_matches_default_baseline(self, substrate, baseline, runtime):
         network, dataset = substrate
         outcome, _ = run_workload(network, dataset, runtime)
         assert outcome == baseline
 
+    def test_row_chunking_never_moves_a_label(self, substrate):
+        network, dataset = substrate
+        rng = np.random.default_rng(0)
+        blocks = []
+        for index in range(4):
+            x = np.asarray(dataset.features[index])
+            for percent in (3, 11):
+                query = build_query(
+                    network, x, int(dataset.labels[index]), NoiseConfig(percent)
+                )
+                blocks.append((query, draw_noise_block(rng, query, 9 + index)))
+        chunked = labels_for_rows(blocks, chunk=7)  # splits blocks mid-way
+        whole = labels_for_rows(blocks)
+        for (query, block), small, large in zip(blocks, chunked, whole):
+            assert np.array_equal(small, large)
+            assert np.array_equal(small, query.labels_for_batch(block))
+
     def test_warm_replay_is_identical_and_solver_free(self, substrate, baseline):
         network, dataset = substrate
-        cold, runner = run_workload(network, dataset, RuntimeConfig(frontier=True))
+        cold, runner = run_workload(network, dataset, RuntimeConfig())
         assert cold == baseline
         calls = runner.stats.solver_calls
         from repro.core import NoiseToleranceAnalysis
@@ -324,26 +351,60 @@ class TestFrontierDeterminismMatrix:
         assert runner.stats.solver_calls == calls  # warm replay: zero engine work
 
     def test_probe_thresholds_match_frontier_on_off(self, substrate):
+        """Bulk probe ladders ("on") vs one pure-Python exact evaluation
+        per input and magnitude ("off", computed here as the reference);
+        every threshold found is confirmed on the ``Fraction`` network."""
         from repro.core import InputSensitivityAnalysis
 
         network, dataset = substrate
-        on = InputSensitivityAnalysis(network, runtime=RuntimeConfig(frontier=True))
-        off = InputSensitivityAnalysis(network, runtime=RuntimeConfig(frontier=False))
-        assert on.probe_all_nodes(dataset, search_ceiling=8) == off.probe_all_nodes(
-            dataset, search_ceiling=8
+        ceiling = 100  # the slice's first single-node flips sit at 62..99 %
+        on = InputSensitivityAnalysis(network).probe_all_nodes(
+            dataset, search_ceiling=ceiling
         )
+        inputs = [
+            (x, build_query(network, np.asarray(x), int(label), NoiseConfig(ceiling)))
+            for x, label in zip(dataset.features, dataset.labels)
+            if network.predict(x) == label
+        ]
+        assert any(flip is not None for pair in on.values() for flip in pair)
+        for node, (positive, negative) in on.items():
+            for sign, got in ((1, positive), (-1, negative)):
+                expected = None
+                for magnitude in range(1, ceiling + 1):
+                    vector = [0] * network.num_inputs
+                    vector[node] = sign * magnitude
+                    flipped = [
+                        x for x, query in inputs
+                        if query.predict_single(vector) != query.true_label
+                    ]
+                    if flipped:
+                        expected = magnitude
+                        assert network.predict_noisy(flipped[0], vector) != (
+                            network.predict(flipped[0])
+                        )
+                        break
+                assert got == expected
 
     def test_extraction_matches_frontier_on_off(self, substrate):
+        """``extract`` bulk-prepasses the input frontier ("on");
+        ``extract_for_input`` runs each input's task alone ("off")."""
         from repro.core import NoiseVectorExtraction
 
         network, dataset = substrate
-        on = NoiseVectorExtraction(network, runtime=RuntimeConfig(frontier=True))
-        off = NoiseVectorExtraction(network, runtime=RuntimeConfig(frontier=False))
-        report_on = on.extract(dataset, CEILING // 2)
-        report_off = off.extract(dataset, CEILING // 2)
-        assert sorted(report_on.all_vectors_with_labels()) == sorted(
-            report_off.all_vectors_with_labels()
-        )
+        percent = 28  # the slice's first flips: input 7 at ±28 %
+        on = NoiseVectorExtraction(network).extract(dataset, percent)
+        off = NoiseVectorExtraction(network)
+        expected = []
+        for index, (x, label) in enumerate(zip(dataset.features, dataset.labels)):
+            if network.predict(x) != label:
+                continue
+            entry = off.extract_for_input(x, int(label), percent, index=index)
+            expected.extend(
+                (index, int(label), vector, wrong)
+                for vector, wrong in zip(entry.vectors, entry.flipped_to)
+            )
+        assert expected
+        assert sorted(on.all_vectors_with_labels()) == sorted(expected)
 
 
 class TestGridChunkOverflowRegression:
@@ -405,15 +466,15 @@ class TestDtypeAnalysisCoversPartialSums:
         interval totals (the old demotion criterion) while each half of
         the vectorised ``W⁺/W⁻`` split — and each partial sum of the
         falsifiers' forward products — would wrap int64.  The magnitude
-        analysis must keep such queries on exact object integers.
+        analysis must keep such queries on exact object integers.  The
+        weights' denominators put the encoding at scale 1000, so each
+        scaled weight is ±1001.
         """
+        w = Fraction(1001, 1000)
         network = QuantizedNetwork(
             [
                 QuantizedLayer(
-                    (
-                        (Fraction(1), Fraction(-1)),
-                        (Fraction(-1), Fraction(1)),
-                    ),
+                    ((w, -w), (-w, w)),
                     (Fraction(0), Fraction(0)),
                     relu=False,
                 ),
@@ -423,7 +484,8 @@ class TestDtypeAnalysisCoversPartialSums:
         label = network.predict(x)
         query = build_query(network, x, label, NoiseConfig(max_percent=1))
         # One weight·activation term alone exceeds int64...
-        assert 1000 * int(x[0]) * 101 > 2**62
+        assert int(query.weights[0][0][0]) == 1001
+        assert 1001 * int(x[0]) * 101 > 2**62
         # ...so the query must stay on unbounded integers.
         assert query.exact_dtype
 
@@ -433,7 +495,7 @@ class TestDtypeAnalysisCoversPartialSums:
         else:
             # UNKNOWN is always sound; the margin must be a real int,
             # not a wrapped one: recompute it exactly on the corner the
-            # bound selects (diff = ±2000·x, act* within the box).
+            # bound selects (diff = ±2002·x, act* within the box).
             assert isinstance(result.stats["margin"], int)
             assert not isinstance(result.stats["margin"], bool)
 
@@ -604,7 +666,7 @@ class TestEngineStats:
 
     def test_wall_time_lands_in_result_stats(self, substrate):
         network, dataset = substrate
-        runner = QueryRunner(network, runtime=RuntimeConfig(frontier=False))
+        runner = QueryRunner(network)
         x = tuple(int(v) for v in dataset.features[0])
         result = runner.verify_at(x, int(dataset.labels[0]), 3, index=0)
         assert result.stats["wall_s"] >= 0

@@ -220,13 +220,26 @@ class TestFailureInjection:
         _, scaled = scale_to_integers(train, scale=50)
         assert scaled.min() >= 1
 
-    def test_build_query_rejects_unscaled_weights(self):
+    def test_build_query_derives_the_scale_from_the_weights(self):
+        """No weight can miss the scale: the encoding reads its scale off
+        the network (the lcm of every denominator), so a 1/7 weight next
+        to a 1/2 bias still encodes exactly."""
+        from repro.verify import NetworkEncoding
+
         layer = QuantizedLayer(
-            ((Fraction(1, 7),),), (Fraction(0),), relu=False
+            ((Fraction(1, 7), Fraction(-3, 7)), (Fraction(2, 7), Fraction(1))),
+            (Fraction(1, 2), Fraction(0)),
+            relu=False,
         )
         network = QuantizedNetwork([layer])
-        with pytest.raises(VerificationError):
-            build_query(network, np.array([3]), 0, NoiseConfig(1))
+        assert NetworkEncoding(network).weight_scale == 14
+        x = (3, 2)
+        query = build_query(network, np.array(x), network.predict(x), NoiseConfig(5))
+        for p0 in range(-5, 6):
+            for p1 in range(-5, 6):
+                assert query.predict_single((p0, p1)) == network.predict_noisy(
+                    x, (p0, p1)
+                )
 
     def test_single_class_dataset_bias_census(self):
         from repro.core.bias import TrainingBiasAnalysis

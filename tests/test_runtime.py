@@ -71,18 +71,6 @@ def label(network, x):
     return network.predict(x)
 
 
-class CountingVerifier:
-    """Complete verifier wrapper that counts ``verify`` invocations."""
-
-    def __init__(self, config=None):
-        self.inner = PortfolioVerifier(config or VerifierConfig())
-        self.calls = 0
-
-    def verify(self, query):
-        self.calls += 1
-        return self.inner.verify(query)
-
-
 class TestQueryCache:
     def test_hit_and_miss_accounting(self):
         cache = QueryCache()
@@ -344,22 +332,17 @@ class TestFingerprints:
 
 class TestRunnerCaching:
     def test_repeated_query_issues_zero_new_solver_calls(self, network, x, label):
-        verifier = CountingVerifier()
-        runner = QueryRunner(network, verifier=verifier)
+        runner = QueryRunner(network)
         first = runner.verify_at(x, label, 5)
         again = runner.verify_at(x, label, 5)
-        assert verifier.calls == 1
         assert runner.stats.verify_calls == 1
         assert first is again
 
     def test_cache_off_always_reaches_the_solver(self, network, x, label):
-        verifier = CountingVerifier()
-        runner = QueryRunner(
-            network, runtime=RuntimeConfig(cache=False), verifier=verifier
-        )
+        runner = QueryRunner(network, runtime=RuntimeConfig(cache=False))
         runner.verify_at(x, label, 5)
         runner.verify_at(x, label, 5)
-        assert verifier.calls == 2
+        assert runner.stats.verify_calls == 2
 
     def test_verifier_config_change_invalidates_shared_cache(self, network, x, label):
         cache = QueryCache()
@@ -498,15 +481,14 @@ class TestSharedEncoding:
 
 class TestRunnerMonotoneReuse:
     def test_implied_verdicts_skip_the_solver(self, network, x, label):
-        verifier = CountingVerifier()
-        runner = QueryRunner(network, verifier=verifier)
+        runner = QueryRunner(network)
         assert isinstance(runner.cache, MonotoneCache)  # the default
         first = runner.verify_at(x, label, 20)
         assert first.is_vulnerable
         wider = runner.verify_at(x, label, 30)  # implied by vulnerable@20
         robust_small = runner.verify_at(x, label, 3)
         tighter = runner.verify_at(x, label, 1)  # implied by robust@3
-        assert verifier.calls == 2
+        assert runner.stats.verify_calls == 2
         assert wider.is_vulnerable and tighter.is_robust
         assert runner.cache.stats.derived_hits == 2
         assert robust_small.is_robust
@@ -524,14 +506,11 @@ class TestRunnerMonotoneReuse:
         assert network.predict_noisy(x, derived.witness) != label
 
     def test_monotone_off_reverts_to_exact_key_reuse(self, network, x, label):
-        verifier = CountingVerifier()
-        runner = QueryRunner(
-            network, runtime=RuntimeConfig(monotone=False), verifier=verifier
-        )
+        runner = QueryRunner(network, runtime=RuntimeConfig(monotone=False))
         assert type(runner.cache) is QueryCache
         runner.verify_at(x, label, 20)
         runner.verify_at(x, label, 30)  # exact-key cache must re-solve
-        assert verifier.calls == 2
+        assert runner.stats.verify_calls == 2
         assert runner.cache.stats.derived_hits == 0
 
     def test_implied_robust_short_circuits_extraction(self, network, x, label):
@@ -613,20 +592,18 @@ class TestRunnerMonotoneReuse:
 class TestRunnerPersistence:
     def test_cold_then_warm_from_disk(self, tmp_path, network, x, label):
         runtime = RuntimeConfig(cache_dir=str(tmp_path))
-        verifier = CountingVerifier()
-        cold = QueryRunner(network, runtime=runtime, verifier=verifier)
+        cold = QueryRunner(network, runtime=runtime)
         cold.verify_at(x, label, 10)
         cold.collect_at(x, label, 10, limit=5)
         cold.close()
         assert cold.store.saved_entries == 2
         assert list(tmp_path.glob("*.qcache"))
 
-        warm_verifier = CountingVerifier()
-        warm = QueryRunner(network, runtime=runtime, verifier=warm_verifier)
+        warm = QueryRunner(network, runtime=runtime)
         assert warm.store.loaded_entries == 2
         first = warm.verify_at(x, label, 10)
         again = warm.collect_at(x, label, 10, limit=5)
-        assert warm_verifier.calls == 0 and warm.stats.solver_calls == 0
+        assert warm.stats.verify_calls == 0 and warm.stats.solver_calls == 0
         assert first.status == cold.verify_at(x, label, 10).status
         assert again == cold.collect_at(x, label, 10, limit=5)
 
