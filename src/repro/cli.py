@@ -728,7 +728,6 @@ def _cmd_cache_inspect(args) -> int:
           + ("" if info.version == STORE_VERSION else f" (this build reads {STORE_VERSION})"))
     print(f"context       : {info.context}")
     print(f"entries       : {info.entries}")
-    print(f"engine stats  : {'present' if info.has_engine_stats else 'absent'}")
     print("checksum      : ok")
     return 0
 

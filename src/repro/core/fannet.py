@@ -107,8 +107,9 @@ class Fannet:
         """Per-engine decide-rate / wall-time table for this run.
 
         Aggregated across every analysis that ran on the shared runner —
-        including worker processes and the frontier bulk passes — and
-        the same statistics the portfolio scheduler orders stages by.
+        including worker processes and the frontier bulk passes.  It
+        covers this run only: a warm start from the disk cache begins
+        with an empty table.
         """
         return self.runner.engine_stats.describe_table()
 

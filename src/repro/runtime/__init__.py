@@ -10,9 +10,8 @@ This package turns that structure into throughput:
   by the vectorised bulk prepass of :mod:`repro.verify.batch` (the only
   implementation of the incomplete stages), plus per-input task fan-out
   over a process pool with deterministic ``(seed, input index)`` seeding.  An
-  :class:`~repro.verify.stats.EngineStats` table — persisted alongside
-  the cache — records per-stage decide rates and wall time and drives
-  the portfolio's stage order per workload;
+  :class:`~repro.verify.stats.EngineStats` table records per-stage
+  attempts, decisions and wall time for the engine-utilisation report;
 - :class:`QueryCache` / :class:`MonotoneCache` / :class:`CacheStats` —
   the keyed query memo with fingerprint-based invalidation.  Lookups
   return :data:`MISS` (never ``None``) when nothing is cached, so a

@@ -62,7 +62,6 @@ class StoreFileInfo:
     context: str | None = None
     version: int | None = None
     entries: int | None = None
-    has_engine_stats: bool = False
 
     @property
     def stale_version(self) -> bool:
@@ -105,7 +104,6 @@ def _info_for(path: Path) -> StoreFileInfo:
             if isinstance(entries, int) and not isinstance(entries, bool)
             else None
         ),
-        has_engine_stats=isinstance(header.get("engine_stats"), dict),
     )
 
 

@@ -16,8 +16,7 @@ verification work.  It provides:
   warm-starts from a per-context :class:`~repro.runtime.store.CacheStore`
   file at construction and spills new entries back on :meth:`QueryRunner.flush`
   / :meth:`QueryRunner.close`, so repeated CLI runs over the same model
-  and budget issue zero solver calls.  The per-engine statistics table
-  rides in the same file, so stage scheduling warm-starts too.
+  and budget issue zero solver calls.
 - **Frontier batching** — the analyses submit whole probe ladders and
   grids (:meth:`prepass_ladder`, :meth:`verify_frontier`,
   :meth:`probe_ladder`): a vectorised bulk prepass
@@ -27,11 +26,11 @@ verification work.  It provides:
   band reaches a complete engine, per query (lazily for searches,
   monotone-bisected for grids).  A lone :meth:`verify_at` miss runs the
   same prepass on a frontier of one inside its portfolio.
-- **Portfolio scheduling** — an :class:`~repro.verify.stats.EngineStats`
-  table records per-stage decide rates and wall time; the per-index
-  portfolios and the bulk prepass reorder their incomplete stages from
-  it (verdict- and witness-preserving by construction, see
-  :mod:`repro.verify.stats`).
+- **Engine utilisation** — an :class:`~repro.verify.stats.EngineStats`
+  table records per-stage attempts, decisions and wall time for this
+  runner's own work (worker tables fold in; nothing is persisted).  It
+  is a report only: the incomplete stages always run interval → corner
+  → random.
 - **Fan-out** — independent per-input tasks (see
   :mod:`repro.runtime.tasks`) run over a ``ProcessPoolExecutor`` when
   ``RuntimeConfig.workers > 1``.  Warm cache entries for each task's
@@ -141,11 +140,6 @@ class QueryRunner:
             warm = self.store.load(self.cache.context)
             if warm:
                 self.cache.preload(warm)
-            if self.store.loaded_stats:
-                self.engine_stats.merge_payload(self.store.loaded_stats)
-        #: The engine-stats table as last persisted (or warm-loaded), so
-        #: flush() can tell "stats changed" apart from "pure warm replay".
-        self._persisted_stats = self.engine_stats.snapshot()
         self.stats = RunnerStats()
         self._verifiers: dict[int, PortfolioVerifier] = {}
         self._pool: ProcessPoolExecutor | None = None
@@ -302,7 +296,11 @@ class QueryRunner:
         already cached (or implied, or known-undecidable) to the frontier
         prepass.  Decided verdicts are memoised; survivors are remembered
         so the search's own probes skip straight to the complete engine.
+        A no-op with the cache off: the verdicts would be dropped, and
+        every rung the search probes would run its incomplete stages again.
         """
+        if not self.cache.enabled:
+            return
         x = tuple(int(v) for v in x)
         probes = []
         for percent in percents:
@@ -327,24 +325,27 @@ class QueryRunner:
         boundary band, dispatched along a monotone bisection per input
         so a band of width ``w`` costs ``O(log w)`` complete calls.
         With ``complete=False`` survivors are only marked for lazy
-        complete dispatch (the extraction prepass never needs them).
+        complete dispatch (the extraction prepass never needs them), and
+        with the cache off as well nothing runs at all: the prepass's
+        verdicts would only have been memoised, and the cache drops them.
+        A probe repeated in ``probes`` is resolved once.
         """
         results: dict = {}
-        pending = []
+        pending: dict = {}
         for index, x, true_label, percent in probes:
             x = tuple(int(v) for v in x)
             key = make_key("verify", index, x, true_label, int(percent))
-            if key in results:
+            if key in results or key in pending:
                 continue
             cached = self.cache.get(key)
             if cached is not MISS:
                 results[key] = cached
                 continue
-            pending.append((key, index, x, true_label, int(percent)))
-        if not pending:
+            pending[key] = (key, index, x, true_label, int(percent))
+        if not pending or (not complete and not self.cache.enabled):
             return results
-        fresh = [p for p in pending if p[0] not in self._frontier_unknown]
-        known_unknown = [p for p in pending if p[0] in self._frontier_unknown]
+        fresh = [p for p in pending.values() if p[0] not in self._frontier_unknown]
+        known_unknown = [p for p in pending.values() if p[0] in self._frontier_unknown]
         outcome = self._prepass(fresh)
         for key, result in outcome.decided.items():
             results[key] = result
@@ -484,7 +485,7 @@ class QueryRunner:
             self.cache.adopt(outcome.entries)
             self.stats.merge(outcome.stats)
             self.cache.stats.merge(outcome.cache_stats)
-            self.engine_stats.merge_payload(outcome.engine_stats)
+            self.engine_stats.merge(outcome.engine_stats)
             values.append(outcome.value)
         return values
 
@@ -509,7 +510,6 @@ class QueryRunner:
                 network=self.network,
                 config=self.config,
                 monotone=self.runtime.monotone,
-                engine_stats=self.engine_stats.snapshot(),
                 data_digest=self.data_digest,
             )
             self._pool = ProcessPoolExecutor(
@@ -522,29 +522,21 @@ class QueryRunner:
     # -- persistence ----------------------------------------------------------------
 
     def flush(self) -> None:
-        """Spill new cache entries and stats to the disk store (no-op without one).
+        """Spill new cache entries to the disk store (no-op without one).
 
-        Writes when entries were added since the warm-start load (or the
-        previous flush) — and also when only the engine-stats table moved
-        (a warm replay that still ran incomplete stages accrues decide
-        rates worth keeping).  A pure warm replay — no new entries, no
-        new stats — rewrites nothing, so concurrent readers of the same
-        cache directory are not churned for zero information.
+        Writes only when entries were added since the warm-start load (or
+        the previous flush): a pure warm replay rewrites nothing, so
+        concurrent readers of the same cache directory are not churned
+        for zero information.
         """
         if self.store is None or not self.cache.enabled:
             return
         with self._io_lock:
-            stats = self.engine_stats.snapshot()
-            if not self.cache.added and stats == self._persisted_stats:
+            if not self.cache.added:
                 return
-            saved = self.store.save(
-                self.cache.context,
-                self.cache.snapshot(),
-                engine_stats=stats,
-            )
+            saved = self.store.save(self.cache.context, self.cache.snapshot())
             if saved is not None:
                 self.cache.added.clear()
-                self._persisted_stats = stats
                 if self.runtime.max_cache_bytes is not None:
                     # Size-bound the directory, but never evict the context
                     # this run is writing — only colder neighbours age out.
@@ -603,7 +595,6 @@ class _WorkerContext:
     network: object
     config: VerifierConfig
     monotone: bool = True
-    engine_stats: dict = field(default_factory=dict)
     data_digest: str | None = None
 
 
@@ -615,7 +606,7 @@ class _TaskOutcome:
     entries: dict
     stats: RunnerStats
     cache_stats: CacheStats = field(default_factory=CacheStats)
-    engine_stats: dict = field(default_factory=dict)
+    engine_stats: EngineStats = field(default_factory=EngineStats)
 
 
 _WORKER_CONTEXT: _WorkerContext | None = None
@@ -636,10 +627,6 @@ def _run_task(task) -> _TaskOutcome:
         RuntimeConfig(workers=1, cache=True, monotone=context.monotone),
         data_digest=context.data_digest,
     )
-    # Scheduling prior: the parent's stage statistics at pool start.
-    # Only the delta ships back, so nothing is double-counted on merge.
-    runner.engine_stats.merge_payload(context.engine_stats)
-    baseline = runner.engine_stats.snapshot()
     runner.cache.preload(task.warm)
     # The preload above is warm-dict *transport*, not logical cache
     # activity; reset the counters so the stats shipped back (and folded
@@ -652,5 +639,5 @@ def _run_task(task) -> _TaskOutcome:
         entries=dict(runner.cache.added),
         stats=runner.stats,
         cache_stats=runner.cache.stats,
-        engine_stats=runner.engine_stats.delta_since(baseline),
+        engine_stats=runner.engine_stats,
     )

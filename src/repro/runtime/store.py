@@ -11,20 +11,16 @@ File format (version :data:`STORE_VERSION`)::
     MAGIC                       fixed byte string, format marker
     header length               8-byte big-endian unsigned int
     header                      pickle: {"version", "context", "checksum",
-                                "entries", "engine_stats"?}
+                                "entries"}
     payload                     pickle of the {key: value} entry dict
 
 The header's ``checksum`` is the SHA-256 of the payload bytes and
 ``entries`` its entry count, so truncation and bit-rot are detected
 before any payload byte is unpickled into the cache.
 
-The optional ``engine_stats`` header field carries the
-:class:`~repro.verify.stats.EngineStats` snapshot (plain containers
-only) so a warm-started run schedules its portfolio stages from
-day-one statistics.  Files without the field — every pre-scheduler
-file — load exactly as before; the stats are *advisory* (they steer
-stage order, never verdicts), so they ride outside the payload
-checksum and a malformed table simply degrades to canonical order.
+Older files may carry an extra ``engine_stats`` header field (a
+per-stage statistics table); the reader ignores it, so those files load
+exactly like new ones.
 
 Trust policy — a cache file is *evidence, never authority*:
 
@@ -171,9 +167,6 @@ class CacheStore:
         self.directory = Path(directory)
         self.loaded_entries = 0  # from the most recent successful load
         self.saved_entries = 0  # from the most recent successful save
-        #: Engine-stats payload from the most recent successful load
-        #: (None when the file predates the scheduler or had no stats).
-        self.loaded_stats: dict | None = None
 
     def path_for(self, context: str) -> Path:
         """The cache file owning ``context`` (fingerprints are hex + ':')."""
@@ -182,13 +175,8 @@ class CacheStore:
     # -- read side ------------------------------------------------------------------
 
     def load(self, context: str) -> dict[QueryKey, Any]:
-        """Entries previously saved for ``context``; ``{}`` when unusable.
-
-        A usable file's engine-stats header (if any) lands in
-        :attr:`loaded_stats` as a side effect.
-        """
+        """Entries previously saved for ``context``; ``{}`` when unusable."""
         self.loaded_entries = 0
-        self.loaded_stats = None
         path = self.path_for(context)
         try:
             raw = path.read_bytes()
@@ -231,23 +219,12 @@ class CacheStore:
             # a checksum-valid file is still not trusted on shape.
             _warn(f"cache file {path} contains malformed query keys; starting cold")
             return {}
-        stats = header.get("engine_stats")
-        self.loaded_stats = stats if isinstance(stats, dict) else None
         return entries
 
     # -- write side ------------------------------------------------------------------
 
-    def save(
-        self,
-        context: str,
-        entries: dict[QueryKey, Any],
-        engine_stats: dict | None = None,
-    ) -> Path | None:
-        """Atomically (re)write the context's file; None if the write failed.
-
-        ``engine_stats`` (an :meth:`EngineStats.snapshot` payload of plain
-        containers) rides in the header when provided.
-        """
+    def save(self, context: str, entries: dict[QueryKey, Any]) -> Path | None:
+        """Atomically (re)write the context's file; None if the write failed."""
         path = self.path_for(context)
         try:
             payload = pickle.dumps(dict(entries), protocol=pickle.HIGHEST_PROTOCOL)
@@ -256,15 +233,15 @@ class CacheStore:
             # in a result) must not crash a run at flush time.
             _warn(f"could not serialise cache entries for {path} ({err!r}); continuing without")
             return None
-        header_fields = {
-            "version": STORE_VERSION,
-            "context": context,
-            "checksum": hashlib.sha256(payload).hexdigest(),
-            "entries": len(entries),
-        }
-        if engine_stats:
-            header_fields["engine_stats"] = engine_stats
-        header = pickle.dumps(header_fields, protocol=pickle.HIGHEST_PROTOCOL)
+        header = pickle.dumps(
+            {
+                "version": STORE_VERSION,
+                "context": context,
+                "checksum": hashlib.sha256(payload).hexdigest(),
+                "entries": len(entries),
+            },
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
         blob = MAGIC + len(header).to_bytes(_LEN_BYTES, "big") + header + payload
         try:
             self.directory.mkdir(parents=True, exist_ok=True)

@@ -22,8 +22,8 @@ Engines, ordered by the guarantees they offer:
   from-scratch reference; sessions call it to derive canonical witnesses.
 - :class:`PortfolioVerifier` — interval ⇒ falsifiers ⇒ complete engine,
   with the incomplete stages run as a one-probe :class:`FrontierPrepass`
-  in the order an :class:`EngineStats` decide-rate/wall-time table
-  chooses per workload; the default used by the FANNet pipeline.
+  in one fixed order (an :class:`EngineStats` table reports their
+  decide rates and wall time); the default used by the FANNet pipeline.
 - :class:`LadderSession` (:mod:`repro.verify.incremental`) — the
   portfolio's complete stage for boxes too large to enumerate: each
   adversary encoded once (:func:`~repro.verify.smt_verifier.encode_adversary`,

@@ -47,7 +47,7 @@ from .encoder import ScaledQuery, forward_scaled
 from .falsify import RANDOM_BLOCK, RANDOM_SAMPLES, corner_grid, draw_noise_block
 from .interval import interval_bulk
 from .result import VerificationResult, VerificationStatus
-from .stats import CANONICAL_INCOMPLETE, EngineStats
+from .stats import EngineStats
 
 #: Cap on rows per concatenated network evaluation (bounds peak memory).
 ROW_CHUNK = 4096
@@ -128,11 +128,10 @@ def labels_for_rows(
 class FrontierPrepass:
     """Bulk incomplete-stage resolution over a frontier of probes.
 
-    Stage order follows the statistics-driven scheduler of
-    :meth:`EngineStats.incomplete_order` (interval floats, corner always
-    precedes random), and every per-probe result is bit-identical to the
-    scalar engine's.  Corner grids use the falsifier defaults (midpoints
-    on, at most :data:`~repro.verify.falsify.MAX_CORNERS` rows); random
+    The stages run in one fixed order — interval, corner, random — and
+    every per-probe result is bit-identical to the scalar engine's.
+    Corner grids use the falsifier defaults (midpoints on, at most
+    :data:`~repro.verify.falsify.MAX_CORNERS` rows); random
     probes draw :data:`~repro.verify.falsify.RANDOM_SAMPLES` rows in
     :data:`~repro.verify.falsify.RANDOM_BLOCK`-row rounds.
     """
@@ -165,17 +164,10 @@ class FrontierPrepass:
         pending = list(probes)
         #: group -> (minimal vulnerable percent decided here, its result)
         facts: dict[Any, tuple[int, VerificationResult]] = {}
-        stages = {
-            "interval": self._interval_stage,
-            "corner": self._corner_stage,
-            "random": self._random_stage,
-        }
-        order = self.engine_stats.incomplete_order()
-        assert tuple(sorted(order)) == tuple(sorted(CANONICAL_INCOMPLETE))
-        for stage in order:
+        for stage in (self._interval_stage, self._corner_stage, self._random_stage):
             if not pending:
                 break
-            pending = stages[stage](pending, outcome, facts)
+            pending = stage(pending, outcome, facts)
         for probe in pending:
             fact = facts.get(probe.group)
             if fact is not None and probe.percent >= fact[0]:

@@ -5,18 +5,12 @@ The schedule mirrors how the paper's workflow spends effort: most
 microseconds) or clearly vulnerable (a falsifier finds a witness), and
 only the thin boundary band needs the complete solver.
 
-The incomplete stages (interval → corner → random) are the frontier
-plane's :class:`~repro.verify.batch.FrontierPrepass` run on a frontier
-of one probe.  Stage *order* is not hard-coded: an
-:class:`~repro.verify.stats.EngineStats` table (shared with the runner,
-persisted in the cache store) records each stage's decide rate and wall
-time, and the scheduler reorders the incomplete stages to minimise
-expected time on the observed workload.  Reordering is verdict- and
-witness-preserving: the incomplete stages can only fail towards UNKNOWN,
-and the corner falsifier always runs before the random one, so the
-returned result is bit-identical to the canonical interval → corner →
-random → complete order — statistics may only change *which* engine
-answers first among agreeing engines.
+The incomplete stages run in one fixed order, interval → corner →
+random, as the frontier plane's
+:class:`~repro.verify.batch.FrontierPrepass` on a frontier of one probe;
+a survivor goes to the complete stage.  Every stage folds its attempts,
+decisions and wall time into an :class:`~repro.verify.stats.EngineStats`
+table (shared with the runner) for the engine-utilisation report.
 """
 
 from __future__ import annotations
@@ -39,7 +33,7 @@ MAX_SESSIONS = 8
 
 
 class PortfolioVerifier:
-    """interval / corner / random (stats-ordered) ⇒ exhaustive-or-session."""
+    """interval ⇒ corner ⇒ random ⇒ exhaustive-or-session."""
 
     name = "portfolio"
 
@@ -53,7 +47,6 @@ class PortfolioVerifier:
         self.exhaustive_cutoff = exhaustive_cutoff
         self.exhaustive = ExhaustiveEnumerator()
         self.engine_stats = engine_stats if engine_stats is not None else EngineStats()
-        self.stage_counts: dict[str, int] = {}
         #: (input values, true label) -> LadderSession, insertion-ordered.
         self._sessions: dict[tuple, LadderSession] = {}
 
@@ -68,9 +61,7 @@ class PortfolioVerifier:
         prepass = FrontierPrepass(engine_stats=self.engine_stats)
         decided = prepass.resolve([probe]).decided
         if decided:
-            result = decided[None]
-            self._count(result.stats["stage"])
-            return result
+            return decided[None]
         return self.verify_complete(query)
 
     def verify_complete(self, query: ScaledQuery) -> VerificationResult:
@@ -93,7 +84,6 @@ class PortfolioVerifier:
         self.engine_stats.record(
             stage, result.status is not VerificationStatus.UNKNOWN, wall
         )
-        self._count(stage)
         return stamp(result, stage, wall)
 
     def _session_for(self, query: ScaledQuery) -> LadderSession:
@@ -113,6 +103,3 @@ class PortfolioVerifier:
         The deterministic effort metric the incremental-ladder benchmark
         gates on."""
         return sum(session.total_pivots for session in self._sessions.values())
-
-    def _count(self, stage: str) -> None:
-        self.stage_counts[stage] = self.stage_counts.get(stage, 0) + 1

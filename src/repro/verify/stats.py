@@ -1,51 +1,27 @@
-"""Per-engine execution statistics and the portfolio stage scheduler.
+"""Per-engine execution statistics: the engine-utilisation table.
 
-Every :class:`~repro.verify.portfolio.PortfolioVerifier` stage (and every
-bulk pass of the frontier plane in :mod:`repro.verify.batch`) records how
-often it was attempted, how often it *decided* the query, and how much
-wall time it spent.  The table serves three purposes:
-
-- **Observability** — the CLI prints an engine-utilisation table per run.
-- **Scheduling** — :meth:`EngineStats.incomplete_order` picks the order
-  of the incomplete stages that minimises expected time for the observed
-  workload (a cheap-first portfolio is only cheap when the cheap stages
-  actually decide things).
-- **Persistence** — :meth:`snapshot` / :meth:`merge_payload` round-trip
-  the table through the :class:`~repro.runtime.store.CacheStore` header,
-  so a warm-started run schedules from day-one statistics.
-
-Scheduling is *verdict-preserving by construction*.  The incomplete
-stages can only err on the UNKNOWN side (interval proves ROBUST or
-passes; the falsifiers find a witness or pass), so any execution order
-yields the same verdict.  Witness identity is pinned by one constraint:
-the corner falsifier always runs before the random falsifier, so a
-VULNERABLE verdict always carries the witness the canonical
-interval → corner → random → complete order would have produced.  The
-scheduler therefore only moves the (witness-free) interval stage.
+Every bulk pass of the frontier prepass (:mod:`repro.verify.batch`) and
+every complete-engine call of a
+:class:`~repro.verify.portfolio.PortfolioVerifier` records how often its
+stage was attempted, how often it *decided* the query, and how much wall
+time it spent.  The table is observability only: the CLI prints it per
+run, perfbench reads it, and worker processes ship theirs back to be
+folded in with :meth:`EngineStats.merge`.  It never steers execution —
+the incomplete stages always run interval → corner → random — so the
+attempt and decide counters are a deterministic function of the queries
+asked, whatever the host's speed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-#: Canonical incomplete-stage order (the pre-scheduler portfolio).
+#: The incomplete stages, in the order the frontier prepass runs them.
 CANONICAL_INCOMPLETE: tuple[str, ...] = ("interval", "corner", "random")
-
-#: Stage orders the scheduler may pick from.  The corner falsifier
-#: always precedes the random one (witness-selection rule); only the
-#: interval stage floats.  Canonical order first: deterministic tie-break.
-_CANDIDATE_ORDERS: tuple[tuple[str, ...], ...] = (
-    ("interval", "corner", "random"),
-    ("corner", "interval", "random"),
-    ("corner", "random", "interval"),
-)
 
 #: Names counted as complete-engine invocations.  ``session`` is the
 #: warm ladder session (:mod:`repro.verify.incremental`).
 COMPLETE_STAGES: tuple[str, ...] = ("exhaustive", "session")
-
-#: Attempts a stage needs before its observed rates steer the schedule.
-_MIN_SAMPLES = 16
 
 
 @dataclass
@@ -67,7 +43,7 @@ class StageStat:
 
 @dataclass
 class EngineStats:
-    """Decide-rate and wall-time table over all portfolio stages."""
+    """Decide-rate and wall-time table over all verification stages."""
 
     stages: dict[str, StageStat] = field(default_factory=dict)
 
@@ -88,31 +64,6 @@ class EngineStats:
         stat.decided += decided
         stat.wall_s += wall_s
 
-    # -- scheduling ------------------------------------------------------------
-
-    def incomplete_order(self) -> tuple[str, ...]:
-        """Incomplete-stage order minimising expected time per query.
-
-        Expected cost of an order is ``Σ_i t_i · Π_{j<i} (1 - r_j)`` with
-        ``t`` the observed mean wall time and ``r`` the observed decide
-        rate (stage independence as the standard approximation).  Stages
-        without :data:`_MIN_SAMPLES` attempts keep the canonical order —
-        cold runs schedule exactly like the pre-scheduler portfolio.
-        """
-        stats = {name: self.stages.get(name) for name in CANONICAL_INCOMPLETE}
-        if any(s is None or s.attempts < _MIN_SAMPLES for s in stats.values()):
-            return CANONICAL_INCOMPLETE
-        best = CANONICAL_INCOMPLETE
-        best_cost = None
-        for order in _CANDIDATE_ORDERS:
-            cost, undecided = 0.0, 1.0
-            for name in order:
-                cost += undecided * stats[name].mean_wall_s
-                undecided *= 1.0 - stats[name].decide_rate
-            if best_cost is None or cost < best_cost:
-                best, best_cost = order, cost
-        return best
-
     # -- aggregates -------------------------------------------------------------
 
     def complete_calls(self) -> int:
@@ -124,63 +75,10 @@ class EngineStats:
     def total_wall_s(self) -> float:
         return sum(stat.wall_s for stat in self.stages.values())
 
-    # -- persistence / bulk transfer -------------------------------------------
-
-    def snapshot(self) -> dict[str, dict[str, float]]:
-        """Plain-container payload (disk store header, worker shipping)."""
-        return {
-            name: {
-                "attempts": stat.attempts,
-                "decided": stat.decided,
-                "wall_s": stat.wall_s,
-            }
-            for name, stat in self.stages.items()
-        }
-
     def merge(self, other: "EngineStats") -> None:
+        """Fold another table in (a pooled worker's, shipped back whole)."""
         for name, stat in other.stages.items():
             self.record_bulk(name, stat.attempts, stat.decided, stat.wall_s)
-
-    def merge_payload(self, payload) -> None:
-        """Fold a :meth:`snapshot`-shaped payload in, ignoring malformed data.
-
-        The payload may come from a disk file; stats are advisory (they
-        steer scheduling, never verdicts), so bad shapes are dropped
-        rather than raised.
-        """
-        if not isinstance(payload, dict):
-            return
-        for name, row in payload.items():
-            if not isinstance(name, str) or not isinstance(row, dict):
-                continue
-            attempts, decided, wall_s = (
-                row.get("attempts"), row.get("decided"), row.get("wall_s")
-            )
-            if (
-                isinstance(attempts, int)
-                and not isinstance(attempts, bool)
-                and isinstance(decided, int)
-                and not isinstance(decided, bool)
-                and isinstance(wall_s, (int, float))
-                and not isinstance(wall_s, bool)
-                and 0 <= decided <= attempts
-                and wall_s >= 0
-            ):
-                self.record_bulk(name, attempts, decided, float(wall_s))
-
-    def delta_since(self, baseline: dict[str, dict[str, float]]) -> dict:
-        """Snapshot of everything recorded after ``baseline`` was taken."""
-        delta: dict[str, dict[str, float]] = {}
-        for name, row in self.snapshot().items():
-            base = baseline.get(name, {"attempts": 0, "decided": 0, "wall_s": 0.0})
-            attempts = row["attempts"] - base["attempts"]
-            decided = row["decided"] - base["decided"]
-            wall_s = row["wall_s"] - base["wall_s"]
-            if attempts or decided or wall_s:
-                delta[name] = {
-                    "attempts": attempts, "decided": decided, "wall_s": wall_s
-                }
-        return delta
 
     # -- reporting ---------------------------------------------------------------
 
@@ -200,7 +98,4 @@ class EngineStats:
                 + f"{stat.decide_rate:>8.0%}{stat.wall_s:>9.2f}s"
                 + f"{stat.mean_wall_s * 1000:>8.2f}ms"
             )
-        lines.append(
-            f"  scheduler order: {' -> '.join(self.incomplete_order())} -> complete"
-        )
         return "\n".join(lines)

@@ -13,7 +13,7 @@ import warnings
 
 import pytest
 
-from repro.runtime import CacheStore, CacheStoreWarning, make_key
+from repro.runtime import CacheStore, CacheStoreWarning, inspect_cache_file, make_key
 from repro.runtime.store import MAGIC, STORE_VERSION, _LEN_BYTES
 
 
@@ -262,6 +262,22 @@ class TestCompatibility:
     def test_entry_count_mismatch_is_discarded(self, store, entries):
         self._tamper_header(store, entries, entries=len(entries) + 1)
         assert_cold(store)
+
+    def test_header_with_engine_stats_still_loads(self, store, entries):
+        # Files written while stage statistics were persisted carry them
+        # as an extra header field after the others; the reader ignores it.
+        path = self._tamper_header(
+            store,
+            entries,
+            engine_stats={"interval": {"attempts": 3, "decided": 2, "wall_s": 0.5}},
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CacheStoreWarning)
+            assert store.load(CONTEXT) == entries
+        assert store.loaded_entries == len(entries)
+        info = inspect_cache_file(path)
+        assert info.ok and info.version == STORE_VERSION
+        assert info.entries == len(entries) and info.context == CONTEXT
 
 
 class TestConcurrency:

@@ -36,7 +36,7 @@ from repro.data.dataset import Dataset
 from repro.errors import BudgetExceededError
 from repro.nn import train_paper_network
 from repro.nn.quantize import QuantizedLayer, QuantizedNetwork, quantize_network
-from repro.runtime import EngineStats, QueryRunner, CacheStore, make_key
+from repro.runtime import EngineStats, QueryRunner, make_key
 from repro.verify import (
     CornerFalsifier,
     ExhaustiveEnumerator,
@@ -604,65 +604,29 @@ class TestSurvivorBisection:
 
 
 class TestEngineStats:
-    def test_canonical_order_until_sampled(self):
-        stats = EngineStats()
-        assert stats.incomplete_order() == CANONICAL_INCOMPLETE
-        stats.record_bulk("interval", 4, 0, 0.1)  # below the sample floor
-        assert stats.incomplete_order() == CANONICAL_INCOMPLETE
-
-    def test_useless_slow_interval_is_demoted(self):
-        stats = EngineStats()
-        stats.record_bulk("interval", 100, 0, 50.0)  # never decides, slow
-        stats.record_bulk("corner", 100, 90, 0.1)
-        stats.record_bulk("random", 100, 50, 1.0)
-        order = stats.incomplete_order()
-        assert order.index("corner") < order.index("random")  # witness rule
-        assert order[0] == "corner"
-
-    def test_effective_interval_stays_first(self):
-        stats = EngineStats()
-        stats.record_bulk("interval", 100, 95, 0.01)
-        stats.record_bulk("corner", 100, 50, 1.0)
-        stats.record_bulk("random", 100, 10, 5.0)
-        assert stats.incomplete_order() == CANONICAL_INCOMPLETE
-
-    def test_corner_always_precedes_random(self):
-        # Even when random hugely outperforms corner, the witness rule pins
-        # the relative order of the two falsifiers.
-        stats = EngineStats()
-        stats.record_bulk("interval", 100, 1, 1.0)
-        stats.record_bulk("corner", 100, 1, 10.0)
-        stats.record_bulk("random", 100, 99, 0.001)
-        order = stats.incomplete_order()
-        assert order.index("corner") < order.index("random")
-
-    def test_snapshot_merge_and_delta(self):
+    def test_merge_folds_another_table(self):
         stats = EngineStats()
         stats.record("session", True, 0.5)
-        baseline = stats.snapshot()
-        stats.record("session", False, 0.25)
-        stats.record("interval", True, 0.01)
-        delta = stats.delta_since(baseline)
-        assert delta["session"] == {"attempts": 1, "decided": 0, "wall_s": 0.25}
         other = EngineStats()
-        other.merge_payload(delta)
-        assert other.stages["session"].attempts == 1
-        assert other.complete_calls() == 1
-
-    def test_malformed_payloads_are_ignored(self):
-        stats = EngineStats()
-        stats.merge_payload("not a dict")
-        stats.merge_payload({"smt": "nope", 3: {}, "ok": {"attempts": -1}})
-        stats.merge_payload({"smt": {"attempts": 2, "decided": 5, "wall_s": 0.1}})
-        assert stats.stages == {}  # decided > attempts rejected too
+        other.record("session", False, 0.25)
+        other.record_bulk("interval", 3, 2, 0.01)
+        stats.merge(other)
+        assert stats.stages["session"].attempts == 2
+        assert stats.stages["session"].decided == 1
+        assert stats.stages["session"].wall_s == pytest.approx(0.75)
+        assert stats.stages["interval"].attempts == 3
+        assert stats.complete_calls() == 2
+        assert other.stages["session"].attempts == 1  # the source is untouched
 
     def test_describe_table_lists_stages_and_order(self):
         stats = EngineStats()
         stats.record("interval", True, 0.001)
         stats.record("exhaustive", True, 0.1)
+        stats.record("random", False, 0.01)
+        stats.record("corner", True, 0.01)
         table = stats.describe_table()
-        assert "interval" in table and "exhaustive" in table
-        assert "scheduler order" in table
+        rows = [line.split()[0] for line in table.splitlines()[2:]]
+        assert rows == [*CANONICAL_INCOMPLETE, "exhaustive"]
 
     def test_wall_time_lands_in_result_stats(self, substrate):
         network, dataset = substrate
@@ -674,23 +638,8 @@ class TestEngineStats:
         assert runner.engine_stats.total_wall_s() > 0
 
 
-class TestEngineStatsPersistence:
-    def test_stats_round_trip_through_the_store(self, tmp_path):
-        store = CacheStore(tmp_path)
-        entries = {make_key("verify", 0, (1, 2), 0, 5): "verdict"}
-        payload = {"smt": {"attempts": 3, "decided": 3, "wall_s": 1.5}}
-        store.save("aaaa:bbbb", entries, engine_stats=payload)
-        assert store.load("aaaa:bbbb") == entries
-        assert store.loaded_stats == payload
-
-    def test_files_without_stats_still_load(self, tmp_path):
-        store = CacheStore(tmp_path)
-        entries = {make_key("verify", 0, (1, 2), 0, 5): "verdict"}
-        store.save("aaaa:bbbb", entries)  # pre-scheduler style
-        assert store.load("aaaa:bbbb") == entries
-        assert store.loaded_stats is None
-
-    def test_runner_warm_starts_its_scheduler(self, tmp_path, substrate):
+class TestEngineStatsScope:
+    def test_warm_runner_reports_only_its_own_run(self, tmp_path, substrate):
         network, dataset = substrate
         runtime = RuntimeConfig(cache_dir=str(tmp_path))
         cold = QueryRunner(network, runtime=runtime)
@@ -700,8 +649,9 @@ class TestEngineStatsPersistence:
         cold.close()
 
         warm = QueryRunner(network, runtime=runtime)
-        assert warm.engine_stats.stages  # scheduling statistics reloaded
-        assert (
-            warm.engine_stats.stages["interval"].attempts
-            >= cold.engine_stats.stages["interval"].attempts
-        )
+        assert warm.store.loaded_entries > 0
+        assert warm.engine_stats.stages == {}  # nothing rides in the store
+        warm.verify_at(x, int(dataset.labels[0]), 5, index=0)
+        assert warm.stats.verify_calls == 0
+        assert warm.engine_stats.stages == {}  # a cache hit runs no stage
+        warm.close()

@@ -152,7 +152,7 @@ class TestPortfolioParity:
             b = SmtVerifier().verify(query)
             assert canonical(a) == canonical(b)
             assert a.stats["stage"] == "session"
-        assert warm.stage_counts["session"] == len(queries)
+        assert warm.engine_stats.stages["session"].attempts == len(queries)
         assert warm.complete_pivots() > 0
 
     def test_one_session_per_input_label_with_fifo_eviction(self):

@@ -437,6 +437,44 @@ class TestRunnerCaching:
         assert len(outcome["vectors"]) == len(set(outcome["vectors"])) == 3003
         assert outcome["flipped_to"] == [1] * 3003
 
+    def test_cache_off_search_runs_no_ladder_prepass(
+        self, network, x, label, monkeypatch
+    ):
+        """With the cache off a ladder prepass's verdicts would be dropped
+        and re-derived by every probe: each engine call is one probe."""
+        runner = QueryRunner(network, runtime=RuntimeConfig(cache=False))
+        probes = []
+        verify_at = runner.verify_at
+
+        def counted(*args, **kwargs):
+            probes.append(args)
+            return verify_at(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "verify_at", counted)
+        task = ToleranceSearchTask(index=0, x=x, true_label=label, ceiling=40)
+        report = task.run(runner)
+        assert probes
+        assert runner.stats.verify_calls == len(probes)
+        assert runner.stats.frontier_queries == 0
+        cached = QueryRunner(network)
+        assert task.run(cached) == report
+
+    def test_cache_off_extraction_prepass_is_skipped(self, network, x, label):
+        runner = QueryRunner(network, runtime=RuntimeConfig(cache=False))
+        assert runner.verify_frontier([(0, x, label, 20)], complete=False) == {}
+        assert runner.stats.verify_calls == 0
+        assert runner.stats.frontier_queries == 0
+        assert runner.engine_stats.stages == {}
+
+    def test_duplicate_frontier_probes_are_resolved_once(self, network, x, label):
+        runner = QueryRunner(network)
+        results = runner.verify_frontier([(0, x, label, 10)] * 3)
+        assert len(results) == 1
+        assert next(iter(results.values())).engine == "corner-falsifier"
+        assert runner.stats.frontier_queries == 1
+        assert runner.stats.frontier_decided == 1
+        assert runner.engine_stats.stages["corner"].attempts == 1
+
     def test_verify_result_matches_direct_portfolio(self, network, x, label):
         runner = QueryRunner(network, VerifierConfig())
         query = build_query(network, np.array(x), label, NoiseConfig(max_percent=8))
@@ -638,27 +676,27 @@ class TestRunnerPersistence:
         runner.close()
         assert not list(tmp_path.glob("*.qcache"))
 
-    def test_flush_persists_stats_accrued_during_a_warm_replay(
+    def test_flush_ignores_stats_accrued_during_a_warm_replay(
         self, tmp_path, network, x, label
     ):
-        """Regression: flush() returned early on an empty `added` journal,
-        silently discarding EngineStats the replay had accrued."""
+        """Stage statistics are a per-run report: a replay that adds no
+        cache entry rewrites nothing, whatever its table recorded."""
         runtime = RuntimeConfig(cache_dir=str(tmp_path))
         cold = QueryRunner(network, runtime=runtime)
         cold.verify_at(x, label, 10)
         cold.close()
+        path = next(tmp_path.glob("*.qcache"))
+        stamp = (path.stat().st_mtime_ns, path.read_bytes())
 
         warm = QueryRunner(network, runtime=runtime)
         warm.verify_at(x, label, 10)  # pure cache hit: nothing added
         assert not warm.cache.added
-        # A replay can still run (and learn from) incomplete stages.
         warm.engine_stats.record("interval", decided=False, wall_s=0.5)
         warm.close()
+        assert (path.stat().st_mtime_ns, path.read_bytes()) == stamp
 
         reloaded = QueryRunner(network, runtime=runtime)
-        stat = reloaded.engine_stats.stages["interval"]
-        assert stat.attempts == warm.engine_stats.stages["interval"].attempts
-        assert stat.wall_s == pytest.approx(warm.engine_stats.stages["interval"].wall_s)
+        assert reloaded.engine_stats.stages == {}
         reloaded.close()
 
     def test_config_change_keys_a_different_file(self, tmp_path, network, x, label):
