@@ -64,11 +64,6 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
         "calls for already-proved verdicts",
     )
     parser.add_argument(
-        "--no-persist",
-        action="store_true",
-        help="with --cache-dir: neither read nor write the disk cache this run",
-    )
-    parser.add_argument(
         "--max-cache-bytes",
         type=int,
         default=None,
@@ -84,7 +79,6 @@ def _runtime_config(args) -> RuntimeConfig:
         workers=args.workers,
         cache=not args.no_cache,
         cache_dir=str(args.cache_dir) if args.cache_dir is not None else None,
-        persist=not args.no_persist,
         max_cache_bytes=args.max_cache_bytes,
     )
 

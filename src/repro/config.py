@@ -85,13 +85,10 @@ class NoiseConfig:
 
     max_percent: int = 40
     min_percent: int | None = None  # None means symmetric: -max_percent
-    step: int = 1
 
     def __post_init__(self):
         if self.max_percent < 0:
             raise ConfigError("max_percent must be non-negative")
-        if self.step <= 0:
-            raise ConfigError("step must be positive")
         low = self.low
         if low > self.max_percent:
             raise ConfigError("empty noise range")
@@ -106,7 +103,7 @@ class NoiseConfig:
 
     def percent_values(self) -> list[int]:
         """All admissible signed noise percentages."""
-        return list(range(self.low, self.high + 1, self.step))
+        return list(range(self.low, self.high + 1))
 
     def vector_count(self, num_inputs: int) -> int:
         """Size of the noise-vector space for ``num_inputs`` nodes."""
@@ -125,32 +122,33 @@ class VerifierConfig(_FromMapping):
             raise ConfigError("node_budget must be positive")
 
 
+def _is_int(value) -> bool:
+    """An ``int`` that is not a ``bool`` (``True`` is an ``int`` subclass)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RuntimeConfig(_FromMapping):
     """Execution policy for the analysis runtime (:mod:`repro.runtime`).
 
     The analyses always submit whole probe ladders and grids to the
     frontier-batched verification plane (:mod:`repro.verify.batch`); the
-    fields below only choose where and how often that work runs.
+    fields below only choose where that work runs and what it remembers.
 
     ``workers=1`` runs every query inline; higher counts fan per-input
-    tasks out over a process pool.  Results are bit-identical either way:
-    stochastic engines seed from ``(VerifierConfig.seed, input index)``,
-    never from shared global state.  ``cache=False`` disables the query
-    memo (every query reaches a solver), for measurement and debugging.
-
-    ``monotone=True`` (the default) upgrades the memo to a
-    :class:`~repro.runtime.cache.MonotoneCache`, which also answers
-    queries *implied* by already-proved verdicts along the noise-percent
-    axis (ROBUST at ±P covers every smaller range, VULNERABLE every
-    larger one); ``monotone=False`` falls back to exact-key reuse only.
+    tasks out over a process pool whose workers run under this same
+    policy.  Results are bit-identical either way: stochastic engines
+    seed from ``(VerifierConfig.seed, input index)``, never from shared
+    global state.  ``cache=False`` disables the query memo (every query
+    reaches a solver), for measurement and debugging; with it on, the
+    memo also answers queries *implied* by proved verdicts along the
+    noise-percent axis (see :mod:`repro.runtime.cache`).
 
     ``cache_dir`` names a directory for cross-run persistence: the memo
     is warm-started from — and spilled back to — one file per (network,
     verifier-config) fingerprint context there (see
-    :mod:`repro.runtime.store`).  ``persist=False`` keeps a configured
-    ``cache_dir`` untouched (neither read nor written) for this run.
-    ``cache_dir=None`` (the default) disables persistence entirely.
+    :mod:`repro.runtime.store`).  ``cache_dir=None`` (the default)
+    disables persistence.
 
     ``max_cache_bytes`` bounds the size of the ``cache_dir`` directory:
     after every flush the oldest-by-mtime store files are evicted until
@@ -162,21 +160,28 @@ class RuntimeConfig(_FromMapping):
 
     workers: int = 1
     cache: bool = True
-    monotone: bool = True
     cache_dir: str | None = None
-    persist: bool = True
     max_cache_bytes: int | None = None
 
     def __post_init__(self):
-        if self.workers <= 0:
-            raise ConfigError("workers must be positive")
-        if self.max_cache_bytes is not None and self.max_cache_bytes < 0:
-            raise ConfigError("max_cache_bytes must be >= 0 (or null: unbounded)")
+        # Manifests reach here unchecked: a "false" string is truthy and
+        # a ``true`` is an int, so every field's type is checked first.
+        workers, cache_dir, bound = self.workers, self.cache_dir, self.max_cache_bytes
+        if not _is_int(workers) or workers <= 0:
+            raise ConfigError(f"workers must be a positive integer, got {workers!r}")
+        if not isinstance(self.cache, bool):
+            raise ConfigError(f"cache must be a boolean, got {self.cache!r}")
+        if cache_dir is not None and not isinstance(cache_dir, str):
+            raise ConfigError(f"cache_dir must be a string or null, got {cache_dir!r}")
+        if bound is not None and not (_is_int(bound) and bound >= 0):
+            raise ConfigError(
+                f"max_cache_bytes must be an integer >= 0 or null, got {bound!r}"
+            )
 
     @property
     def persistence_enabled(self) -> bool:
         """Whether this run reads/writes a disk cache store."""
-        return self.cache and self.persist and self.cache_dir is not None
+        return self.cache and self.cache_dir is not None
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ Like the tolerance search, extraction executes on the analysis runtime
 :class:`~repro.runtime.QueryRunner`.  The runner memoises extraction
 outcomes per ``(input, percent, limit)`` and short-circuits inputs whose
 P2 pass already proved the same noise box robust — exactly, or via the
-monotone cache layer, *implied*: a ROBUST verdict at any larger percent
+cache's monotone derivation, *implied*: a ROBUST verdict at any larger percent
 covers this box, so the vector set is empty and no collector runs at
 all — and fans inputs out over a worker pool when
 ``RuntimeConfig.workers > 1``.

@@ -31,8 +31,8 @@ the vectorised incomplete passes decide the cheap mass of the ladder in
 bulk, and the search's own probes only reach a complete engine inside
 the thin boundary band.
 
-Both schedules also consume *implied* verdicts: the runner's default
-:class:`~repro.runtime.MonotoneCache` answers a probe at ±P from any
+Both schedules also consume *implied* verdicts: the runner's
+:class:`~repro.runtime.QueryCache` answers a probe at ±P from any
 proved ROBUST verdict at ±P' ≥ P or VULNERABLE verdict at ±P' ≤ P, so a
 search that overlaps earlier work — the other schedule, a previous run
 warm-started from disk, a different ceiling, the extraction pass — stops
@@ -180,11 +180,10 @@ class NoiseToleranceAnalysis:
         Unlike :meth:`ToleranceReport.misclassification_counts` (which
         re-reads a finished report), this issues one verification query
         per correctly-classified input per percent — and therefore shows
-        the monotone cache at work: after :meth:`analyze` has run on the
-        same runner, every query here is answered from an exact or
-        implied verdict and *zero* solver calls are issued, whereas an
-        exact-key cache re-solves each percent the search never probed
-        directly.
+        the cache's implied verdicts at work: after :meth:`analyze` has
+        run on the same runner, every query here is answered from an
+        exact or implied verdict and *zero* solver calls are issued, even
+        at percents the search never probed directly.
 
         On a cold runner the whole (input × percent) grid goes through
         the frontier plane in one :meth:`~repro.runtime.QueryRunner.verify_frontier`

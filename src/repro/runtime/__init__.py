@@ -12,16 +12,15 @@ This package turns that structure into throughput:
   over a process pool with deterministic ``(seed, input index)`` seeding.  An
   :class:`~repro.verify.stats.EngineStats` table records per-stage
   attempts, decisions and wall time for the engine-utilisation report;
-- :class:`QueryCache` / :class:`MonotoneCache` / :class:`CacheStats` —
-  the keyed query memo with fingerprint-based invalidation.  Lookups
-  return :data:`MISS` (never ``None``) when nothing is cached, so a
-  legitimately-``None`` payload round-trips.  The monotone flavour (the
-  default) additionally answers queries *implied* along the noise-percent
-  axis: ROBUST at ±P ⇒ ROBUST at every ±P' ≤ P (nested boxes),
-  VULNERABLE at ±P ⇒ VULNERABLE at every ±P' ≥ P (the witness stays in
-  range), and dually for single-node probe flips.  Derived answers are
-  counted in ``CacheStats.derived_hits`` and never stored — the entry
-  table holds engine-proved facts only;
+- :class:`QueryCache` / :class:`CacheStats` — the keyed query memo
+  with fingerprint-based invalidation.  Lookups return :data:`MISS`
+  (never ``None``) when nothing is cached, so a legitimately-``None``
+  payload round-trips.  The cache also answers queries *implied* along
+  the noise-percent axis: ROBUST at ±P ⇒ ROBUST at every ±P' ≤ P (nested
+  boxes), VULNERABLE at ±P ⇒ VULNERABLE at every ±P' ≥ P (the witness
+  stays in range), and dually for single-node probe flips.  Derived
+  answers are counted in ``CacheStats.derived_hits`` and never stored —
+  the entry table holds engine-proved facts only;
 - :class:`CacheStore` (:mod:`repro.runtime.store`) — cross-run
   persistence: one versioned, checksummed file per (network,
   verifier-config) fingerprint context under ``RuntimeConfig.cache_dir``.
@@ -41,13 +40,15 @@ ignores every disk file written under another context; a store-format
 version bump discards older files wholesale; within one context, entries
 never expire — verdicts are mathematical facts about a fixed network.
 
-``RuntimeConfig`` (in :mod:`repro.config`) selects worker count, cache
-policy, monotone reuse and the persistence directory; ``--workers`` /
-``--no-cache`` / ``--cache-dir`` / ``--no-persist`` expose it on the CLI.
+``RuntimeConfig`` (in :mod:`repro.config`) selects the worker count,
+whether the cache is on, the persistence directory and its size bound;
+``--workers`` / ``--no-cache`` / ``--cache-dir`` / ``--max-cache-bytes``
+expose it on the CLI.  Pooled workers run under the parent's cache
+setting, so the counters of a run do not depend on the worker count.
 """
 
 from ..verify.stats import EngineStats, StageStat
-from .cache import MISS, CacheStats, MonotoneCache, QueryCache, make_key
+from .cache import MISS, CacheStats, QueryCache, make_key
 from .fingerprint import (
     derive_seed,
     network_fingerprint,
@@ -71,7 +72,6 @@ __all__ = [
     "EngineStats",
     "StageStat",
     "QueryCache",
-    "MonotoneCache",
     "CacheStats",
     "CacheStore",
     "CacheStoreWarning",

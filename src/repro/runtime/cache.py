@@ -18,26 +18,22 @@ Misses are reported with the :data:`MISS` sentinel, never ``None`` — a
 cached payload may legitimately *be* ``None``, so ``None`` cannot double
 as "not present".
 
-Two cache flavours exist:
-
-- :class:`QueryCache` — exact-key memoisation only (PR 1 semantics);
-- :class:`MonotoneCache` — additionally answers "verify" and "probe"
-  queries *implied* by the paper's noise-model monotonicity: a ROBUST
-  verdict at ±P covers every ±P' ≤ P (the smaller box is a subset), a
-  VULNERABLE verdict at ±P covers every ±P' ≥ P (its witness stays in
-  range), and a single-node probe flip at magnitude P covers every
-  P' ≥ P (dually for "no flip").  Derived answers are counted in
-  :attr:`CacheStats.derived_hits`, are never stored back as "verify" or
-  "probe" entries (the monotone fact tables hold engine-proved verdicts
-  only), and a derived VULNERABLE verdict carries the witness of the
-  source entry — a valid counterexample for the larger box, though not
-  necessarily the one a cold solver run at that exact percent would
-  report.  One downstream consequence *is* stored: the extraction
-  short-circuit in :meth:`~repro.runtime.runner.QueryRunner.collect_at`
-  memoises its empty "extract" outcome whether the ROBUST verdict that
-  forced it was exact or implied — either way the entry records a fact
-  forced by an engine-proved verdict, exactly as an exact-key hit did
-  in the pre-monotone cache.
+Besides exact-key hits, :class:`QueryCache` answers "verify" and
+"probe" queries *implied* by the paper's noise-model monotonicity: a
+ROBUST verdict at ±P covers every ±P' ≤ P (the smaller box is a subset),
+a VULNERABLE verdict at ±P covers every ±P' ≥ P (its witness stays in
+range), and a single-node probe flip at magnitude P covers every P' ≥ P
+(dually for "no flip").  Derived answers are counted in
+:attr:`CacheStats.derived_hits`, are never stored back as "verify" or
+"probe" entries (the fact tables hold engine-proved verdicts only), and a
+derived VULNERABLE verdict carries the witness of the source entry — a
+valid counterexample for the larger box, though not necessarily the one
+a cold solver run at that exact percent would report.  One downstream
+consequence *is* stored: the extraction short-circuit in
+:meth:`~repro.runtime.runner.QueryRunner.collect_at` memoises its empty
+"extract" outcome whether the ROBUST verdict that forced it was exact or
+implied — either way the entry records a fact forced by an engine-proved
+verdict.
 """
 
 from __future__ import annotations
@@ -71,8 +67,8 @@ MISS = _Miss()
 class CacheStats:
     """Hit/miss accounting, exposed on :class:`QueryCache.stats`.
 
-    ``hits`` counts exact-key hits; ``derived_hits`` counts answers the
-    monotone layer inferred from an entry at a different percent.  Both
+    ``hits`` counts exact-key hits; ``derived_hits`` counts answers
+    implied by a proved entry at a different percent.  Both
     count as successful lookups for :attr:`hit_rate`.
     """
 
@@ -136,11 +132,42 @@ def _percent_of(key: QueryKey) -> int:
     return key[4]
 
 
+@dataclass
+class _VerifyFacts:
+    """Strongest proved verdicts for one (input, label, extra) group.
+
+    ``robust_max`` is the largest percent with a proved ROBUST verdict
+    (covers every smaller percent); ``vulnerable_min`` the smallest with
+    a proved VULNERABLE verdict (covers every larger percent).  The keys
+    point at the source entries so derived verdicts can carry a witness.
+    """
+
+    robust_max: int | None = None
+    robust_key: QueryKey | None = None
+    vulnerable_min: int | None = None
+    vulnerable_key: QueryKey | None = None
+
+
+@dataclass
+class _ProbeFacts:
+    """Single-node flip thresholds for one (input, label, node, sign) group."""
+
+    flip_min: int | None = None  # smallest percent known to flip
+    noflip_max: int | None = None  # largest percent known not to flip
+
+
 class QueryCache:
-    """In-memory query memo with stats and context invalidation.
+    """In-memory query memo with monotone derivation, stats and context
+    invalidation.
 
     ``enabled=False`` turns every operation into a no-op so callers never
     need an ``if cache`` branch; stats still record the misses.
+
+    Derivation is sound because the noise boxes are nested (±P' ⊆ ±P for
+    P' ≤ P) and strictly side-effect-free: derived answers are never
+    stored, so the entry table — and therefore the disk store and the
+    warm entries shipped to pooled workers — only ever contains
+    engine-proved facts.
     """
 
     def __init__(self, enabled: bool = True, context: str | None = None):
@@ -151,6 +178,8 @@ class QueryCache:
         # Secondary index: (index, input values) → that input's entries,
         # so warm-entry harvesting never scans the whole cache.
         self._by_input: dict[tuple, dict[QueryKey, Any]] = {}
+        self._verify_facts: dict[tuple, _VerifyFacts] = {}
+        self._probe_facts: dict[tuple, _ProbeFacts] = {}
         #: Entries stored via :meth:`put` since construction, the last
         #: :meth:`preload` or the last journal reset — what a pooled
         #: worker ships back to the parent, and what a
@@ -179,6 +208,8 @@ class QueryCache:
     def clear(self) -> None:
         self._entries.clear()
         self._by_input.clear()
+        self._verify_facts.clear()
+        self._probe_facts.clear()
         self.added.clear()
 
     # -- lookups -------------------------------------------------------------------
@@ -191,40 +222,31 @@ class QueryCache:
         if key in self._entries:
             self.stats.hits += 1
             return self._entries[key]
-        derived = self._derive(key)
-        if derived is not MISS:
+        implied = self._implied(key)
+        if implied is not MISS:
             self.stats.derived_hits += 1
-            return derived
+            return implied
         self.stats.misses += 1
         return MISS
 
     def peek(self, key: QueryKey) -> Any:
         """Lookup without touching the stats (warm-entry harvesting).
 
-        Like :meth:`get` this consults the monotone layer (when present),
-        so an extraction short-circuit sees implied ROBUST verdicts too.
+        Like :meth:`get` this answers implied verdicts too, so an
+        extraction short-circuit sees implied ROBUST verdicts.
         """
         if not self.enabled:
             return MISS
         if key in self._entries:
             return self._entries[key]
-        return self._derive(key)
-
-    def _derive(self, key: QueryKey) -> Any:
-        """Monotone hook; the exact-key cache never infers anything."""
-        return MISS
+        return self._implied(key)
 
     def put(self, key: QueryKey, value: Any) -> None:
         if not self.enabled:
             return
-        self._entries[key] = value
-        self._by_input.setdefault((key[1], key[2]), {})[key] = value
+        self._insert(key, value)
         self.added[key] = value
-        self._index_fact(key, value)
         self.stats.stores += 1
-
-    def _index_fact(self, key: QueryKey, value: Any) -> None:
-        """Monotone hook; called for every entry that enters the cache."""
 
     # -- bulk transfer (parallel workers, disk store) ----------------------------------
 
@@ -243,19 +265,15 @@ class QueryCache:
         for key, value in entries.items():
             if key in self._entries:
                 continue
-            self._entries[key] = value
-            self._by_input.setdefault((key[1], key[2]), {})[key] = value
+            self._insert(key, value)
             self.added[key] = value
-            self._index_fact(key, value)
 
     def preload(self, entries: dict[QueryKey, Any]) -> None:
         """Seed entries without counting stores; resets the ``added`` journal."""
         if not self.enabled:
             return
-        self._entries.update(entries)
         for key, value in entries.items():
-            self._by_input.setdefault((key[1], key[2]), {})[key] = value
-            self._index_fact(key, value)
+            self._insert(key, value)
         self.stats.preloads += len(entries)
         self.added.clear()
 
@@ -272,8 +290,8 @@ class QueryCache:
         ``kinds`` restricts the result to the given key namespaces so a
         task is only shipped entries it can actually consume (a probe
         task has no use for cached extraction vector lists).  Only exact
-        entries are returned — monotone-derived answers are re-derived
-        on the receiving side from the same facts, never materialised.
+        entries are returned — derived answers are re-derived on the
+        receiving side from the same facts, never materialised.
         """
         if not self.enabled:
             return {}
@@ -282,57 +300,14 @@ class QueryCache:
             return dict(bucket)
         return {key: value for key, value in bucket.items() if key[0] in kinds}
 
+    # -- fact indexing and derivation ----------------------------------------------
 
-@dataclass
-class _VerifyFacts:
-    """Strongest proved verdicts for one (input, label, extra) group.
-
-    ``robust_max`` is the largest percent with a proved ROBUST verdict
-    (covers every smaller percent); ``vulnerable_min`` the smallest with
-    a proved VULNERABLE verdict (covers every larger percent).  The keys
-    point at the source entries so derived verdicts can carry a witness.
-    """
-
-    robust_max: int | None = None
-    robust_key: QueryKey | None = None
-    vulnerable_min: int | None = None
-    vulnerable_key: QueryKey | None = None
-
-
-@dataclass
-class _ProbeFacts:
-    """Single-node flip thresholds for one (input, label, node, sign) group."""
-
-    flip_min: int | None = None  # smallest percent known to flip
-    noflip_max: int | None = None  # largest percent known not to flip
-
-
-class MonotoneCache(QueryCache):
-    """Exact-key cache plus verdict derivation along the percent axis.
-
-    See the module docstring for the inference rules.  Derivation is
-    sound because the noise boxes are nested (±P' ⊆ ±P for P' ≤ P) and
-    strictly side-effect-free: derived answers are never stored, so the
-    entry table — and therefore the disk store and the warm entries
-    shipped to pooled workers — only ever contains engine-proved facts.
-    """
-
-    def __init__(self, enabled: bool = True, context: str | None = None):
-        super().__init__(enabled=enabled, context=context)
-        self._verify_facts: dict[tuple, _VerifyFacts] = {}
-        self._probe_facts: dict[tuple, _ProbeFacts] = {}
-
-    def clear(self) -> None:
-        super().clear()
-        self._verify_facts.clear()
-        self._probe_facts.clear()
-
-    # -- fact indexing ------------------------------------------------------------
-
-    def _index_fact(self, key: QueryKey, value: Any) -> None:
-        kind = key[0]
+    def _insert(self, key: QueryKey, value: Any) -> None:
+        """Add an entry to the table, the per-input index and the fact tables."""
+        self._entries[key] = value
+        self._by_input.setdefault((key[1], key[2]), {})[key] = value
+        kind, percent = key[0], _percent_of(key)
         if kind == "verify" and isinstance(value, VerificationResult):
-            percent = _percent_of(key)
             facts = self._verify_facts.setdefault(_group_of(key), _VerifyFacts())
             if value.status is VerificationStatus.ROBUST:
                 if facts.robust_max is None or percent > facts.robust_max:
@@ -341,7 +316,6 @@ class MonotoneCache(QueryCache):
                 if facts.vulnerable_min is None or percent < facts.vulnerable_min:
                     facts.vulnerable_min, facts.vulnerable_key = percent, key
         elif kind == "probe" and isinstance(value, bool):
-            percent = _percent_of(key)
             facts = self._probe_facts.setdefault(_group_of(key), _ProbeFacts())
             if value:
                 if facts.flip_min is None or percent < facts.flip_min:
@@ -350,17 +324,16 @@ class MonotoneCache(QueryCache):
                 if facts.noflip_max is None or percent > facts.noflip_max:
                     facts.noflip_max = percent
 
-    # -- derivation ------------------------------------------------------------------
-
-    def _derive(self, key: QueryKey) -> Any:
+    def _implied(self, key: QueryKey) -> Any:
+        """The answer a proved fact at another percent implies, or MISS."""
         kind = key[0]
         if kind == "verify":
-            return self._derive_verify(key)
+            return self._implied_verify(key)
         if kind == "probe":
-            return self._derive_probe(key)
+            return self._implied_probe(key)
         return MISS
 
-    def _derive_verify(self, key: QueryKey) -> Any:
+    def _implied_verify(self, key: QueryKey) -> Any:
         facts = self._verify_facts.get(_group_of(key))
         if facts is None:
             return MISS
@@ -382,7 +355,7 @@ class MonotoneCache(QueryCache):
             )
         return MISS
 
-    def _derive_probe(self, key: QueryKey) -> Any:
+    def _implied_probe(self, key: QueryKey) -> Any:
         facts = self._probe_facts.get(_group_of(key))
         if facts is None:
             return MISS

@@ -5,13 +5,12 @@ analyses (P2 tolerance search, P3 extraction, sensitivity probes) issue
 verification work.  It provides:
 
 - **Memoisation** — every query outcome lands in a :class:`QueryCache`
-  (by default the monotonicity-aware :class:`MonotoneCache`) keyed by
-  ``(kind, input index, input values, true label, noise percent,
-  extra)`` under a (network, verifier-config) fingerprint context, so the
-  tolerance bisection, the literal paper schedule, the Fig.-4 sweep,
-  extraction and the probes stop re-solving identical queries — and,
-  with the monotone layer, stop re-solving queries whose answer is
-  *implied* by a verdict at a different percent.
+  keyed by ``(kind, input index, input values, true label, noise
+  percent, extra)`` under a (network, verifier-config) fingerprint
+  context, so the tolerance bisection, the literal paper schedule, the
+  Fig.-4 sweep, extraction and the probes stop re-solving identical
+  queries — and queries whose answer is *implied* by a verdict at a
+  different percent (nested noise boxes).
 - **Persistence** — with ``RuntimeConfig.cache_dir`` set, the cache
   warm-starts from a per-context :class:`~repro.runtime.store.CacheStore`
   file at construction and spills new entries back on :meth:`QueryRunner.flush`
@@ -33,10 +32,11 @@ verification work.  It provides:
   → random.
 - **Fan-out** — independent per-input tasks (see
   :mod:`repro.runtime.tasks`) run over a ``ProcessPoolExecutor`` when
-  ``RuntimeConfig.workers > 1``.  Warm cache entries for each task's
-  input ship with the task; entries the worker computes ship back and
-  merge into the parent cache, so a warm parallel run issues zero new
-  solver calls.
+  ``RuntimeConfig.workers > 1``.  Each worker runs under the parent's
+  cache setting, so a run's counters do not depend on the worker count.
+  Warm cache entries for each task's input ship beside the task;
+  entries the worker computes ship back and merge into the parent
+  cache, so a warm parallel run issues zero new solver calls.
 - **Deterministic seeding** — the stochastic falsifier inside each
   worker derives its seed from ``(config.seed, input index)``
   (:func:`~repro.runtime.fingerprint.derive_seed`), so reports are
@@ -65,7 +65,7 @@ from ..verify import (
     resolve_survivors,
 )
 from ..verify.result import VerificationResult
-from .cache import MISS, CacheStats, MonotoneCache, QueryCache, make_key
+from .cache import MISS, CacheStats, QueryCache, make_key
 from .fingerprint import derive_seed, runtime_context
 from .store import CacheStore
 
@@ -117,7 +117,6 @@ class QueryRunner:
         config: VerifierConfig | None = None,
         runtime: RuntimeConfig | None = None,
         cache: QueryCache | None = None,
-        store: CacheStore | None = None,
         data_digest: str | None = None,
     ):
         self.network = network
@@ -128,14 +127,15 @@ class QueryRunner:
         #: one file revision never warm-start an analysis over another.
         self.data_digest = data_digest
         if cache is None:
-            cache_cls = MonotoneCache if self.runtime.monotone else QueryCache
-            cache = cache_cls(enabled=self.runtime.cache)
+            cache = QueryCache(enabled=self.runtime.cache)
         self.cache = cache
         self.cache.bind(runtime_context(network, self.config, data_digest))
         self.engine_stats = EngineStats()
-        self.store = store
-        if self.store is None and self.runtime.persistence_enabled:
-            self.store = CacheStore(self.runtime.cache_dir)
+        self.store = (
+            CacheStore(self.runtime.cache_dir)
+            if self.runtime.persistence_enabled
+            else None
+        )
         if self.store is not None and self.cache.enabled:
             warm = self.store.load(self.cache.context)
             if warm:
@@ -464,17 +464,9 @@ class QueryRunner:
         return self._run_pooled(tasks)
 
     def _run_pooled(self, tasks: list) -> list:
-        for task in tasks:
-            task.warm = self._warm_entries(task)
+        warms = [self._warm_entries(task) for task in tasks]
         self.stats.parallel_batches += 1
-        try:
-            outcomes = list(self._pool_handle().map(_run_task, tasks))
-        finally:
-            # The shipped warm dicts have done their job; leaving them
-            # attached would retain potentially large entry maps and seed
-            # stale warm state if a task object is ever resubmitted.
-            for task in tasks:
-                task.warm = {}
+        outcomes = list(self._pool_handle().map(_run_task, tasks, warms))
         values = []
         for outcome in outcomes:
             # adopt(), not put(): the worker already counted these stores
@@ -509,7 +501,7 @@ class QueryRunner:
             context = _WorkerContext(
                 network=self.network,
                 config=self.config,
-                monotone=self.runtime.monotone,
+                cache=self.runtime.cache,
                 data_digest=self.data_digest,
             )
             self._pool = ProcessPoolExecutor(
@@ -594,7 +586,7 @@ class _WorkerContext:
 
     network: object
     config: VerifierConfig
-    monotone: bool = True
+    cache: bool = True
     data_digest: str | None = None
 
 
@@ -617,17 +609,17 @@ def _init_worker(context: _WorkerContext) -> None:
     _WORKER_CONTEXT = context
 
 
-def _run_task(task) -> _TaskOutcome:
+def _run_task(task, warm: dict) -> _TaskOutcome:
     context = _WORKER_CONTEXT
     if context is None:  # pragma: no cover - pool misconfiguration
         raise RuntimeError("worker pool used before initialisation")
     runner = QueryRunner(
         context.network,
         context.config,
-        RuntimeConfig(workers=1, cache=True, monotone=context.monotone),
+        RuntimeConfig(workers=1, cache=context.cache),
         data_digest=context.data_digest,
     )
-    runner.cache.preload(task.warm)
+    runner.cache.preload(warm)
     # The preload above is warm-dict *transport*, not logical cache
     # activity; reset the counters so the stats shipped back (and folded
     # into the parent by CacheStats.merge) describe only what the task

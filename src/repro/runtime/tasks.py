@@ -23,13 +23,10 @@ any session is even created.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from ..errors import ConfigError
-
-#: Warm cache entries shipped with a task into a worker process.
-WarmEntries = dict
 
 
 @dataclass
@@ -49,7 +46,6 @@ class ToleranceSearchTask:
     true_label: int
     ceiling: int
     schedule: str = "binary"
-    warm: WarmEntries = field(default_factory=dict)
     warm_kinds = ("verify",)
 
     def run(self, runner) -> dict[str, Any]:
@@ -75,7 +71,6 @@ class ExtractionTask:
     true_label: int
     percent: int
     limit: int | None
-    warm: WarmEntries = field(default_factory=dict)
     # "verify" rides along for the robust-verdict short-circuit.
     warm_kinds = ("extract", "verify")
 
@@ -104,7 +99,6 @@ class ProbeTask:
     sign: int
     ceiling: int
     inputs: tuple  # ((index, x, true_label), ...)
-    warm: WarmEntries = field(default_factory=dict)
     warm_kinds = ("probe",)
 
     def run(self, runner) -> int | None:

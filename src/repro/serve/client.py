@@ -31,14 +31,8 @@ from pathlib import Path
 from urllib.parse import urlsplit
 
 from ..errors import ReproError
-from ..ioutils import atomic_write_bytes
-from ..service import (
-    SHARD_FORMAT_VERSION,
-    BatchSpec,
-    CampaignLedger,
-    ShardRunReport,
-    shard_file_name,
-)
+from ..service import BatchSpec, CampaignLedger, ShardRunReport
+from ..service.service import write_job_results
 
 #: Default per-request socket timeout (seconds).  Generous: one request
 #: may be a result fetch for a large shard.
@@ -251,24 +245,9 @@ def run_batch_shard_via_server(
     report.executed = int(result.get("executed", 0))
     ledger = CampaignLedger(batch=spec.name, shard=(shard_index + 1, shard_count))
     for entry in result["jobs"]:
-        meta = entry["job"]
-        name = meta["job"]
-        outcomes = entry["results"]
-        payload = {
-            "format": SHARD_FORMAT_VERSION,
-            "batch": spec.name,
-            "shard": [shard_index + 1, shard_count],
-            "job": meta,
-            "results": outcomes,
-        }
-        path = out_dir / shard_file_name(name, shard_index, shard_count)
-        atomic_write_bytes(
-            path, json.dumps(payload, indent=2, sort_keys=True).encode("utf-8")
-        )
-        report.written.append(path)
-        for identity, outcome in outcomes.items():
-            ledger.record(name, meta["context"], identity, outcome)
-    report.ledger_path = ledger.save(out_dir)
+        write_job_results(out_dir, ledger, entry["job"], entry["results"], report)
+    if report.ledger_path is None:  # shard owned no task at all
+        report.ledger_path = ledger.save(out_dir)
     return report
 
 

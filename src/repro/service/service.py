@@ -123,6 +123,38 @@ def _read_shard_payload(path: Path, batch: str):
     return payload, None
 
 
+def write_job_results(
+    out_dir: Path, ledger: CampaignLedger, meta: dict, outcomes: dict, report
+) -> None:
+    """Write one job's shard file, vouch for it and checkpoint the ledger.
+
+    The one writer behind both a local :meth:`BatchService.run_shard`
+    and ``fannet batch run --server``, so the two paths produce
+    byte-identical artifacts.  The batch name and the 1-based shard
+    position come from ``ledger``; ``report`` (a :class:`ShardRunReport`)
+    records the written paths.  The write is atomic, so a kill during a
+    resume's rewrite cannot tear a previously intact result file, and the
+    ledger is saved after every job, so a kill between jobs loses at most
+    the job in flight.
+    """
+    position, count = ledger.shard
+    payload = {
+        "format": SHARD_FORMAT_VERSION,
+        "batch": ledger.batch,
+        "shard": [position, count],
+        "job": meta,
+        "results": outcomes,
+    }
+    path = out_dir / shard_file_name(meta["job"], position - 1, count)
+    atomic_write_bytes(
+        path, json.dumps(payload, indent=2, sort_keys=True).encode("utf-8")
+    )
+    report.written.append(path)
+    for identity, outcome in outcomes.items():
+        ledger.record(meta["job"], meta["context"], identity, outcome)
+    report.ledger_path = ledger.save(out_dir)
+
+
 @dataclass
 class ShardRunReport:
     """What one ``run_shard`` invocation did."""
@@ -281,7 +313,6 @@ class BatchService:
             mine = job.shard_tasks(shard_index, shard_count)
             if not mine:
                 continue
-            context = job.meta["context"]
             outcomes: dict[str, object] = {}
             todo = []
             bucket = reusable.get(job.name, {})
@@ -306,25 +337,7 @@ class BatchService:
                 for planned, outcome in zip(todo, fresh):
                     outcomes[planned.identity] = _jsonable(outcome)
                 report.executed += len(todo)
-            payload = {
-                "format": SHARD_FORMAT_VERSION,
-                "batch": self.spec.name,
-                "shard": [shard_index + 1, shard_count],
-                "job": job.meta,
-                "results": outcomes,
-            }
-            path = out_dir / shard_file_name(job.name, shard_index, shard_count)
-            # Atomic: a kill during a resume's rewrite must not tear a
-            # previously intact result file.
-            atomic_write_bytes(
-                path, json.dumps(payload, indent=2, sort_keys=True).encode("utf-8")
-            )
-            report.written.append(path)
-            for identity, outcome in outcomes.items():
-                ledger.record(job.name, context, identity, outcome)
-            # Checkpoint after every job: a kill between jobs loses at
-            # most the job in flight, and the ledger vouches for the rest.
-            report.ledger_path = ledger.save(out_dir)
+            write_job_results(out_dir, ledger, job.meta, outcomes, report)
         if report.ledger_path is None:  # shard owned no task at all
             report.ledger_path = ledger.save(out_dir)
         return report

@@ -30,7 +30,8 @@ reference engines (:class:`~repro.verify.interval.IntervalVerifier`,
 :class:`~repro.verify.falsify.RandomFalsifier`) produce for that probe
 alone — the passes evaluate the same candidate streams in the same order
 with the same seeds, and the monotone implications used for skipping
-mirror the :class:`~repro.runtime.cache.MonotoneCache` rules exactly.
+mirror the :class:`~repro.runtime.cache.QueryCache` derivation rules
+exactly.
 Row chunking (:data:`ROW_CHUNK`) only splits the concatenated
 evaluations; it can never move a verdict, a witness or a node count.
 """

@@ -103,8 +103,6 @@ class TestConfigs:
             NoiseConfig(max_percent=-1)
         with pytest.raises(ConfigError):
             NoiseConfig(max_percent=1, min_percent=5)
-        with pytest.raises(ConfigError):
-            NoiseConfig(max_percent=1, step=0)
 
     def test_train_config_validation(self):
         with pytest.raises(ConfigError):

@@ -121,6 +121,16 @@ ceiling = 8
             (lambda d: d["runtime"].update(worker_count=4), "unknown RuntimeConfig"),
             (lambda d: d["runtime"].update(frontier=False), "unknown RuntimeConfig"),
             (lambda d: d["runtime"].update(batch_size=512), "unknown RuntimeConfig"),
+            (lambda d: d["runtime"].update(monotone=False), "unknown RuntimeConfig"),
+            (lambda d: d["runtime"].update(persist=False), "unknown RuntimeConfig"),
+            (lambda d: d["runtime"].update(cache="false"), "cache must be a boolean"),
+            (lambda d: d["runtime"].update(workers=2.5), "positive integer"),
+            (lambda d: d["runtime"].update(workers=True), "positive integer"),
+            (
+                lambda d: d["runtime"].update(max_cache_bytes=True),
+                "max_cache_bytes must be an integer",
+            ),
+            (lambda d: d["runtime"].update(cache_dir=5), "cache_dir must be a string"),
             (lambda d: d["jobs"][0].pop("name"), "every job needs a 'name'"),
             (lambda d: d["jobs"][0].update(name="bad name!"), "job name"),
             (lambda d: d["jobs"][0]["network"].update(kind="hive"), "network kind"),

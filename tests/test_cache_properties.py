@@ -28,7 +28,7 @@ from repro.config import RuntimeConfig
 from repro.core import NoiseToleranceAnalysis
 from repro.data.dataset import Dataset
 from repro.nn.quantize import QuantizedLayer, QuantizedNetwork
-from repro.runtime import MISS, CacheStore, MonotoneCache, QueryRunner, make_key
+from repro.runtime import MISS, CacheStore, QueryCache, QueryRunner, make_key
 
 SCALE = 1000
 MAX_PERCENT = 12  # (2·12+1)² = 625 noise vectors: exhaustively checkable
@@ -258,7 +258,7 @@ class TestStoreRoundTripProperty:
         assert loaded == entries
         # MISS-vs-None discipline survives the disk: None payloads load
         # as real entries, not as absent keys.
-        cache = MonotoneCache()
+        cache = QueryCache()
         cache.preload(loaded)
         for key, value in entries.items():
             got = cache.peek(key)

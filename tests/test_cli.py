@@ -92,19 +92,6 @@ class TestCliCachePersistence:
         # Bit-identical verdicts, cold vs warm-from-disk.
         assert self._report_lines(warm) == self._report_lines(cold)
 
-    def test_no_persist_neither_reads_nor_writes(self, tmp_path, capsys):
-        cache_dir = tmp_path / "qcache"
-        self._tolerance(capsys, "--cache-dir", str(cache_dir))
-        stamp = {p: p.stat().st_mtime_ns for p in cache_dir.glob("*.qcache")}
-        assert stamp
-
-        out = self._tolerance(
-            capsys, "--cache-dir", str(cache_dir), "--no-persist"
-        )
-        assert "runner: 0 verifier calls" not in out  # the disk cache was not read
-        assert "cache store:" not in out  # and no store was active
-        assert {p: p.stat().st_mtime_ns for p in cache_dir.glob("*.qcache")} == stamp
-
     def test_corrupt_cache_file_degrades_to_cold_run(self, tmp_path, capsys):
         import pytest
 

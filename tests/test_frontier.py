@@ -11,9 +11,9 @@ serve as its references.  Three layers of coverage:
    ``PortfolioVerifier.verify``) produce exactly the results the scalar
    reference engines do (verdict, witness, node counts), and that
    in-frontier implications are sound against exhaustive ground truth.
-2. **Determinism matrix** — workers 1/4 × cache on/off/warm × monotone
-   on/off must produce bit-identical tolerance reports and Fig.-4 sweeps
-   on the case-study substrate; row chunking never moves a label.
+2. **Determinism matrix** — workers 1/4 × cache on/off/warm must
+   produce bit-identical tolerance reports and Fig.-4 sweeps on the
+   case-study substrate; row chunking never moves a label.
 3. **Satellites** — the ``_grid_chunks`` int64-overflow regression, the
    mixed-radix corner order, the engine-stats table (scheduling,
    persistence, merging) and the survivor bisection.
@@ -288,7 +288,7 @@ def run_workload(network, dataset, runtime):
 
 
 class TestFrontierDeterminismMatrix:
-    """workers 1/4 × cache on/off/warm × monotone on/off ⇒ identical reports."""
+    """workers 1/4 × cache on/off/warm ⇒ identical reports."""
 
     @pytest.fixture(scope="class")
     def baseline(self, substrate):
@@ -300,10 +300,10 @@ class TestFrontierDeterminismMatrix:
         "runtime",
         [
             RuntimeConfig(workers=4),
-            RuntimeConfig(monotone=False),
             RuntimeConfig(cache=False),
+            RuntimeConfig(workers=4, cache=False),
         ],
-        ids=["frontier-w4", "frontier-exact-cache", "frontier-no-cache"],
+        ids=["frontier-w4", "frontier-no-cache", "frontier-w4-no-cache"],
     )
     def test_variant_matches_default_baseline(self, substrate, baseline, runtime):
         network, dataset = substrate

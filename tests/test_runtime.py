@@ -20,7 +20,6 @@ from repro.runtime import (
     MISS,
     CacheStats,
     ExtractionTask,
-    MonotoneCache,
     QueryCache,
     QueryRunner,
     ToleranceSearchTask,
@@ -113,7 +112,7 @@ class TestQueryCache:
     def test_miss_sentinel_is_falsy_and_unique(self):
         assert not MISS
         assert MISS is not None
-        cache = MonotoneCache()
+        cache = QueryCache()
         cache.put(make_key("probe", 0, (1,), 0, 5, extra=(0, 1)), None)
         # The monotone fact indexer must skip non-bool probe payloads.
         assert cache.get(make_key("probe", 0, (1,), 0, 9, extra=(0, 1))) is MISS
@@ -153,37 +152,37 @@ class TestQueryCache:
         )
 
     def test_adopt_journals_without_counting_stores(self):
-        for cache in (QueryCache(), MonotoneCache()):
-            existing = make_key("verify", 0, (1, 2), 0, 5)
-            cache.put(existing, "parent")
-            cache.added.clear()  # as after a flush
-            shipped = make_key("verify", 1, (1, 2), 0, 9)
-            cache.adopt({existing: "worker", shipped: robust()})
-            assert cache.stats.stores == 1  # only the original put
-            assert cache.peek(existing) == "parent"  # present keys kept
-            assert cache.peek(shipped).is_robust
-            assert list(cache.added) == [shipped]  # journalled for flush
-            assert shipped in cache.entries_for_input(1, (1, 2))
-        # The monotone flavour indexes adopted facts for derivation.
+        cache = QueryCache()
+        existing = make_key("verify", 0, (1, 2), 0, 5)
+        cache.put(existing, "parent")
+        cache.added.clear()  # as after a flush
+        shipped = make_key("verify", 1, (1, 2), 0, 9)
+        cache.adopt({existing: "worker", shipped: robust()})
+        assert cache.stats.stores == 1  # only the original put
+        assert cache.peek(existing) == "parent"  # present keys kept
+        assert cache.peek(shipped).is_robust
+        assert list(cache.added) == [shipped]  # journalled for flush
+        assert shipped in cache.entries_for_input(1, (1, 2))
+        # Adopted facts are indexed for derivation.
         assert cache.get(make_key("verify", 1, (1, 2), 0, 3)).is_robust
 
     def test_entries_for_input_mixes_empty_and_nonempty_extras(self):
         """Keys with extra=() and extra=(...) for one input coexist."""
-        for cache in (QueryCache(), MonotoneCache()):
-            verify_key = make_key("verify", 2, (5, 6), 1, 10)  # extra ()
-            extract_key = make_key("extract", 2, (5, 6), 1, 10, extra=(None, 100))
-            probe_key = make_key("probe", 2, (5, 6), 1, 10, extra=(0, -1))
-            cache.put(verify_key, "verdict")
-            cache.put(extract_key, "vectors")
-            cache.put(probe_key, True)
-            bucket = cache.entries_for_input(2, (5, 6))
-            assert set(bucket) == {verify_key, extract_key, probe_key}
-            assert cache.entries_for_input(2, (5, 6), kinds=("verify",)) == {
-                verify_key: "verdict"
-            }
-            assert set(
-                cache.entries_for_input(2, (5, 6), kinds=("extract", "probe"))
-            ) == {extract_key, probe_key}
+        cache = QueryCache()
+        verify_key = make_key("verify", 2, (5, 6), 1, 10)  # extra ()
+        extract_key = make_key("extract", 2, (5, 6), 1, 10, extra=(None, 100))
+        probe_key = make_key("probe", 2, (5, 6), 1, 10, extra=(0, -1))
+        cache.put(verify_key, "verdict")
+        cache.put(extract_key, "vectors")
+        cache.put(probe_key, True)
+        bucket = cache.entries_for_input(2, (5, 6))
+        assert set(bucket) == {verify_key, extract_key, probe_key}
+        assert cache.entries_for_input(2, (5, 6), kinds=("verify",)) == {
+            verify_key: "verdict"
+        }
+        assert set(
+            cache.entries_for_input(2, (5, 6), kinds=("extract", "probe"))
+        ) == {extract_key, probe_key}
 
 
 def robust(engine="test"):
@@ -201,7 +200,7 @@ def vulnerable(witness=(3, -3), label=1, engine="test"):
 
 class TestMonotoneCache:
     def test_robust_verdict_covers_smaller_percents(self):
-        cache = MonotoneCache()
+        cache = QueryCache()
         cache.put(make_key("verify", 0, (1, 2), 0, 12), robust())
         derived = cache.get(make_key("verify", 0, (1, 2), 0, 7))
         assert derived is not MISS and derived.is_robust
@@ -210,7 +209,7 @@ class TestMonotoneCache:
         assert cache.get(make_key("verify", 0, (1, 2), 0, 13)) is MISS
 
     def test_vulnerable_verdict_covers_larger_percents_with_witness(self):
-        cache = MonotoneCache()
+        cache = QueryCache()
         cache.put(make_key("verify", 0, (1, 2), 0, 9), vulnerable(witness=(4, -9)))
         derived = cache.get(make_key("verify", 0, (1, 2), 0, 30))
         assert derived is not MISS and derived.is_vulnerable
@@ -219,7 +218,7 @@ class TestMonotoneCache:
         assert cache.get(make_key("verify", 0, (1, 2), 0, 8)) is MISS
 
     def test_strongest_fact_wins(self):
-        cache = MonotoneCache()
+        cache = QueryCache()
         cache.put(make_key("verify", 0, (1,), 0, 5), robust())
         cache.put(make_key("verify", 0, (1,), 0, 8), robust())
         cache.put(make_key("verify", 0, (1,), 0, 20), vulnerable())
@@ -232,7 +231,7 @@ class TestMonotoneCache:
 
     def test_no_derivation_across_groups(self):
         """Different input, label, index or extra never share facts."""
-        cache = MonotoneCache()
+        cache = QueryCache()
         cache.put(make_key("verify", 0, (1, 2), 0, 12), robust())
         for other in (
             make_key("verify", 1, (1, 2), 0, 5),  # different index
@@ -244,7 +243,7 @@ class TestMonotoneCache:
             assert cache.get(other) is MISS
 
     def test_probe_flip_thresholds_derive_both_ways(self):
-        cache = MonotoneCache()
+        cache = QueryCache()
         cache.put(make_key("probe", 0, (1,), 0, 10, extra=(2, 1)), True)
         cache.put(make_key("probe", 0, (1,), 0, 4, extra=(2, 1)), False)
         assert cache.get(make_key("probe", 0, (1,), 0, 15, extra=(2, 1))) is True
@@ -254,7 +253,7 @@ class TestMonotoneCache:
         assert cache.get(make_key("probe", 0, (1,), 0, 15, extra=(2, -1))) is MISS
 
     def test_derived_hits_counted_separately(self):
-        cache = MonotoneCache()
+        cache = QueryCache()
         key = make_key("verify", 0, (1,), 0, 10)
         cache.put(key, robust())
         assert cache.get(key).is_robust  # exact
@@ -270,7 +269,7 @@ class TestMonotoneCache:
         assert "derived" in cache.stats.describe()
 
     def test_derived_answers_are_never_materialised(self):
-        cache = MonotoneCache()
+        cache = QueryCache()
         cache.put(make_key("verify", 0, (1, 2), 0, 12), robust())
         assert cache.get(make_key("verify", 0, (1, 2), 0, 7)).is_robust
         assert len(cache) == 1  # still only the proved entry
@@ -281,17 +280,17 @@ class TestMonotoneCache:
         ]
 
     def test_preload_rebuilds_monotone_facts(self):
-        source = MonotoneCache()
+        source = QueryCache()
         source.put(make_key("verify", 0, (1,), 0, 10), robust())
         source.put(make_key("probe", 0, (1,), 0, 6, extra=(0, 1)), True)
-        target = MonotoneCache()
+        target = QueryCache()
         target.preload(source.snapshot())
         assert target.get(make_key("verify", 0, (1,), 0, 4)).is_robust
         assert target.get(make_key("probe", 0, (1,), 0, 9, extra=(0, 1))) is True
         assert target.stats.derived_hits == 2
 
     def test_context_invalidation_drops_monotone_facts(self):
-        cache = MonotoneCache()
+        cache = QueryCache()
         cache.bind("ctx-a")
         cache.put(make_key("verify", 0, (1,), 0, 10), robust())
         cache.bind("ctx-b")
@@ -299,7 +298,7 @@ class TestMonotoneCache:
         assert cache.stats.invalidations == 1
 
     def test_disabled_monotone_cache_never_derives(self):
-        cache = MonotoneCache(enabled=False)
+        cache = QueryCache(enabled=False)
         cache.put(make_key("verify", 0, (1,), 0, 10), robust())
         assert cache.get(make_key("verify", 0, (1,), 0, 4)) is MISS
         assert cache.stats.derived_hits == 0
@@ -520,7 +519,6 @@ class TestSharedEncoding:
 class TestRunnerMonotoneReuse:
     def test_implied_verdicts_skip_the_solver(self, network, x, label):
         runner = QueryRunner(network)
-        assert isinstance(runner.cache, MonotoneCache)  # the default
         first = runner.verify_at(x, label, 20)
         assert first.is_vulnerable
         wider = runner.verify_at(x, label, 30)  # implied by vulnerable@20
@@ -542,14 +540,6 @@ class TestRunnerMonotoneReuse:
         # The derived witness is a genuine counterexample for ±26.
         assert max(abs(v) for v in derived.witness) <= 26
         assert network.predict_noisy(x, derived.witness) != label
-
-    def test_monotone_off_reverts_to_exact_key_reuse(self, network, x, label):
-        runner = QueryRunner(network, runtime=RuntimeConfig(monotone=False))
-        assert type(runner.cache) is QueryCache
-        runner.verify_at(x, label, 20)
-        runner.verify_at(x, label, 30)  # exact-key cache must re-solve
-        assert runner.stats.verify_calls == 2
-        assert runner.cache.stats.derived_hits == 0
 
     def test_implied_robust_short_circuits_extraction(self, network, x, label):
         runner = QueryRunner(network)
@@ -657,17 +647,6 @@ class TestRunnerPersistence:
         warm.close()  # nothing new → no write
         assert (path.stat().st_mtime_ns, path.read_bytes()) == stamp
 
-    def test_no_persist_ignores_the_cache_dir(self, tmp_path, network, x, label):
-        QueryRunner(
-            network, runtime=RuntimeConfig(cache_dir=str(tmp_path))
-        ).verify_at(x, label, 10)
-        runtime = RuntimeConfig(cache_dir=str(tmp_path), persist=False)
-        runner = QueryRunner(network, runtime=runtime)
-        assert runner.store is None
-        runner.verify_at(x, label, 10)
-        assert runner.stats.verify_calls == 1  # cold: the file was not read
-        runner.close()
-
     def test_cache_disabled_disables_persistence(self, tmp_path, network, x, label):
         runtime = RuntimeConfig(cache=False, cache_dir=str(tmp_path))
         runner = QueryRunner(network, runtime=runtime)
@@ -755,14 +734,40 @@ class TestRunnerFanOut:
         assert parallel.cache.stats.preloads == 0
 
     def test_pooled_tasks_drop_their_warm_dicts(self, network, x, label):
-        """Regression: _run_pooled left the shipped warm entry maps
-        attached to the task objects after the batch."""
+        """Warm entries travel beside each task, never on it: after a
+        cold and a warm pooled batch the task objects are unchanged."""
         runner = QueryRunner(network, runtime=RuntimeConfig(workers=2))
         tasks = self._tasks(network, x, label)
         runner.run_tasks(tasks)  # cold batch fills the parent cache
-        runner.run_tasks(tasks)  # warm batch ships non-empty warm dicts
+        runner.run_tasks(tasks)  # warm batch ships non-empty warm entries
         assert runner.stats.parallel_batches == 2
-        assert all(task.warm == {} for task in tasks)
+        assert tasks == self._tasks(network, x, label)
+
+    def test_pooled_workers_honour_cache_off(self, network, x, label):
+        """Regression: pool workers ran with the cache on whatever the
+        parent's setting, so a cache-off run stored entries and ran the
+        ladder prepass only when it had more than one worker."""
+
+        def run(workers):
+            runner = QueryRunner(
+                network, runtime=RuntimeConfig(workers=workers, cache=False)
+            )
+            tasks = [
+                ToleranceSearchTask(index=index, x=x, true_label=label, ceiling=15)
+                for index in range(3)
+            ]
+            return runner, runner.run_tasks(tasks)
+
+        serial, serial_reports = run(1)
+        pooled, pooled_reports = run(2)
+        assert pooled.stats.parallel_batches == 1  # the pool really ran
+        assert pooled_reports == serial_reports
+        assert pooled.stats.verify_calls == serial.stats.verify_calls
+        assert pooled.stats.frontier_queries == serial.stats.frontier_queries == 0
+        assert pooled.cache.stats == serial.cache.stats
+        assert pooled.cache.stats.stores == 0
+        assert len(pooled.cache) == 0
+        pooled.close()
 
     def test_parallel_run_fills_parent_cache(self, network, x, label):
         runner = QueryRunner(network, runtime=RuntimeConfig(workers=2))
