@@ -298,24 +298,29 @@ def _free_port() -> int:
         return sock.getsockname()[1]
 
 
-def _spawn_daemon(port: int, journal_dir: Path, cache_dir: Path):
+def _spawn_daemon(
+    port: int, journal_dir: Path, cache_dir: Path, stderr_path: Path
+):
+    """Start ``fannet serve`` in a child process, its stderr kept in
+    ``stderr_path`` so a failed start-up can be reported."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_DIR) + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
-    return subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "serve",
-            "--port", str(port),
-            "--workers", "1",
-            "--max-pending", "8",
-            "--journal-dir", str(journal_dir),
-            "--cache-dir", str(cache_dir),
-        ],
-        env=env,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
+    with open(stderr_path, "wb") as stderr:
+        return subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve",
+                "--port", str(port),
+                "--workers", "1",
+                "--max-pending", "8",
+                "--journal-dir", str(journal_dir),
+                "--cache-dir", str(cache_dir),
+            ],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=stderr,
+        )
 
 
 def _journal_reports_progress(journal_path: Path, done_at_least: int = 1) -> bool:
@@ -342,9 +347,21 @@ def _journal_reports_progress(journal_path: Path, done_at_least: int = 1) -> boo
     return False
 
 
-def _wait_healthy(client: ServeClient, timeout_s: float = 60.0) -> None:
+def _wait_healthy(
+    client: ServeClient,
+    proc: subprocess.Popen,
+    stderr_path: Path,
+    timeout_s: float = 60.0,
+) -> None:
+    """Poll ``/healthz`` until it answers; fail at once, with the exit
+    code and stderr, if the daemon ``proc`` exits first."""
     deadline = time.monotonic() + timeout_s
     while not client.healthy():
+        code = proc.poll()
+        assert code is None, (
+            f"daemon exited with code {code} before it became healthy; "
+            f"stderr:\n{stderr_path.read_text(encoding='utf-8', errors='replace')}"
+        )
         assert time.monotonic() < deadline, "daemon never became healthy"
         time.sleep(0.1)
 
@@ -362,7 +379,8 @@ class TestSigkillRestart:
 
         port = _free_port()
         client = ServeClient(f"http://127.0.0.1:{port}", timeout=30)
-        proc = _spawn_daemon(port, journal_dir, cache_dir)
+        proc_stderr = tmp_path / "daemon-stderr.log"
+        proc = _spawn_daemon(port, journal_dir, cache_dir, proc_stderr)
         restarted = None
         outcome: dict = {}
 
@@ -377,7 +395,7 @@ class TestSigkillRestart:
 
         thread = threading.Thread(target=drive)
         try:
-            _wait_healthy(client)
+            _wait_healthy(client, proc, proc_stderr)
             thread.start()
             # SIGKILL the daemon between the campaign's two jobs.  HTTP
             # polling can lose this race (a round trip per look), so tail
@@ -396,7 +414,9 @@ class TestSigkillRestart:
             # restart onto the same journal + cache: the journal replays
             # the interrupted batch job, the warm cache store makes the
             # redo cheap, and the client's wait() reconnects on its own
-            restarted = _spawn_daemon(port, journal_dir, cache_dir)
+            restarted = _spawn_daemon(
+                port, journal_dir, cache_dir, tmp_path / "restarted-stderr.log"
+            )
             thread.join(timeout=600)
             assert not thread.is_alive(), "client wait never completed"
             assert "error" not in outcome, outcome.get("error")

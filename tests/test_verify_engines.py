@@ -245,13 +245,24 @@ encodable_input = st.one_of(
 
 
 def fresh_encoding(network, x, noise):
-    """Scale every weight for this one query and pick its dtype, as the
-    per-query encoder did before weights were shared."""
+    """Scale every weight for this one query and pick its dtype.
+
+    The scale is the network's least common denominator of every weight
+    and bias, as :class:`NetworkEncoding` documents; it is read off the
+    ``Fraction``s here, not from the encoder, and returned first."""
+    scale = math.lcm(
+        *(
+            value.denominator
+            for layer in network.layers
+            for row in (*layer.weights, layer.bias)
+            for value in row
+        )
+    )
     weights, biases = [], []
     factor = 100
     for layer in network.layers:
-        weights.append([[int(w * SCALE) for w in row] for row in layer.weights])
-        factor *= SCALE
+        weights.append([[int(w * scale) for w in row] for row in layer.weights])
+        factor *= scale
         biases.append([int(b * factor) for b in layer.bias])
     reach = max(abs(100 + noise.low), abs(100 + noise.high))
     magnitude = max(abs(v) for v in x) * reach
@@ -261,7 +272,7 @@ def fresh_encoding(network, x, noise):
             map(abs, bias)
         )
         safe = safe and magnitude < 2**62
-    return weights, biases, not safe
+    return scale, weights, biases, not safe
 
 
 class TestNetworkEncoding:
@@ -285,8 +296,9 @@ class TestNetworkEncoding:
             high = data.draw(st.integers(0, 60))
             noise = NoiseConfig(high, min_percent=data.draw(st.integers(-300, high)))
             query = encoding.query(np.array(x, dtype=np.int64), label, noise)
-            weights, biases, exact = fresh_encoding(network, x, noise)
+            scale, weights, biases, exact = fresh_encoding(network, x, noise)
             dtype = object if exact else np.int64
+            assert encoding.weight_scale == scale
             assert query.exact_dtype == exact
             assert [w.dtype for w in query.weights] == [np.dtype(dtype)] * len(weights)
             assert [b.dtype for b in query.biases] == [np.dtype(dtype)] * len(biases)
@@ -302,6 +314,42 @@ class TestNetworkEncoding:
         expected = [network.predict(x) for x in rows]
         assert encoding.labels(np.array(rows, dtype=object)).tolist() == expected
         assert encoding.labels(rows[:-1]).tolist() == expected[:-1]
+
+    @pytest.mark.parametrize(
+        "bias, scale, weights, biases",
+        [
+            # Every parameter reduces to a denominator of 500, so the
+            # scale is 500, not the 1000 the property draws weights at.
+            (Fraction(1, 500), 500, [[[0], [1]]], [[0, 100]]),
+            # A finer bias denominator sets the scale for the weights too.
+            (Fraction(1, 1000), 1000, [[[0], [2]]], [[0, 100]]),
+        ],
+        ids=["scale-500", "bias-sets-scale"],
+    )
+    def test_scale_is_the_lcm_of_every_weight_and_bias(
+        self, bias, scale, weights, biases
+    ):
+        network = QuantizedNetwork(
+            [
+                QuantizedLayer(
+                    ((Fraction(0),), (Fraction(1, 500),)),
+                    (Fraction(0), bias),
+                    relu=False,
+                )
+            ]
+        )
+        noise = NoiseConfig(0)
+        encoding = NetworkEncoding(network)
+        query = encoding.query(np.array([0]), 0, noise)
+        assert fresh_encoding(network, [0], noise) == (scale, weights, biases, False)
+        assert encoding.weight_scale == scale
+        assert not query.exact_dtype
+        assert [w.dtype for w in query.weights] == [np.dtype(np.int64)]
+        assert [b.dtype for b in query.biases] == [np.dtype(np.int64)]
+        assert [w.tolist() for w in query.weights] == weights
+        assert [b.tolist() for b in query.biases] == biases
+        assert query.x.tolist() == [0] and query.true_label == 0
+        assert query.low.tolist() == query.high.tolist() == [0]
 
     def test_labels_of_no_rows(self, simple_network):
         assert NetworkEncoding(simple_network).labels(np.empty((0, 2))).shape == (0,)
