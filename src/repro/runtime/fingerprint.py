@@ -64,7 +64,14 @@ def runtime_context(
     budget coincide, so a changed file invalidates the store exactly
     like a changed network would.
     """
-    base = f"{network_fingerprint(network)}:{verifier_fingerprint(config)}"
+    return join_context(network_fingerprint(network), config, data_digest)
+
+
+def join_context(
+    network_print: str, config: VerifierConfig, data_digest: str | None = None
+) -> str:
+    """:func:`runtime_context` from an already computed network fingerprint."""
+    base = f"{network_print}:{verifier_fingerprint(config)}"
     if data_digest is None:
         return base
     return f"{base}:{data_digest[:20]}"

@@ -26,7 +26,12 @@ from dataclasses import dataclass
 
 from ..config import RuntimeConfig, VerifierConfig
 from ..runtime import QueryRunner
-from ..runtime.fingerprint import runtime_context
+from ..runtime.fingerprint import join_context, network_fingerprint
+
+#: Network objects whose fingerprint the pool remembers (oldest dropped
+#: first).  The daemon leases a handful of long-lived networks; a batch
+#: campaign builds a fresh one per job and simply re-hashes it.
+NETWORK_PRINTS_HELD = 16
 
 
 @dataclass
@@ -43,6 +48,9 @@ class RunnerPool:
         self.runtime = runtime or RuntimeConfig()
         self._mutex = threading.Lock()
         self._entries: dict[str, _PooledRunner] = {}
+        # id(network) -> (network, fingerprint).  Holding the object keeps
+        # its id from being reused by another network while it is here.
+        self._network_prints: dict[int, tuple[object, str]] = {}
 
     @contextmanager
     def lease(self, network, config: VerifierConfig, data_digest: str | None = None):
@@ -52,8 +60,8 @@ class RunnerPool:
         under the pool mutex; the query work happens under the runner's
         own lease lock only, so slow jobs never block unrelated contexts.
         """
-        context = runtime_context(network, config, data_digest)
         with self._mutex:
+            context = join_context(self._network_print(network), config, data_digest)
             entry = self._entries.get(context)
             if entry is None:
                 entry = _PooledRunner(
@@ -66,6 +74,19 @@ class RunnerPool:
         with entry.lock:
             entry.jobs_served += 1
             yield entry.runner
+
+    def _network_print(self, network) -> str:
+        """``network_fingerprint(network)``, hashed once per held object
+        (the caller holds the pool mutex)."""
+        held = self._network_prints.get(id(network))
+        if held is None:
+            if len(self._network_prints) >= NETWORK_PRINTS_HELD:
+                del self._network_prints[next(iter(self._network_prints))]
+            held = self._network_prints[id(network)] = (
+                network,
+                network_fingerprint(network),
+            )
+        return held[1]
 
     # -- maintenance -------------------------------------------------------------
 

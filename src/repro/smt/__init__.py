@@ -3,9 +3,10 @@
 Exact linear arithmetic over the rationals:
 
 - :mod:`repro.smt.simplex` — incremental Dutertre–de Moura general
-  simplex, exact and fraction-free: each tableau row holds integer
-  coefficients over one positive row denominator, and values and bounds
-  stay ``Fraction``; with conflict extraction;
+  simplex, exact and in Python ints: each tableau row holds integer
+  coefficients over one positive row denominator, and each value and
+  bound is an integer numerator over one shared scale; with conflict
+  extraction;
 - :mod:`repro.smt.branch_bound` — integer feasibility via branch & bound.
 
 The verifiers in :mod:`repro.verify` combine these with the CDCL core

@@ -10,17 +10,16 @@ the search tree is finite and the procedure is a decision procedure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import ceil, floor
 
 from ..errors import BudgetExceededError
-from .simplex import Simplex, SimplexResult
+from .simplex import Rational, Simplex, SimplexResult
 
 
 @dataclass
 class IntegerFeasibilityResult:
     feasible: bool
-    assignment: dict[int, Fraction] | None = None
+    assignment: dict[int, Rational] | None = None
     nodes: int = 0
 
     def __bool__(self):
@@ -35,11 +34,12 @@ def solve_integer_feasibility(
     """Decide whether the current simplex constraints admit a solution
     with every variable in ``integer_vars`` integral.
 
-    The simplex is restored to its entry state before returning.
+    Every bound frame the search pushes is popped before it returns or
+    raises, so the simplex is back at its entry level either way.
     """
     counter = {"nodes": 0}
 
-    def recurse() -> dict[int, Fraction] | None:
+    def recurse() -> dict[int, Rational] | None:
         counter["nodes"] += 1
         if counter["nodes"] > node_budget:
             raise BudgetExceededError(
@@ -59,25 +59,20 @@ def solve_integer_feasibility(
         if branch_var is None:
             return assignment
 
-        # Branch down: x <= floor(v).
-        simplex.push()
-        conflict = simplex.assert_upper(branch_var, Fraction(floor(branch_value)))
-        if conflict is None:
-            solution = recurse()
-            if solution is not None:
+        # Branch down (x <= floor(v)), then up (x >= ceil(v)).  Each frame is
+        # popped on every exit, a raised budget or simplex error included.
+        for assert_bound, bound in (
+            (simplex.assert_upper, floor(branch_value)),
+            (simplex.assert_lower, ceil(branch_value)),
+        ):
+            simplex.push()
+            try:
+                if assert_bound(branch_var, bound) is None:
+                    solution = recurse()
+                    if solution is not None:
+                        return solution
+            finally:
                 simplex.pop()
-                return solution
-        simplex.pop()
-
-        # Branch up: x >= ceil(v).
-        simplex.push()
-        conflict = simplex.assert_lower(branch_var, Fraction(ceil(branch_value)))
-        if conflict is None:
-            solution = recurse()
-            if solution is not None:
-                simplex.pop()
-                return solution
-        simplex.pop()
         return None
 
     solution = recurse()

@@ -38,6 +38,9 @@ from ..nn.quantize import QuantizedNetwork
 
 #: Stay clear of int64 limits: fall back to exact object arithmetic above this.
 _INT64_SAFE = 2**62
+#: Integers below this are exact in float64, and so is every sum of them
+#: that stays below it.
+_FLOAT64_EXACT = 2**53
 
 
 def forward_scaled(values, weights, biases) -> np.ndarray:
@@ -48,12 +51,52 @@ def forward_scaled(values, weights, biases) -> np.ndarray:
     :meth:`ScaledQuery.forward_batch` and the frontier plane's
     concatenated evaluations (:func:`repro.verify.batch.labels_for_rows`)
     — keeping the bulk path equal to the per-query path by construction.
+
+    Object-int input runs in object ints throughout.  On int64 input a
+    layer runs as a float64 matmul (BLAS) when the magnitude bound of
+    :func:`_float64_exact_layers` proves every partial sum an integer
+    below 2**53, so every float operation — in any summation order, fused
+    or not — is exact; a layer not proved runs in int64 (exact by the
+    caller's own int64 analysis), and the output is int64 again.
     """
+    exact_in_float = (
+        _float64_exact_layers(values, weights, biases)
+        if values.dtype == np.int64
+        else [False] * len(weights)
+    )
     for index, (weight, bias) in enumerate(zip(weights, biases)):
-        values = values @ weight.T + bias
+        if exact_in_float[index]:
+            values = values.astype(np.float64, copy=False)
+            values = values @ weight.astype(np.float64).T + bias.astype(np.float64)
+        else:
+            if values.dtype == np.float64:
+                values = values.astype(np.int64)
+            values = values @ weight.T + bias
         if index < len(weights) - 1:
             values = np.maximum(values, 0)
+    if values.dtype == np.float64:
+        values = values.astype(np.int64)
     return values
+
+
+def _float64_exact_layers(values, weights, biases) -> list[bool]:
+    """Per layer, whether float64 evaluates it exactly from int64 ``values``.
+
+    The triangle-inequality argument of :meth:`NetworkEncoding._int64_safe`
+    with a 2**53 threshold: from ``m = max |values|``, every product and
+    partial sum of a layer is bounded by ``m' = row mass · m + bias mass``,
+    which also bounds the next layer's inputs.  Pure Python ints, so the
+    bound itself cannot round or wrap.
+    """
+    magnitude = 0
+    if values.size:
+        magnitude = max(abs(int(values.min())), abs(int(values.max())))
+    exact = []
+    for weight, bias in zip(weights, biases):
+        row_mass = max((sum(map(abs, row)) for row in weight.tolist()), default=0)
+        magnitude = row_mass * magnitude + max(map(abs, bias.tolist()), default=0)
+        exact.append(magnitude < _FLOAT64_EXACT)
+    return exact
 
 
 @dataclass

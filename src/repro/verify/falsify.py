@@ -84,17 +84,17 @@ def draw_noise_block(
 ) -> np.ndarray:
     """One block of uniform noise rows — a single ``rng.integers`` call.
 
-    The per-node bounds broadcast over the row axis, replacing the old
-    one-``integers``-call-per-dimension construction; the scalar
-    falsifier and the bulk frontier pass both consume this helper, so
-    their sample streams are identical by construction.
+    The scalar falsifier and the bulk frontier pass both consume this
+    helper, so their sample streams are identical by construction.  When
+    every node shares one box (every :class:`~repro.config.NoiseConfig`
+    box does) the bounds are passed as scalars, which numpy draws faster
+    and into the same stream as the per-node bounds broadcast over the
+    row axis that any other box gets.
     """
-    return rng.integers(
-        query.low.astype(np.int64),
-        query.high.astype(np.int64) + 1,
-        size=(size, query.num_inputs),
-        dtype=np.int64,
-    )
+    low, high = query.low.astype(np.int64), query.high.astype(np.int64) + 1
+    if (low == low[0]).all() and (high == high[0]).all():
+        low, high = low[0], high[0]
+    return rng.integers(low, high, size=(size, query.num_inputs), dtype=np.int64)
 
 
 class RandomFalsifier:

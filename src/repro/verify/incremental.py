@@ -169,8 +169,8 @@ class LadderSession:
             state.rung_literals[rung_key] = rung_literal
 
         simplex = state.simplex
+        entry_level = simplex.level
         simplex.push()
-        depth = 1
         try:
             rung_origin: dict[BoundRef, int] = {}
             conflict = self._assert_rung_bounds(
@@ -208,7 +208,6 @@ class LadderSession:
                     return False
                 model = result.model
                 simplex.push()
-                depth += 1
                 phase_origin: dict[BoundRef, int] = {}
                 conflict = None
                 for neuron, phase in zip(state.neurons, state.phases):
@@ -264,22 +263,20 @@ class LadderSession:
                             for phase in state.phases
                         ]
                         simplex.pop()
-                        depth -= 1
                         state.theory_conflicts += 1
                         state.sat.add_clause(blocking)
                         continue
                     conflict = check
 
                 simplex.pop()
-                depth -= 1
                 if not self._handle_conflict(
                     state, conflict.conflict, rung_origin, phase_origin, rung_literal
                 ):
                     return False
         finally:
-            while depth > 0:
+            # Back to the level found on entry, whatever raised in between.
+            while simplex.level > entry_level:
                 simplex.pop()
-                depth -= 1
 
     def _handle_conflict(
         self, state, core, rung_origin, phase_origin, rung_literal

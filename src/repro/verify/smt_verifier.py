@@ -12,7 +12,7 @@ The Reluplex/Marabou recipe, specialised to the FANNet query:
    executions, so integer branch & bound over the noise variables either
    produces a real witness or refutes the leaf.
 
-Everything is ``Fraction``-exact: a ROBUST answer is a proof, and every
+Everything is exact rational arithmetic: a ROBUST answer is a proof, and every
 witness is double-checked against the reference evaluator anyway.
 """
 

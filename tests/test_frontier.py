@@ -52,6 +52,7 @@ from repro.verify import (
     resolve_survivors,
 )
 from repro.verify.falsify import (
+    RANDOM_BLOCK,
     corner_grid,
     corner_spans,
     draw_noise_block,
@@ -552,6 +553,53 @@ class TestVectorisedCornerGeneration:
             exact_dtype=False,
         )
         assert corner_grid(query, max_corners=100) is None  # 3^8 > 100
+
+
+class TestNoiseBlockStreams:
+    @staticmethod
+    def box_query(low, high):
+        width = len(low)
+        return ScaledQuery(
+            weights=[np.ones((1, width), dtype=np.int64)],
+            biases=[np.zeros(1, dtype=np.int64)],
+            x=np.ones(width, dtype=np.int64),
+            true_label=0,
+            low=np.array(low, dtype=np.int64),
+            high=np.array(high, dtype=np.int64),
+            exact_dtype=False,
+        )
+
+    @staticmethod
+    def per_node_blocks(seed, query, sizes):
+        rng = np.random.default_rng(seed)
+        return [
+            rng.integers(
+                query.low, query.high + 1, size=(size, query.num_inputs), dtype=np.int64
+            )
+            for size in sizes
+        ]
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_scalar_bounds_draw_the_per_node_stream_at_every_percent(self, seed):
+        """A uniform box takes the scalar-bound draw; block after block it
+        yields the rows, and leaves the generator in the state, of the
+        per-node bounds broadcast over the rows."""
+        sizes = [RANDOM_BLOCK, 3, RANDOM_BLOCK]
+        for percent in range(1, 101):
+            for low in (-percent, percent // 2 - percent):
+                query = self.box_query([low] * 5, [percent] * 5)
+                rng = np.random.default_rng(seed)
+                drawn = [draw_noise_block(rng, query, size) for size in sizes]
+                expected = self.per_node_blocks(seed, query, sizes)
+                assert all(np.array_equal(a, b) for a, b in zip(drawn, expected))
+
+    def test_a_box_that_differs_per_node_keeps_per_node_bounds(self):
+        query = self.box_query([-3, -1, 0], [3, 5, 9])
+        rng = np.random.default_rng(11)
+        drawn = [draw_noise_block(rng, query, size) for size in (64, 64)]
+        expected = self.per_node_blocks(11, query, (64, 64))
+        assert all(np.array_equal(a, b) for a, b in zip(drawn, expected))
+        assert (drawn[0] >= query.low).all() and (drawn[0] <= query.high).all()
 
 
 def robust():

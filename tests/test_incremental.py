@@ -28,6 +28,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.config import NoiseConfig, RuntimeConfig, VerifierConfig
 from repro.core import NoiseToleranceAnalysis
 from repro.data.dataset import Dataset
+from repro.errors import BudgetExceededError
 from repro.nn.quantize import QuantizedLayer, QuantizedNetwork
 from repro.sat import CdclSolver, Cnf, SatStatus, brute_force_satisfiable
 from repro.verify import (
@@ -192,6 +193,42 @@ class TestPortfolioParity:
 
         warm = PortfolioVerifier(exhaustive_cutoff=0)
         assert run(warm.verify_complete) == run(SmtVerifier().verify)
+
+    def test_a_budget_raised_inside_branch_and_bound_leaves_no_frame_open(self):
+        """With ``node_budget=1`` this rung's LP answer is fractional, so
+        branch & bound raises from inside the session's phase frame; the
+        session must come back to level 0 with the rung's noise bounds
+        retracted, not pop branch & bound's frames in place of its own."""
+        (query,) = deterministic_ladder(6, [5])
+        session = LadderSession(VerifierConfig(node_budget=1))
+        with pytest.raises(BudgetExceededError, match="branch & bound"):
+            session.verify(query)
+        for state in session._states.values():
+            assert state.simplex.level == 0
+            assert all(
+                state.simplex.bounds(var) == (None, None) for var in state.noise_vars
+            )
+
+    def test_the_session_pops_back_to_its_entry_level_whatever_raised(
+        self, monkeypatch
+    ):
+        """The session restores its own frames even when a callee raises
+        with frames of its own still open."""
+        from repro.verify import incremental
+
+        def leaky_branch_and_bound(simplex, integer_vars, node_budget):
+            simplex.push()
+            raise BudgetExceededError("leaky", budget=node_budget)
+
+        monkeypatch.setattr(
+            incremental, "solve_integer_feasibility", leaky_branch_and_bound
+        )
+        (query,) = deterministic_ladder(6, [5])
+        session = LadderSession()
+        with pytest.raises(BudgetExceededError, match="leaky"):
+            session.verify(query)
+        for state in session._states.values():
+            assert state.simplex.level == 0
 
     def test_deep_ladder_pivot_bill_is_pinned(self):
         """Tableau arithmetic and the shared encoding must never move a

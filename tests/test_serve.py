@@ -427,6 +427,57 @@ class TestSharedCacheConcurrency:
             ).read_bytes(), f"{name} differs between local and server paths"
 
 
+class TestRunnerPoolContexts:
+    @staticmethod
+    def tiny_network():
+        """A fresh object each call; every one has the same fingerprint."""
+        from fractions import Fraction
+
+        from repro.nn.quantize import QuantizedLayer, QuantizedNetwork
+
+        return QuantizedNetwork(
+            [QuantizedLayer(((Fraction(1), Fraction(-1)),), (Fraction(1),), relu=False)]
+        )
+
+    def test_each_network_object_is_hashed_once(self, monkeypatch):
+        from repro.config import RuntimeConfig, VerifierConfig
+        from repro.runtime import runtime_context
+        from repro.serve import RunnerPool, runners
+
+        hashed = []
+        real = runners.network_fingerprint
+        monkeypatch.setattr(
+            runners, "network_fingerprint", lambda net: hashed.append(net) or real(net)
+        )
+        pool = RunnerPool(RuntimeConfig(cache=False))
+        network, twin = self.tiny_network(), self.tiny_network()
+        config, digest = VerifierConfig(), "d" * 64
+        leased = []
+        for net, data in ((network, None), (network, None), (network, digest), (twin, None)):
+            with pool.lease(net, config, data) as runner:
+                leased.append(runner)
+        assert hashed == [network, twin]
+        assert leased[0] is leased[1] is leased[3] and leased[2] is not leased[0]
+        # The context strings are the ones runtime_context spells.
+        assert sorted(pool._entries) == sorted(
+            {runtime_context(network, config), runtime_context(network, config, digest)}
+        )
+
+    def test_the_held_networks_are_bounded(self):
+        from repro.config import RuntimeConfig, VerifierConfig
+        from repro.serve import RunnerPool
+        from repro.serve.runners import NETWORK_PRINTS_HELD
+
+        pool = RunnerPool(RuntimeConfig(cache=False))
+        networks = [self.tiny_network() for _ in range(NETWORK_PRINTS_HELD + 3)]
+        for network in networks:
+            with pool.lease(network, VerifierConfig()):
+                pass
+        held = [network for network, _ in pool._network_prints.values()]
+        assert held == networks[3:]
+        assert len(pool) == 1  # equal networks share one context
+
+
 class TestServeClientErrors:
     def test_unreachable_server_raises_a_named_error(self):
         client = ServeClient("http://127.0.0.1:1", timeout=0.5)

@@ -498,7 +498,15 @@ class ReferenceSimplex:
 
 def assert_tableau_invariant(simplex: Simplex) -> None:
     """Rows are lowest-terms ints over a positive denominator, mention only
-    non-basic variables, and ``_cols`` is exactly their transpose."""
+    non-basic variables, and ``_cols`` is exactly their transpose; the
+    assignment is int numerators over a positive int scale, and each
+    basic numerator is its row applied to the non-basic numerators,
+    recomputed here from scratch (so incremental drift cannot hide)."""
+    assert type(simplex._scale) is int and simplex._scale > 0
+    assert len(simplex._num) == simplex.num_vars
+    assert all(type(n) is int for n in simplex._num)
+    for bound in (*simplex._lower, *simplex._upper):
+        assert bound is None or type(bound) is int
     assert simplex._den.keys() == simplex._rows.keys()
     transpose: dict[int, set[int]] = {}
     for basic, row in simplex._rows.items():
@@ -507,6 +515,7 @@ def assert_tableau_invariant(simplex: Simplex) -> None:
         assert all(type(c) is int and c != 0 for c in row.values())
         assert gcd(den, *row.values()) == 1
         assert not row.keys() & simplex._rows.keys()
+        assert simplex._num[basic] == sum(c * simplex._num[v] for v, c in row.items())
         for var in row:
             transpose.setdefault(var, set()).add(basic)
     assert {v: basics for v, basics in simplex._cols.items() if basics} == transpose
@@ -523,11 +532,15 @@ def assert_same_state(new: Simplex, ref: ReferenceSimplex) -> None:
 
 
 def branch_and_bound(simplex, integer_vars):
+    entry_level = len(simplex._trail_lim)
     try:
         result = solve_integer_feasibility(simplex, integer_vars, node_budget=30)
     except BudgetExceededError:
-        return "budget"  # the search leaves its pushes open on both sides
-    return result.feasible, result.assignment, result.nodes
+        outcome = "budget"
+    else:
+        outcome = result.feasible, result.assignment, result.nodes
+    assert len(simplex._trail_lim) == entry_level  # every push popped, even on raise
+    return outcome
 
 
 COEFFS = st.one_of(
@@ -600,3 +613,66 @@ class TestAgainstReference:
         new, ref = sides
         assert new.check() == ref.check()
         assert_same_state(new, ref)
+
+    def test_fractional_bounds_after_pivots_widen_the_scale(self):
+        sides = (Simplex(), ReferenceSimplex())
+        for s in sides:
+            x, y = s.new_var(), s.new_var()
+            total = s.define({x: 2, y: 3})
+            gap = s.define({x: 1, y: -1})
+            for var in (x, y):
+                s.assert_lower(var, 0)
+                s.assert_upper(var, 10)
+            s.assert_lower(total, 7)
+            s.assert_lower(gap, 1)
+            assert s.check().pivots == 1  # total leaves the basis, x enters
+            assert total not in s._rows and gap in s._rows
+            s.push()
+            assert s.assert_upper(gap, Fraction(5, 3)) is None  # a basic bound
+            assert s.assert_lower(total, Fraction(29, 4)) is None  # moves total
+        new, ref = sides
+        assert new._scale == 12
+        assert_same_state(new, ref)
+        assert new.check() == ref.check()
+        assert_same_state(new, ref)
+        new.pop()
+        ref.pop()
+        assert new.check() == ref.check()
+        assert_same_state(new, ref)
+        assert new._scale == 12  # the scale never narrows back
+
+
+class TestIntegerAssignment:
+    def test_integral_bounds_keep_the_scale_at_one(self):
+        s = Simplex()
+        x, y = s.new_var(), s.new_var()
+        row = s.define({x: Fraction(1, 3), y: 2})
+        s.assert_lower(x, np.int64(1))
+        s.assert_upper(x, Fraction(6, 2))
+        s.assert_lower(row, 1)
+        result = s.check()
+        assert result.feasible and result.pivots == 1
+        assert s._scale == 1
+        assert s.bounds(x) == (1, 3) and all(type(b) is int for b in s.bounds(x))
+        assert result.assignment == {x: 3, y: 0, row: 1}
+        assert all(type(v) is int for v in result.assignment.values())
+        assert_tableau_invariant(s)
+
+    def test_branch_and_bound_pops_its_frames_when_the_budget_runs_out(self):
+        # 2x + 2y = 7 has no integer point; node_budget=2 stops mid-search.
+        s = Simplex()
+        x, y = s.new_var(), s.new_var()
+        row = s.define({x: 2, y: 2})
+        for var in (x, y):
+            s.assert_lower(var, 0)
+            s.assert_upper(var, 10)
+        s.push()
+        s.assert_lower(row, 7)
+        s.assert_upper(row, 7)
+        with pytest.raises(BudgetExceededError):
+            solve_integer_feasibility(s, [x, y], node_budget=2)
+        assert s.level == 1
+        assert s.bounds(x) == (0, 10) and s.bounds(y) == (0, 10)
+        s.pop()
+        assert s.level == 0
+        assert s.bounds(row) == (None, None)

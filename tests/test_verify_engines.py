@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 import repro
 from repro.config import NoiseConfig, VerifierConfig
@@ -38,6 +38,7 @@ from repro.verify import (
     build_query,
 )
 from repro.verify import exhaustive
+from repro.verify.encoder import _float64_exact_layers, forward_scaled
 
 SCALE = 1000
 
@@ -375,6 +376,81 @@ class TestNetworkEncoding:
         assert later.weights[0].tolist() == build_query(
             simple_network, np.array(x), 1, NoiseConfig(3)
         ).weights[0].tolist()
+
+
+def up_to(bits: int):
+    """Ints of magnitude between ``2**bits / 2`` and ``2**bits``, either sign."""
+    edge = 2**bits
+    return st.builds(
+        lambda sign, cut: sign * (edge - cut),
+        st.sampled_from([-1, 1]),
+        st.integers(0, edge // 2),
+    )
+
+
+@st.composite
+def int64_network_and_rows(draw):
+    """Int64 layers and rows whose magnitude bound ends near ``2**target``
+    for a target from 44 to 62 bits, so layers run in float64, in int64, or
+    switch from one to the other part-way through."""
+    widths = draw(st.lists(st.integers(1, 5), min_size=2, max_size=5))
+    layers = len(widths) - 1
+    target = draw(st.sampled_from(range(44, 63)), label="target bits")
+    input_bits = target // (layers + 1)
+    entry = up_to(input_bits)
+    rows = draw(
+        st.lists(
+            st.lists(entry, min_size=widths[0], max_size=widths[0]),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    weights, biases = [], []
+    for fan_in, fan_out in zip(widths, widths[1:]):
+        # fan_in entries of at most 2**bits sum to at most 2**(bits + lg).
+        entry = up_to((target - input_bits) // layers - (fan_in - 1).bit_length())
+        weights.append(
+            [[draw(entry) for _ in range(fan_in)] for _ in range(fan_out)]
+        )
+        biases.append([draw(entry) for _ in range(fan_out)])
+    bound = max(abs(v) for row in rows for v in row)
+    for layer, bias in zip(weights, biases):
+        bound = max(sum(map(abs, row)) for row in layer) * bound + max(map(abs, bias))
+    assume(bound < 2**62)  # the callers' own int64 proof
+    return rows, weights, biases
+
+
+class TestForwardScaled:
+    @given(int64_network_and_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_int64_input_equals_the_object_int_pass(self, case):
+        rows, weights, biases = case
+        as_int64 = [np.array(a, dtype=np.int64) for a in (rows, *weights, *biases)]
+        as_object = [np.array(a, dtype=object) for a in (rows, *weights, *biases)]
+        layers = len(weights)
+        fast = forward_scaled(
+            as_int64[0], as_int64[1:1 + layers], as_int64[1 + layers:]
+        )
+        exact = forward_scaled(
+            as_object[0], as_object[1:1 + layers], as_object[1 + layers:]
+        )
+        assert fast.dtype == np.int64
+        assert fast.tolist() == exact.tolist()
+        flags = _float64_exact_layers(
+            as_int64[0], as_int64[1:1 + layers], as_int64[1 + layers:]
+        )
+        event("float64 layers: " + "".join("F" if f else "I" for f in flags))
+
+    def test_a_layer_past_2_53_falls_back_to_int64(self):
+        # Layer 1 reaches 2**52 + 2**27 + 1 (float64-exact); layer 2 triples
+        # it past 2**53, where float64 would drop the odd last bit.
+        values = np.array([[2**26 + 1]], dtype=np.int64)
+        weights = [np.array([[2**26 + 1]]), np.array([[3], [-3]])]
+        biases = [np.array([0]), np.array([0, 1])]
+        assert _float64_exact_layers(values, weights, biases) == [True, False]
+        out = forward_scaled(values, weights, biases)
+        assert out.dtype == np.int64
+        assert out.tolist() == [[3 * (2**26 + 1) ** 2, -3 * (2**26 + 1) ** 2 + 1]]
 
 
 class TestIntervalVerifier:
