@@ -1,20 +1,17 @@
-"""E7 — model-checking engine comparison (paper §III-B).
+"""E7 — the explicit-state model checker (paper §III-B).
 
-The paper motivates its SMT-based checker by contrasting BDD-based
-(PSPACE, memory-bound) and SAT-based (NP, scales further) engines.  This
-bench runs all three of ours on the same models: the Fig.-3(c) NN noise
-FSM and a scaling family of counter models.
+The paper checks its properties with nuXmv; this bench times the
+explicit-state checker that plays that role here, on a counter model
+(holding and violated invariants) and on P2 over the Fig.-3(c) NN noise
+FSM, where its verdict must match exhaustive enumeration.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
 from repro.config import NoiseConfig
 from repro.core import network_noise_module
-from repro.mc import BddChecker, BmcChecker, ExplicitChecker, KInduction, Verdict
-from repro.smv import parse_module
+from repro.mc import ExplicitChecker, Verdict
+from repro.smv import parse_expression, parse_module
 
 
 def _counter_model(width: int) -> str:
@@ -32,36 +29,24 @@ INVARSPEC count < {width};
 """
 
 
-@pytest.mark.parametrize("engine_name", ["explicit", "bdd", "induction"])
-def test_counter_model_engines(benchmark, engine_name):
+def test_counter_model_holds(benchmark):
     module = parse_module(_counter_model(64))
     prop = module.invarspecs[0]
-    engines = {
-        "explicit": lambda: ExplicitChecker(),
-        "bdd": lambda: BddChecker(),
-        "induction": lambda: KInduction(max_k=70),
-    }
-    engine = engines[engine_name]()
+    checker = ExplicitChecker()
 
-    result = benchmark(lambda: engine.check_invariant(module, prop))
+    result = benchmark(lambda: checker.check_invariant(module, prop))
     assert result.verdict is Verdict.HOLDS
+    assert result.states_explored == 64
 
 
-@pytest.mark.parametrize("engine_name", ["explicit", "bmc"])
-def test_violated_counter_engines(benchmark, engine_name):
+def test_violated_counter_shortest_trace(benchmark):
     module = parse_module(_counter_model(32))
-    from repro.smv import parse_expression
-
     prop = parse_expression("count < 16")
-    engines = {
-        "explicit": lambda: ExplicitChecker(),
-        "bmc": lambda: BmcChecker(max_bound=20),
-    }
-    engine = engines[engine_name]()
+    checker = ExplicitChecker()
 
-    result = benchmark(lambda: engine.check_invariant(module, prop))
+    result = benchmark(lambda: checker.check_invariant(module, prop))
     assert result.verdict is Verdict.VIOLATED
-    assert len(result.counterexample) == 17  # shortest trace, both engines
+    assert len(result.counterexample) == 17  # shortest trace: 0..16
 
 
 def test_nn_noise_fsm_explicit_p2(benchmark, quantized, case_study, vulnerable_input):

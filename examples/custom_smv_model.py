@@ -1,16 +1,16 @@
 """Using the model-checking stack standalone (no neural network).
 
-The SMV language, FSM semantics and all three engines are a general
-model checker: this example verifies mutual exclusion of a two-process
-arbiter and finds a counterexample to an intentionally wrong property —
-with explicit, BDD and k-induction engines agreeing throughout.
+The SMV language, FSM semantics and the explicit-state checker form a
+general invariant checker: this example verifies mutual exclusion of a
+two-process arbiter and finds the shortest counterexample to an
+intentionally wrong property.
 
 Run:  python examples/custom_smv_model.py
 """
 
 from __future__ import annotations
 
-from repro.mc import BddChecker, BmcChecker, ExplicitChecker, KInduction
+from repro.mc import ExplicitChecker
 from repro.smv import parse_expression, parse_module
 
 ARBITER = """
@@ -45,25 +45,19 @@ INVARSPEC !(a = critical & b = critical);
 
 def main() -> None:
     module = parse_module(ARBITER)
-    mutex = module.invarspecs[0]
+    checker = ExplicitChecker()
 
-    print("property: mutual exclusion")
-    for engine in (ExplicitChecker(), BddChecker(), KInduction(max_k=10)):
-        result = engine.check_invariant(module, mutex)
-        print(
-            f"  {engine.name:<12} -> {result.verdict.value}"
-            + (f" ({result.states_explored} states)" if result.states_explored else "")
-        )
+    result = checker.check_invariant(module, module.invarspecs[0])
+    print(
+        f"property: mutual exclusion -> {result.verdict.value} "
+        f"({result.states_explored} states)"
+    )
 
     # A property that is false: process a never reaches the critical section.
-    wrong = parse_expression("a != critical")
-    print("\nproperty: 'a never enters critical' (expected: violated)")
-    for engine in (ExplicitChecker(), BddChecker(), BmcChecker(max_bound=10)):
-        result = engine.check_invariant(module, wrong)
-        print(f"  {engine.name:<12} -> {result.verdict.value}")
-        if result.counterexample is not None and engine.name == "explicit":
-            print("\nshortest counterexample trace:")
-            print(result.counterexample.format())
+    result = checker.check_invariant(module, parse_expression("a != critical"))
+    print(f"\nproperty: 'a never enters critical' -> {result.verdict.value}")
+    print("\nshortest counterexample trace:")
+    print(result.counterexample.format())
 
 
 if __name__ == "__main__":

@@ -11,9 +11,9 @@ Public API highlights:
 - :mod:`repro.runtime` — the parallel, cache-aware query runner the
   analyses execute on;
 - :mod:`repro.smv`, :mod:`repro.fsm`, :mod:`repro.mc` — the SMV language
-  and model-checking stack (the nuXmv role);
-- :mod:`repro.sat`, :mod:`repro.bdd`, :mod:`repro.smt` — the solver
-  substrates underneath.
+  and the explicit-state model checker (the nuXmv role);
+- :mod:`repro.sat`, :mod:`repro.smt` — the CDCL and exact-simplex
+  substrates under the complete verification engine.
 """
 
 from .config import (

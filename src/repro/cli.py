@@ -133,10 +133,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="model-check an .smv file")
     check.add_argument("model", type=Path)
-    check.add_argument(
-        "--engine", choices=("explicit", "bdd", "bmc", "induction"), default="explicit"
-    )
-    check.add_argument("--bound", type=int, default=20, help="BMC/induction bound")
     check.set_defaults(handler=_cmd_check)
 
     statespace = sub.add_parser("statespace", help="Fig.-3 state-space counts")
@@ -453,23 +449,17 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    from .mc import BddChecker, BmcChecker, ExplicitChecker, KInduction
+    from .mc import ExplicitChecker
     from .smv import parse_module
 
     module = parse_module(args.model.read_text(encoding="utf-8"))
-    engines = {
-        "explicit": lambda: ExplicitChecker(),
-        "bdd": lambda: BddChecker(),
-        "bmc": lambda: BmcChecker(max_bound=args.bound),
-        "induction": lambda: KInduction(max_k=args.bound),
-    }
-    engine = engines[args.engine]()
+    checker = ExplicitChecker()
     if not module.invarspecs:
         print("no INVARSPEC properties in the model")
         return 1
     failures = 0
     for spec in module.invarspecs:
-        result = engine.check_invariant(module, spec)
+        result = checker.check_invariant(module, spec)
         print(f"[{result.verdict.value.upper()}] {result.property_text}")
         if result.violated and result.counterexample is not None:
             print(result.counterexample.format())

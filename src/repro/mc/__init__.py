@@ -1,39 +1,17 @@
-"""Model-checking engines (system S5 in DESIGN.md).
+"""Model checking (system S5 in DESIGN.md).
 
-Three engines over the same SMV → FSM semantics, mirroring the BDD-vs-SAT
-trade-off the paper discusses in §III-B:
-
-- :class:`ExplicitChecker` — BFS over concrete states, best for the
-  medium-sized noise FSMs of the case study;
-- :class:`BddChecker` — symbolic reachability with binary-encoded state
-  variables (PSPACE-style engine, wins on regular small-domain models);
-- :class:`BmcChecker` — SAT-based bounded model checking with
-  :class:`KInduction` on top for unbounded proofs.
-
-All three return :class:`CheckResult` with a counterexample trace when
-the property fails, and they agree with each other (cross-engine
-agreement is part of the test suite).
+:class:`ExplicitChecker` checks ``INVARSPEC`` properties of an SMV
+module by BFS over its concrete reachable states (the SMV → FSM
+semantics of :mod:`repro.fsm`).  It returns a :class:`CheckResult` with
+a shortest counterexample trace when the property fails.
 """
 
 from .result import CheckResult, Trace, Verdict
 from .explicit import ExplicitChecker
-from .symbolic import FormulaAlgebra, ValueSetCompiler
-from .bmc import BmcChecker
-from .induction import KInduction
-from .bdd_engine import BddChecker
-from .ltl import ltl_to_invariant
-from .simulate import Simulator
 
 __all__ = [
     "CheckResult",
     "Trace",
     "Verdict",
     "ExplicitChecker",
-    "BmcChecker",
-    "KInduction",
-    "BddChecker",
-    "ValueSetCompiler",
-    "FormulaAlgebra",
-    "ltl_to_invariant",
-    "Simulator",
 ]

@@ -18,8 +18,6 @@ class ExplicitChecker:
     like nuXmv's ``check_invar`` with the forward strategy.
     """
 
-    name = "explicit"
-
     def __init__(self, max_states: int = 1_000_000):
         self.max_states = max_states
 
@@ -47,7 +45,6 @@ class ExplicitChecker:
                     Verdict.VIOLATED,
                     property_text=print_expression(prop),
                     counterexample=trace_to(state),
-                    engine=self.name,
                     states_explored=len(parents),
                 )
             frontier.append(state)
@@ -65,21 +62,15 @@ class ExplicitChecker:
                         Verdict.VIOLATED,
                         property_text=print_expression(prop),
                         counterexample=trace_to(successor),
-                        engine=self.name,
-                        states_explored=len(parents),
+                            states_explored=len(parents),
                     )
                 frontier.append(successor)
 
         return CheckResult(
             Verdict.HOLDS,
             property_text=print_expression(prop),
-            engine=self.name,
             states_explored=len(parents),
         )
-
-    def check_all_invariants(self, module: SmvModule) -> list[CheckResult]:
-        """Check every INVARSPEC declared in the module."""
-        return [self.check_invariant(module, spec) for spec in module.invarspecs]
 
     def _check_budget(self, parents) -> None:
         if len(parents) > self.max_states:

@@ -1,4 +1,4 @@
-"""Verdicts, traces and counterexamples shared by all engines."""
+"""Verdicts, traces and counterexamples of the model checker."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from enum import Enum
 class Verdict(Enum):
     HOLDS = "holds"
     VIOLATED = "violated"
-    UNKNOWN = "unknown"  # bounded engines that exhausted their bound
 
 
 @dataclass
@@ -51,9 +50,7 @@ class CheckResult:
     verdict: Verdict
     property_text: str = ""
     counterexample: Trace | None = None
-    engine: str = ""
     states_explored: int = 0
-    bound_reached: int = 0
 
     @property
     def holds(self) -> bool:
@@ -64,7 +61,4 @@ class CheckResult:
         return self.verdict is Verdict.VIOLATED
 
     def __repr__(self):
-        return (
-            f"CheckResult({self.verdict.value}, engine={self.engine!r}, "
-            f"states={self.states_explored})"
-        )
+        return f"CheckResult({self.verdict.value}, states={self.states_explored})"

@@ -2,46 +2,21 @@
 
 A from-scratch CDCL solver in the MiniSat lineage: two-watched literals,
 first-UIP conflict learning, VSIDS branching, phase saving and Luby
-restarts.  nuXmv delegates its bounded model checking to an embedded SAT
-core; this package plays that role here.
+restarts.  The incremental ladder sessions
+(:class:`repro.verify.incremental.LadderSession`) keep one solver per
+query and drive it under assumptions: the ReLU phase literals are its
+variables, and the exact simplex is its theory.
 """
 
 from .cnf import Cnf, parse_dimacs, to_dimacs
-from .formula import (
-    FALSE,
-    TRUE,
-    And,
-    BoolExpr,
-    Iff,
-    Implies,
-    Not,
-    Or,
-    Var,
-    Xor,
-    tseitin,
-)
 from .solver import CdclSolver, SatResult, SatStatus, solve_cnf
-from .brute import brute_force_models, brute_force_satisfiable
 
 __all__ = [
     "Cnf",
     "parse_dimacs",
     "to_dimacs",
-    "BoolExpr",
-    "Var",
-    "Not",
-    "And",
-    "Or",
-    "Implies",
-    "Iff",
-    "Xor",
-    "TRUE",
-    "FALSE",
-    "tseitin",
     "CdclSolver",
     "SatResult",
     "SatStatus",
     "solve_cnf",
-    "brute_force_models",
-    "brute_force_satisfiable",
 ]

@@ -119,23 +119,38 @@ class Simplex:
         """
         if self._trail_lim:
             raise SmtError("define() only allowed at decision level 0")
-        expansion: dict[int, Fraction] = {}
+        # Each term is num / den times a variable, or times a row (whose own
+        # denominator joins den); sum them as ints over the lcm of the dens.
+        terms: list[tuple[int, int, int, dict[int, int] | None]] = []
+        den = 1
         for var, raw_coeff in combination.items():
-            coeff = to_fraction(raw_coeff)
-            if coeff == 0:
-                continue
-            if var in self._rows:
-                den = self._den[var]
-                for inner, inner_coeff in self._rows[var].items():
-                    term = coeff * Fraction(inner_coeff, den)
-                    expansion[inner] = expansion.get(inner, Fraction(0)) + term
+            if type(raw_coeff) is int:
+                num, term_den = raw_coeff, 1
             else:
-                expansion[var] = expansion.get(var, Fraction(0)) + coeff
-        expansion = {v: c for v, c in expansion.items() if c != 0}
+                coeff = to_fraction(raw_coeff)
+                num, term_den = coeff.numerator, coeff.denominator
+            if num == 0:
+                continue
+            inner_row = self._rows.get(var)
+            if inner_row is not None:
+                term_den *= self._den[var]
+            terms.append((var, num, term_den, inner_row))
+            den = lcm(den, term_den)
+        expansion: dict[int, int] = {}
+        for var, num, term_den, inner_row in terms:
+            factor = num * (den // term_den)
+            if inner_row is None:
+                expansion[var] = expansion.get(var, 0) + factor
+            else:
+                for inner, inner_coeff in inner_row.items():
+                    expansion[inner] = expansion.get(inner, 0) + factor * inner_coeff
+        row = {v: c for v, c in expansion.items() if c}
+        # Dividing out the common gcd leaves the row in lowest terms.
+        g = gcd(den, *row.values())
+        if g != 1:
+            row = {v: c // g for v, c in row.items()}
+            den //= g
         slack = self.new_var()
-        # Over the lcm of its reduced denominators the row is in lowest terms.
-        den = lcm(*(c.denominator for c in expansion.values()))
-        row = {v: c.numerator * (den // c.denominator) for v, c in expansion.items()}
         self._rows[slack] = row
         self._den[slack] = den
         for var in row:

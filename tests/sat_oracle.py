@@ -1,15 +1,15 @@
-"""Brute-force SAT oracle.
+"""Brute-force SAT oracle for the tests.
 
 Exponential, for cross-validating the CDCL solver on small instances in
-the property-based tests — never used by the production paths.
+the property-based tests.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from ..errors import SatError
-from .cnf import Cnf
+from repro.errors import SatError
+from repro.sat.cnf import Cnf
 
 
 def brute_force_models(cnf: Cnf, max_vars: int = 20) -> list[dict[int, bool]]:

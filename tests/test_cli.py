@@ -40,11 +40,18 @@ INVARSPEC n <= 1;
 """,
             encoding="utf-8",
         )
-        code = main(["check", str(model), "--engine", "explicit"])
+        code = main(["check", str(model)])
         out = capsys.readouterr().out
         assert code == 1  # one property fails
         assert "[HOLDS]" in out and "[VIOLATED]" in out
         assert "State 0" in out  # counterexample trace printed
+
+    def test_check_has_no_engine_option(self, tmp_path, capsys):
+        model = tmp_path / "counter.smv"
+        model.write_text("MODULE main VAR x : boolean; INVARSPEC x | !x;", encoding="utf-8")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check", str(model), "--engine", "bdd"])
+        assert exit_info.value.code == 2  # argparse: unrecognized arguments
 
     def test_check_model_without_specs(self, tmp_path, capsys):
         model = tmp_path / "empty.smv"

@@ -3,7 +3,7 @@
 Two layers of the stack are cross-checked on randomized instances:
 
 - **SAT** — the CDCL solver (:mod:`repro.sat.solver`) against the
-  brute-force oracle (:mod:`repro.sat.brute`) on random small CNFs:
+  brute-force oracle (``tests/sat_oracle.py``) on random small CNFs:
   same satisfiability verdict, and every SAT model actually satisfies
   the formula.
 - **NN verification** — :class:`IntervalVerifier`,
@@ -23,7 +23,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import NoiseConfig
 from repro.nn.quantize import QuantizedLayer, QuantizedNetwork
-from repro.sat.brute import brute_force_models, brute_force_satisfiable
 from repro.sat.cnf import Cnf
 from repro.sat.solver import solve_cnf
 from repro.verify import (
@@ -34,6 +33,8 @@ from repro.verify import (
     VerificationStatus,
     build_query,
 )
+
+from sat_oracle import brute_force_models, brute_force_satisfiable
 
 SCALE = 1000
 

@@ -30,7 +30,7 @@ from repro.core import NoiseToleranceAnalysis
 from repro.data.dataset import Dataset
 from repro.errors import BudgetExceededError
 from repro.nn.quantize import QuantizedLayer, QuantizedNetwork
-from repro.sat import CdclSolver, Cnf, SatStatus, brute_force_satisfiable
+from repro.sat import CdclSolver, Cnf, SatStatus
 from repro.verify import (
     FrontierProbe,
     LadderSession,
@@ -39,6 +39,8 @@ from repro.verify import (
     build_query,
     resolve_survivors,
 )
+
+from sat_oracle import brute_force_satisfiable
 
 SCALE = 1000
 

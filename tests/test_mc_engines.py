@@ -1,24 +1,24 @@
-"""Tests for the explicit, BDD and BMC/k-induction engines.
+"""Tests for the explicit-state model checker.
 
-The key property: all engines agree on every model/property pair,
-including randomly generated small modules.
+The key property: on randomly generated small modules, the checker's
+verdict and shortest counterexample match a reachability oracle computed
+in plain Python, outside the SMV → FSM semantics it runs on.
 """
 
 from __future__ import annotations
 
-import pytest
-from hypothesis import given, settings, strategies as st
+from fractions import Fraction
 
-from repro.errors import ModelCheckingError
-from repro.mc import (
-    BddChecker,
-    BmcChecker,
-    ExplicitChecker,
-    KInduction,
-    Verdict,
-    ltl_to_invariant,
-)
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+from repro.config import NoiseConfig
+from repro.core import network_noise_module
+from repro.fsm import TransitionSystem, evaluate_expression, explore
+from repro.mc import ExplicitChecker, Verdict
+from repro.nn.quantize import QuantizedLayer, QuantizedNetwork
 from repro.smv import parse_expression, parse_module
+from repro.smv.ast import Ident
 
 SAFE_COUNTER = """
 MODULE main
@@ -41,6 +41,18 @@ ASSIGN
   next(count) := case
       count < 7 : count + 1;
       TRUE : 7;
+    esac;
+"""
+
+WRAPPING_COUNTER = """
+MODULE main
+VAR
+  count : 0..5;
+ASSIGN
+  init(count) := 0;
+  next(count) := case
+      count < 5 : count + 1;
+      TRUE : 0;
     esac;
 """
 
@@ -99,6 +111,12 @@ class TestExplicit:
         )
         assert result.verdict is Verdict.HOLDS
 
+    def test_wrapping_counter_verdicts(self):
+        module = parse_module(WRAPPING_COUNTER)
+        checker = ExplicitChecker()
+        assert checker.check_invariant(module, prop("count <= 5")).holds
+        assert checker.check_invariant(module, prop("count < 5")).violated
+
     def test_trace_format(self):
         result = ExplicitChecker().check_invariant(
             parse_module(UNSAFE_COUNTER), prop("count < 2")
@@ -107,139 +125,110 @@ class TestExplicit:
         assert "State 0" in text and "count = 2" in text
 
 
-class TestBdd:
-    def test_holds(self):
-        result = BddChecker().check_invariant(
-            parse_module(SAFE_COUNTER), prop("count <= 5")
+class TestNoiseModel:
+    def test_every_reachable_eval_state_matches_predict_single(self):
+        """The translated NN model's ``oc`` is the exact network output in
+        every noise state the FSM reaches."""
+        network = QuantizedNetwork(
+            [
+                QuantizedLayer(
+                    ((Fraction(1), Fraction(-1)),), (Fraction(0),), relu=True
+                ),
+                QuantizedLayer(
+                    ((Fraction(1),), (Fraction(-1),)), (Fraction(0), Fraction(1)), relu=False
+                ),
+            ]
         )
-        assert result.verdict is Verdict.HOLDS
-
-    def test_violated_trace_is_valid_execution(self):
-        module = parse_module(UNSAFE_COUNTER)
-        result = BddChecker().check_invariant(module, prop("count < 4"))
-        assert result.verdict is Verdict.VIOLATED
-        trace = result.counterexample
-        assert trace[0]["count"] == 0
-        # Each step increments by 1 in this deterministic model.
-        for before, after in zip(trace.states, trace.states[1:]):
-            assert after["count"] == before["count"] + 1
-        assert trace.final["count"] == 4
-
-    def test_mutex_holds(self):
-        result = BddChecker().check_invariant(
-            parse_module(MUTEX), prop("!(a = critical & b = critical)")
+        module, query = network_noise_module(
+            network, np.array([10, 9]), 0, NoiseConfig(2)
         )
-        assert result.verdict is Verdict.HOLDS
-
-
-class TestBmc:
-    def test_finds_counterexample(self):
-        result = BmcChecker(max_bound=10).check_invariant(
-            parse_module(UNSAFE_COUNTER), prop("count < 4")
-        )
-        assert result.verdict is Verdict.VIOLATED
-        assert result.bound_reached == 4  # shortest depth
-        assert result.counterexample.final["count"] == 4
-
-    def test_unknown_when_bound_too_small(self):
-        result = BmcChecker(max_bound=3).check_invariant(
-            parse_module(UNSAFE_COUNTER), prop("count < 4")
-        )
-        assert result.verdict is Verdict.UNKNOWN
-
-    def test_safe_model_returns_unknown_not_holds(self):
-        result = BmcChecker(max_bound=8).check_invariant(
-            parse_module(SAFE_COUNTER), prop("count <= 5")
-        )
-        assert result.verdict is Verdict.UNKNOWN  # BMC cannot prove
-
-
-class TestKInduction:
-    def test_proves_safe_counter(self):
-        result = KInduction(max_k=10).check_invariant(
-            parse_module(SAFE_COUNTER), prop("count <= 5")
-        )
-        assert result.verdict is Verdict.HOLDS
-
-    def test_finds_violation(self):
-        result = KInduction(max_k=10).check_invariant(
-            parse_module(UNSAFE_COUNTER), prop("count < 4")
-        )
-        assert result.verdict is Verdict.VIOLATED
-        assert result.counterexample.final["count"] == 4
-
-    def test_proves_mutex(self):
-        result = KInduction(max_k=10).check_invariant(
-            parse_module(MUTEX), prop("!(a = critical & b = critical)")
-        )
-        assert result.verdict is Verdict.HOLDS
-
-
-class TestLtlBridge:
-    def test_g_formula_reduces_to_invariant(self):
-        module = parse_module(
-            SAFE_COUNTER + "LTLSPEC G (count <= 5);"
-        )
-        invariant = ltl_to_invariant(module.ltlspecs[0])
-        result = ExplicitChecker().check_invariant(module, invariant)
-        assert result.verdict is Verdict.HOLDS
-
-    def test_nested_temporal_rejected(self):
-        module = parse_module(
-            SAFE_COUNTER + "LTLSPEC G (F (count = 0));"
-        )
-        with pytest.raises(ModelCheckingError):
-            ltl_to_invariant(module.ltlspecs[0])
-
-    def test_non_g_rejected(self):
-        module = parse_module(SAFE_COUNTER + "LTLSPEC F (count = 5);")
-        with pytest.raises(ModelCheckingError):
-            ltl_to_invariant(module.ltlspecs[0])
+        system = TransitionSystem(module)
+        states = [system.as_dict(s) for s in explore(system).states]
+        eval_states = [s for s in states if s["phase"] == "eval"]
+        vectors = {tuple(s[f"p{i}"] for i in range(2)) for s in eval_states}
+        assert len(vectors) == 25  # every noise vector of [-2, 2]^2
+        for state in eval_states:
+            vector = tuple(state[f"p{i}"] for i in range(2))
+            assert (
+                evaluate_expression(Ident("oc"), state, module)
+                == query.predict_single(vector)
+            )
 
 
 @st.composite
-def random_module_and_prop(draw):
-    """Small random transition system plus a random threshold property."""
+def random_counter(draw):
+    """Parameters of a small counter whose step is gated by a free flag."""
     domain_high = draw(st.integers(1, 4))
-    start = draw(st.integers(0, domain_high))
-    increment = draw(st.integers(1, 2))
-    wrap = draw(st.booleans())
-    threshold = draw(st.integers(0, domain_high))
-    reset_value = draw(st.integers(0, domain_high))
-    wrap_expr = str(reset_value) if wrap else "n"
-    text = f"""
+    return {
+        "domain_high": domain_high,
+        "start": draw(st.integers(0, domain_high)),
+        "increment": draw(st.integers(1, 2)),
+        "wrap": draw(st.booleans()),
+        "reset_value": draw(st.integers(0, domain_high)),
+        "threshold": draw(st.integers(0, domain_high)),
+    }
+
+
+def counter_module(params) -> str:
+    wrap_expr = str(params["reset_value"]) if params["wrap"] else "n"
+    return f"""
 MODULE main
 VAR
-  n : 0..{domain_high};
+  n : 0..{params["domain_high"]};
   flag : boolean;
 ASSIGN
-  init(n) := {start};
+  init(n) := {params["start"]};
   next(n) := case
-      flag & n + {increment} <= {domain_high} : n + {increment};
+      flag & n + {params["increment"]} <= {params["domain_high"]} : n + {params["increment"]};
       TRUE : {wrap_expr};
     esac;
 """
-    return text, f"n <= {threshold}"
 
 
-class TestCrossEngineAgreement:
-    @given(random_module_and_prop())
-    @settings(max_examples=60, deadline=None)
-    def test_three_engines_agree(self, pair):
-        text, property_text = pair
-        module = parse_module(text)
-        expr = prop(property_text)
+def counter_step(params, n: int, flag: bool) -> int:
+    """The counter's next ``n``, written out in plain Python."""
+    if flag and n + params["increment"] <= params["domain_high"]:
+        return n + params["increment"]
+    return params["reset_value"] if params["wrap"] else n
 
-        explicit = ExplicitChecker().check_invariant(module, expr)
-        bdd = BddChecker().check_invariant(parse_module(text), expr)
-        induction = KInduction(max_k=15).check_invariant(parse_module(text), expr)
 
-        assert explicit.verdict is bdd.verdict
-        assert induction.verdict in (explicit.verdict, Verdict.UNKNOWN)
-        if explicit.verdict is Verdict.VIOLATED:
-            assert bdd.counterexample is not None
-            # BMC path must also find it.
-            bmc = BmcChecker(max_bound=15).check_invariant(parse_module(text), expr)
-            assert bmc.verdict is Verdict.VIOLATED
-            # Shortest counterexample lengths coincide (BFS vs BMC depth).
-            assert len(bmc.counterexample) == len(explicit.counterexample)
+def counter_depths(params) -> dict[int, int]:
+    """BFS depth of every reachable ``n``; ``flag`` is free in every state."""
+    depths = {params["start"]: 0}
+    frontier = [params["start"]]
+    while frontier:
+        successors = []
+        for n in frontier:
+            for flag in (False, True):
+                after = counter_step(params, n, flag)
+                if after not in depths:
+                    depths[after] = depths[n] + 1
+                    successors.append(after)
+        frontier = successors
+    return depths
+
+
+class TestAgainstOracle:
+    @given(random_counter())
+    @example(  # the reset reaches 2 in one step; counting up takes two
+        {"domain_high": 2, "start": 0, "increment": 1, "wrap": True,
+         "reset_value": 2, "threshold": 1}
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_explicit_matches_bfs_oracle(self, params):
+        threshold = params["threshold"]
+        result = ExplicitChecker().check_invariant(
+            parse_module(counter_module(params)), prop(f"n <= {threshold}")
+        )
+
+        violating = [d for n, d in counter_depths(params).items() if n > threshold]
+        if not violating:
+            assert result.verdict is Verdict.HOLDS
+            return
+        assert result.verdict is Verdict.VIOLATED
+        trace = result.counterexample.states
+        assert len(trace) == min(violating) + 1
+        assert trace[0]["n"] == params["start"]
+        assert trace[-1]["n"] > threshold
+        for before, after in zip(trace, trace[1:]):
+            assert after["n"] == counter_step(params, before["n"], before["flag"])

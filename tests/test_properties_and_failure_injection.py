@@ -1,8 +1,8 @@
 """Cross-cutting property tests and failure injection.
 
 These target the invariants DESIGN.md §7 commits to: interval soundness,
-Tseitin equisatisfiability, scaled-query/network agreement on deep nets,
-and graceful behaviour on degenerate inputs.
+scaled-query/network agreement on deep nets, and graceful behaviour on
+degenerate inputs.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from hypothesis import given, settings, strategies as st
 from repro.config import NoiseConfig
 from repro.errors import VerificationError
 from repro.nn.quantize import QuantizedLayer, QuantizedNetwork
-from repro.sat import CdclSolver, SatStatus, tseitin
-from repro.sat.formula import And, FALSE, Iff, Implies, Not, Or, TRUE, Var, Xor
 from repro.verify import (
     ExhaustiveEnumerator,
     IntervalVerifier,
@@ -101,68 +99,6 @@ class TestDeepNetworks:
         query = build_query(network, x, label, noise)
         if IntervalVerifier().verify(query).is_robust:
             assert ExhaustiveEnumerator().verify(query).is_robust
-
-
-@st.composite
-def random_formula(draw, depth=0):
-    if depth >= 4 or draw(st.booleans()):
-        choice = draw(st.integers(0, 4))
-        if choice == 0:
-            return TRUE
-        if choice == 1:
-            return FALSE
-        return Var(f"v{draw(st.integers(0, 3))}")
-    kind = draw(st.sampled_from(["not", "and", "or", "implies", "iff", "xor"]))
-    if kind == "not":
-        return Not(draw(random_formula(depth + 1)))
-    left = draw(random_formula(depth + 1))
-    right = draw(random_formula(depth + 1))
-    return {
-        "and": And,
-        "or": Or,
-        "implies": Implies,
-        "iff": Iff,
-        "xor": Xor,
-    }[kind](left, right)
-
-
-class TestTseitin:
-    @given(random_formula())
-    @settings(max_examples=200, deadline=None)
-    def test_equisatisfiable_with_semantics(self, formula):
-        """tseitin(F) SAT  <=>  F has a satisfying assignment."""
-        cnf, var_map = tseitin(formula)
-        solver = CdclSolver()
-        solver.add_cnf(cnf)
-        solver_says = solver.solve().status is SatStatus.SAT
-
-        names = sorted(formula.variables())
-        semantic = False
-        for mask in range(2 ** len(names)):
-            assignment = {
-                name: bool((mask >> i) & 1) for i, name in enumerate(names)
-            }
-            if formula.evaluate(assignment):
-                semantic = True
-                break
-        assert solver_says == semantic
-
-    @given(random_formula())
-    @settings(max_examples=100, deadline=None)
-    def test_model_projects_to_satisfying_assignment(self, formula):
-        cnf, var_map = tseitin(formula)
-        solver = CdclSolver()
-        solver.add_cnf(cnf)
-        result = solver.solve()
-        if result.status is not SatStatus.SAT:
-            return
-        assignment = {
-            name: result.model[index] for name, index in var_map.items()
-        }
-        # Variables absent from the map (formula had none) default False.
-        for name in formula.variables():
-            assignment.setdefault(name, False)
-        assert formula.evaluate(assignment)
 
 
 class TestFailureInjection:

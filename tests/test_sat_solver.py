@@ -10,12 +10,13 @@ from repro.sat import (
     CdclSolver,
     Cnf,
     SatStatus,
-    brute_force_satisfiable,
     parse_dimacs,
     solve_cnf,
     to_dimacs,
 )
 from repro.sat.solver import luby
+
+from sat_oracle import brute_force_satisfiable
 
 
 class TestBasics:

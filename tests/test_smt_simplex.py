@@ -627,10 +627,15 @@ class TestAgainstReference:
             s.assert_lower(gap, 1)
             assert s.check().pivots == 1  # total leaves the basis, x enters
             assert total not in s._rows and gap in s._rows
+            # Fraction coefficients over the pivoted row gap = (total - 5y) / 2.
+            mixed = s.define({gap: Fraction(-3, 4), total: Fraction(1, 6), y: Fraction(5, 2)})
+            reduced = s.define({gap: Fraction(-3, 4), total: Fraction(3, 8), y: Fraction(1, 8)})
             s.push()
             assert s.assert_upper(gap, Fraction(5, 3)) is None  # a basic bound
             assert s.assert_lower(total, Fraction(29, 4)) is None  # moves total
         new, ref = sides
+        assert (new._rows[mixed], new._den[mixed]) == ({total: -5, y: 105}, 24)
+        assert (new._rows[reduced], new._den[reduced]) == ({y: 2}, 1)  # total cancels
         assert new._scale == 12
         assert_same_state(new, ref)
         assert new.check() == ref.check()
