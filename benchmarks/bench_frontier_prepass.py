@@ -1,11 +1,11 @@
-"""E-frontier — bulk prepass + bisected dispatch vs per-query portfolio.
+"""E-frontier — bulk prepass + bisected dispatch vs a per-query loop.
 
 The claim under test: on the Fig.-4 tolerance workload (the live
 misclassification sweep over every ``(input, percent)`` grid point), the
 frontier-batched plane issues **≥ 5× fewer complete-engine invocations**
-than the per-query portfolio — one ``QueryRunner.verify_at`` per grid
-point on a fresh runner (monotone cache on, as in production) — the
-vectorised incomplete passes decide
+than a per-query loop — one ``QueryRunner.verify_at``, a frontier of
+one, per grid point on a fresh runner (monotone cache on, as in
+production) — the vectorised incomplete passes decide
 the cheap mass in bulk, and each input's boundary band is dispatched
 along a monotone bisection (``O(log w)`` complete calls instead of
 ``w``) — at a measurable wall-clock win, with bit-identical results.

@@ -1,4 +1,4 @@
-"""Ablation — weight-quantisation scale (DESIGN.md design choice).
+"""Ablation — the weight-quantisation scale, a design choice.
 
 The formal model snaps float weights to rationals with denominator
 ``weight_scale``.  Too coarse and the quantised network disagrees with

@@ -1,4 +1,4 @@
-"""Reporting and figure regeneration (system S11 in DESIGN.md).
+"""Reporting and figure regeneration.
 
 Turns analysis reports into the tables and ASCII series matching each
 panel of the paper's Fig. 3 and Fig. 4, plus JSON experiment records so

@@ -1,4 +1,4 @@
-"""FANNet methodology (system S10 in DESIGN.md) — the paper's contribution.
+"""FANNet methodology — the paper's contribution.
 
 The Fig.-2 pipeline, faithfully:
 

@@ -1,4 +1,4 @@
-"""Data substrate (systems S2 + S3 in DESIGN.md).
+"""Data substrate.
 
 The paper's case study uses the Golub leukemia microarray dataset
 (7129 genes, 38 training / 34 testing samples, two classes ALL/AML) with

@@ -1,6 +1,6 @@
 """Synthetic Golub-style leukemia microarray generator.
 
-**Substitution note (DESIGN.md §6).**  The paper trains on the Golub 1999
+**Substitution note.**  The paper trains on the Golub 1999
 leukemia dataset fetched from ``web.stanford.edu`` — unavailable offline.
 This module generates a synthetic dataset that preserves every property the
 paper's analysis depends on:

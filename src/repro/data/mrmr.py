@@ -1,4 +1,4 @@
-"""Minimum-Redundancy Maximum-Relevance feature selection (system S3).
+"""Minimum-Redundancy Maximum-Relevance feature selection.
 
 Implements Peng et al.'s incremental mRMR over discretised variables,
 supporting both classic criteria:

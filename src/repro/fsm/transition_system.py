@@ -97,25 +97,6 @@ class TransitionSystem:
         for values in product(*per_var_choices):
             yield tuple(values)
 
-    def successor_count(self, state: State) -> int:
-        """Number of outgoing transitions without materialising them."""
-        context = self.as_dict(state)
-        count = 1
-        for name in self.var_names:
-            next_expr = self.module.assigns.next.get(name)
-            if next_expr is None:
-                count *= len(self._domains[name])
-            else:
-                legal = {
-                    value
-                    for value in evaluate_choices(next_expr, context, self.module)
-                    if self.in_domain(name, value)
-                }
-                count *= len(legal)
-        return count
-
-    # -- property evaluation -------------------------------------------------------------
-
     def holds(self, expr: Expr, state: State) -> bool:
         """Truth of a boolean expression in ``state``."""
         value = evaluate_expression(expr, self.as_dict(state), self.module)
@@ -245,12 +226,3 @@ class TransitionSystem:
         raise ModelCheckingError(
             f"interval analysis cannot handle {type(expr).__name__}"
         )
-
-    # -- metrics ------------------------------------------------------------------------------
-
-    def state_space_bound(self) -> int:
-        """Product of domain sizes — the a-priori state-space size."""
-        bound = 1
-        for domain in self._domains.values():
-            bound *= len(domain)
-        return bound

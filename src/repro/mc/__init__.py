@@ -1,4 +1,4 @@
-"""Model checking (system S5 in DESIGN.md).
+"""Model checking.
 
 :class:`ExplicitChecker` checks ``INVARSPEC`` properties of an SMV
 module by BFS over its concrete reachable states (the SMV → FSM

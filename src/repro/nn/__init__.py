@@ -1,4 +1,4 @@
-"""Neural-network substrate (system S1 in DESIGN.md).
+"""Neural-network substrate.
 
 A small, self-contained feed-forward stack: float training via numpy and
 *exact rational inference* via :mod:`fractions`, so the network handed to

@@ -30,9 +30,6 @@ class Activation:
     def forward_exact(self, x: Sequence[Fraction]) -> list[Fraction]:
         raise NotImplementedError
 
-    def is_piecewise_linear(self) -> bool:
-        return True
-
     def __repr__(self):
         return f"{type(self).__name__}()"
 

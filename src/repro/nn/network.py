@@ -57,16 +57,6 @@ class Network:
             out = layer.forward(out)
         return out
 
-    def forward_trace(self, x: np.ndarray) -> list[np.ndarray]:
-        """Pre-activations of every layer, for backprop and diagnostics."""
-        trace = []
-        out = np.asarray(x, dtype=np.float64)
-        for layer in self.layers:
-            pre = layer.preactivation(out)
-            trace.append(pre)
-            out = layer.activation.forward(pre)
-        return trace
-
     def predict(self, x: np.ndarray) -> int | np.ndarray:
         """Predicted class label(s); ties resolve to the lower index."""
         out = self.logits(x)
@@ -82,16 +72,6 @@ class Network:
         for layer in self.layers:
             out = layer.forward_exact(out)
         return out
-
-    def hidden_preactivations_exact(self, x: Sequence) -> list[list[Fraction]]:
-        """Exact pre-activations per layer (used to validate encoders)."""
-        trace = []
-        out = to_fraction_vector(x)
-        for layer in self.layers:
-            pre = layer.preactivation_exact(out)
-            trace.append(pre)
-            out = layer.activation.forward_exact(pre)
-        return trace
 
     def predict_exact(self, x: Sequence) -> int:
         """Exact predicted class; this is the value formal analysis checks."""

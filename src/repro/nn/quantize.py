@@ -79,16 +79,6 @@ class QuantizedNetwork:
     def predict(self, x: Sequence) -> int:
         return argmax_with_tiebreak(self.logits(x))
 
-    def preactivation_trace(self, x: Sequence) -> list[list[Fraction]]:
-        """Pre-activations of every layer; used to cross-check encoders."""
-        trace = []
-        out = [_as_fraction(v) for v in x]
-        for layer in self.layers:
-            pre = layer.preactivation(out)
-            trace.append(pre)
-            out = layer.forward(out)
-        return trace
-
     # -- the paper's noise channel ------------------------------------------
 
     def noisy_input(self, x: Sequence, percents: Sequence[int]) -> list[Fraction]:

@@ -1,4 +1,4 @@
-"""Analysis runtime (system S11): parallel, cache-aware query execution.
+"""Analysis runtime: parallel, cache-aware query execution.
 
 The FANNet methodology is embarrassingly parallel — the P2 noise-tolerance
 search, the P3 noise-vector extraction and the Eq.-3 sensitivity probes
@@ -6,9 +6,10 @@ each issue hundreds of *independent* verification queries per input.
 This package turns that structure into throughput:
 
 - :class:`QueryRunner` — the chokepoint every analysis submits work
-  through: memoised single queries, whole-ladder/grid frontiers resolved
-  by the vectorised bulk prepass of :mod:`repro.verify.batch` (the only
-  implementation of the incomplete stages), plus per-input task fan-out
+  through: whole-ladder/grid frontiers resolved by the vectorised bulk
+  prepass of :mod:`repro.verify.batch` (the only implementation of the
+  incomplete stages; a single query is a frontier of one) and one
+  portfolio's complete stage, plus per-input task fan-out
   over a process pool with deterministic ``(seed, input index)`` seeding.  An
   :class:`~repro.verify.stats.EngineStats` table records per-stage
   attempts, decisions and wall time for the engine-utilisation report;

@@ -23,8 +23,10 @@ verification work.  It provides:
   of the frontier — one interval matmul pair per layer for *all*
   queries, concatenated falsifier evaluations — and only the boundary
   band reaches a complete engine, per query (lazily for searches,
-  monotone-bisected for grids).  A lone :meth:`verify_at` miss runs the
-  same prepass on a frontier of one inside its portfolio.
+  monotone-bisected for grids).  A lone :meth:`verify_at` is a frontier
+  of one, and a single Eq.-3 probe a ladder of one input.  One
+  :class:`~repro.verify.portfolio.PortfolioVerifier` per runner serves
+  the complete stage.
 - **Engine utilisation** — an :class:`~repro.verify.stats.EngineStats`
   table records per-stage attempts, decisions and wall time for this
   runner's own work (worker tables fold in; nothing is persisted).  It
@@ -48,7 +50,7 @@ from __future__ import annotations
 import functools
 import threading
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -141,7 +143,10 @@ class QueryRunner:
             if warm:
                 self.cache.preload(warm)
         self.stats = RunnerStats()
-        self._verifiers: dict[int, PortfolioVerifier] = {}
+        #: The complete stage for every query: its warm ladder sessions
+        #: are keyed by (input values, label), so all of one input's
+        #: boundary-band rungs share a session whatever index asks.
+        self._portfolio = PortfolioVerifier(self.config, engine_stats=self.engine_stats)
         self._pool: ProcessPoolExecutor | None = None
         #: Keys whose incomplete stages a bulk prepass already exhausted:
         #: a later exact query skips straight to the complete engine.
@@ -156,20 +161,6 @@ class QueryRunner:
         #: maintenance operations (periodic flushes, a stats endpoint
         #: sampling a runner mid-job) are safe from any thread.
         self._io_lock = threading.RLock()
-
-    # -- engine selection -------------------------------------------------------
-
-    def _verifier_for(self, index: int) -> PortfolioVerifier:
-        """Per-input verifier with a seed derived from (base seed, index)."""
-        verifier = self._verifiers.get(index)
-        if verifier is None:
-            seeded = replace(self.config, seed=derive_seed(self.config.seed, index))
-            verifier = PortfolioVerifier(
-                seeded,
-                engine_stats=self.engine_stats,
-            )
-            self._verifiers[index] = verifier
-        return verifier
 
     @functools.cached_property
     def encoding(self) -> NetworkEncoding:
@@ -203,23 +194,9 @@ class QueryRunner:
     def verify_at(
         self, x, true_label: int, percent: int, index: int = -1
     ) -> VerificationResult:
-        """One robustness query at ``±percent``, memoised."""
-        x = tuple(int(v) for v in x)
+        """One robustness query at ``±percent``: a frontier of one."""
         key = make_key("verify", index, x, true_label, percent)
-        cached = self.cache.get(key)
-        if cached is not MISS:
-            return cached
-        query = self._build_query(x, true_label, percent)
-        if key in self._frontier_unknown:
-            # The bulk prepass already ran (and failed) every incomplete
-            # stage for this query: go straight to the complete engine.
-            self._frontier_unknown.discard(key)
-            result = self._verifier_for(index).verify_complete(query)
-        else:
-            result = self._verifier_for(index).verify(query)
-        self.stats.verify_calls += 1
-        self.cache.put(key, result)
-        return result
+        return self.verify_frontier([(index, x, true_label, percent)])[key]
 
     def collect_at(
         self,
@@ -281,7 +258,9 @@ class QueryRunner:
         cached = self.cache.get(key)
         if cached is not MISS:
             return cached
-        threshold = self._probe_threshold(index, x, true_label, node, sign, percent)
+        # A ladder of one input: the bulk evaluation fills the threshold memo.
+        self.probe_ladder([(index, x, true_label)], node, sign, percent)
+        threshold = self._probe_thresholds[(index, x, true_label, node, sign)][1]
         flips = threshold is not None and threshold <= percent
         self.stats.probe_evals += 1
         self.cache.put(key, flips)
@@ -382,14 +361,8 @@ class QueryRunner:
         return outcome
 
     def _complete_probe(self, probe: FrontierProbe) -> VerificationResult:
-        """Complete-engine dispatch for one frontier survivor (memoised).
-
-        Routed through the probe's per-input portfolio, which carries the
-        *session affinity*: every bisection probe of one input's boundary
-        band lands in the same warm
-        :class:`~repro.verify.incremental.LadderSession`."""
-        index = probe.group[0]
-        result = self._verifier_for(index).verify_complete(probe.query)
+        """Complete-engine dispatch for one frontier survivor (memoised)."""
+        result = self._portfolio.verify_complete(probe.query)
         self.stats.verify_calls += 1
         self.cache.put(probe.key, result)
         self._frontier_unknown.discard(probe.key)
@@ -424,30 +397,6 @@ class QueryRunner:
             flips = np.nonzero(row_labels != true_label)[0]
             threshold = int(flips[0]) + 1 if flips.size else None
             self._probe_thresholds[group] = (ceiling, threshold)
-
-    def _probe_threshold(
-        self, index: int, x, true_label: int, node: int, sign: int, percent: int
-    ) -> int | None:
-        """Minimal flipping magnitude ≤ ``percent`` from the ladder memo.
-
-        Extends the memo with one vectorised evaluation when the asked
-        percent exceeds what has been checked so far.
-        """
-        group = (index, x, true_label, node, sign)
-        memo = self._probe_thresholds.get(group)
-        if memo is not None:
-            checked, threshold = memo
-            if threshold is not None or checked >= percent:
-                return threshold
-        checked = memo[0] if memo is not None else 0
-        query = self._build_query(x, true_label, percent)
-        magnitudes = np.arange(checked + 1, percent + 1, dtype=np.int64)
-        block = np.zeros((magnitudes.shape[0], len(x)), dtype=np.int64)
-        block[:, node] = sign * magnitudes
-        flips = np.nonzero(query.labels_for_batch(block) != true_label)[0]
-        threshold = int(magnitudes[flips[0]]) if flips.size else None
-        self._probe_thresholds[group] = (percent, threshold)
-        return threshold
 
     # -- fan-out ----------------------------------------------------------------------
 

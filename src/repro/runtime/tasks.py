@@ -12,13 +12,13 @@ Tasks return plain dicts/tuples rather than the report dataclasses of
 :mod:`repro.core` so the runtime layer stays import-free of the analysis
 layer (the analyses wrap task outcomes into their own report types).
 
-Ladder tasks carry *session affinity* for free: every query a task
-issues for its input routes through ``runner._verifier_for(index)``, the
-same per-input portfolio — so all of one input's boundary-band rungs
-(search probes and frontier bisection alike) reuse one warm
-:class:`~repro.verify.incremental.LadderSession`.  Sessions leave cache
-keys and contexts untouched, so warm disk verdicts short-circuit before
-any session is even created.
+Ladder tasks carry *session affinity* for free: every complete query a
+task issues goes to the runner's one portfolio, which keys its warm
+ladder sessions (:class:`~repro.verify.incremental.LadderSession`) by
+``(input values, label)`` — so all of one input's boundary-band rungs
+(search probes and frontier bisection alike) reuse one session.
+Sessions leave cache keys and contexts untouched, so warm disk verdicts
+short-circuit before any session is even created.
 """
 
 from __future__ import annotations

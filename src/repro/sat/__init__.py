@@ -1,4 +1,4 @@
-"""SAT substrate (system S6 in DESIGN.md).
+"""SAT substrate.
 
 A from-scratch CDCL solver in the MiniSat lineage: two-watched literals,
 first-UIP conflict learning, VSIDS branching, phase saving and Luby

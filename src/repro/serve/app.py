@@ -48,11 +48,10 @@ import json
 import threading
 import time
 
-from ..config import TrainConfig, VerifierConfig
-from ..data import load_leukemia_case_study
+from ..config import VerifierConfig
 from ..errors import ConfigError, DataError, ReproError
-from ..nn import load_network, quantize_network, train_paper_network
 from ..service import BatchService, BatchSpec, JobSpec, NetworkSpec
+from ..service.planner import build_network
 from ..service.service import _jsonable, _summarise_job
 from .http import HttpError, Request, Response, StreamResponse
 from .jobs import DONE_RETENTION, Job, JobCancelled, JobQueue, QueueFullError
@@ -88,7 +87,7 @@ class ServeApp:
         self.journal = None
         self.started_at = time.time()
         self._net_mutex = threading.Lock()
-        self._networks: dict[tuple, object] = {}
+        self._networks: dict[NetworkSpec, object] = {}
 
     def attach_journal(self, journal) -> dict:
         """Wire a :class:`~repro.serve.journal.JobJournal` and replay it.
@@ -444,24 +443,14 @@ class ServeApp:
         }
 
     def _network_for(self, spec: NetworkSpec):
-        """Quantised network for a spec (cached; mirrors the planner)."""
-        key = (spec.kind, spec.train_seed, spec.path)
+        """Quantised network for a spec (cached; built by the planner's builder)."""
         with self._net_mutex:
-            cached = self._networks.get(key)
+            cached = self._networks.get(spec)
         if cached is not None:
             return cached
-        if spec.kind == "case-study":
-            data = load_leukemia_case_study()
-            trained = train_paper_network(
-                data.train.features,
-                data.train.labels,
-                TrainConfig(seed=spec.train_seed),
-            )
-            quantized = quantize_network(trained.network)
-        else:
-            quantized = quantize_network(load_network(spec.path))
+        quantized = build_network(spec)
         with self._net_mutex:
-            return self._networks.setdefault(key, quantized)
+            return self._networks.setdefault(spec, quantized)
 
     # -- shutdown ----------------------------------------------------------------
 

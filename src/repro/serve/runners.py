@@ -94,11 +94,6 @@ class RunnerPool:
         with self._mutex:
             return list(self._entries.values())
 
-    def flush_all(self) -> None:
-        """Spill every runner's new cache entries to its disk store."""
-        for entry in self._snapshot():
-            entry.runner.flush()
-
     def close_all(self) -> None:
         """Flush and shut down every runner (daemon shutdown)."""
         with self._mutex:

@@ -97,13 +97,27 @@ class PlannedJob:
         return [t for t in self.tasks if t.shard(shard_count) == shard_index]
 
 
+def build_network(spec: NetworkSpec, load_case_study=None):
+    """The quantised network a spec names, built afresh (callers cache it).
+
+    A ``case-study`` network trains on the training split of the case
+    study ``load_case_study()`` returns (by default, a fresh one)."""
+    if spec.kind == "file":
+        return quantize_network(load_network(spec.path))
+    data = (load_case_study or load_leukemia_case_study)()
+    trained = train_paper_network(
+        data.train.features, data.train.labels, TrainConfig(seed=spec.train_seed)
+    )
+    return quantize_network(trained.network)
+
+
 class BatchPlanner:
     """Expands a spec into :class:`PlannedJob` lists, deduping resources."""
 
     def __init__(self, spec: BatchSpec):
         self.spec = spec
         self._case_study = None
-        self._networks: dict[tuple, Any] = {}
+        self._networks: dict[NetworkSpec, Any] = {}
         self._sources: dict[Any, tuple] = {}  # DataSourceSpec -> (data, digest, desc)
 
     # -- resource construction -------------------------------------------------
@@ -115,20 +129,10 @@ class BatchPlanner:
 
     def _network_for(self, network_spec: NetworkSpec):
         """The quantised network a spec names (cached per distinct source)."""
-        key = (network_spec.kind, network_spec.train_seed, network_spec.path)
-        quantized = self._networks.get(key)
+        quantized = self._networks.get(network_spec)
         if quantized is None:
-            if network_spec.kind == "case-study":
-                data = self._case_study_data()
-                result = train_paper_network(
-                    data.train.features,
-                    data.train.labels,
-                    TrainConfig(seed=network_spec.train_seed),
-                )
-                quantized = quantize_network(result.network)
-            else:  # "file"
-                quantized = quantize_network(load_network(network_spec.path))
-            self._networks[key] = quantized
+            quantized = build_network(network_spec, self._case_study_data)
+            self._networks[network_spec] = quantized
         return quantized
 
     def _dataset_for(

@@ -165,9 +165,6 @@ class ShardRunReport:
     reused: int = 0  # tasks skipped via validated ledger entries
     ledger_path: Path | None = None
 
-    def __iter__(self):  # old callers iterated the written paths
-        return iter(self.written)
-
 
 @dataclass
 class JobStatus:

@@ -1,4 +1,4 @@
-"""SMT substrate (system S8 in DESIGN.md).
+"""SMT substrate.
 
 Exact linear arithmetic over the rationals:
 

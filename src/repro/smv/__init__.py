@@ -1,4 +1,4 @@
-"""SMV modelling language substrate (system S4 in DESIGN.md).
+"""SMV modelling language substrate.
 
 A faithful subset of the nuXmv input language — the formal language the
 paper translates trained networks into (§IV-A):

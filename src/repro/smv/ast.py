@@ -162,6 +162,3 @@ class SmvModule:
     assigns: Assignments = field(default_factory=Assignments)
     invarspecs: list[Expr] = field(default_factory=list)
     ltlspecs: list[LtlExpr] = field(default_factory=list)
-
-    def symbol_names(self) -> set[str]:
-        return set(self.variables) | set(self.defines)

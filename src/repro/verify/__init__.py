@@ -1,4 +1,4 @@
-"""Neural-network verification engines (system S9 in DESIGN.md).
+"""Neural-network verification engines.
 
 The FANNet query (§IV-B of the paper): given a quantised network, a test
 input ``x`` with true label ``Sx`` and an integer-percent noise range,
@@ -23,7 +23,8 @@ Engines, ordered by the guarantees they offer:
 - :class:`PortfolioVerifier` — interval ⇒ falsifiers ⇒ complete engine,
   with the incomplete stages run as a one-probe :class:`FrontierPrepass`
   in one fixed order (an :class:`EngineStats` table reports their
-  decide rates and wall time); the default used by the FANNet pipeline.
+  decide rates and wall time).  The runtime keeps one per runner for
+  its complete stage.
 - :class:`LadderSession` (:mod:`repro.verify.incremental`) — the
   portfolio's complete stage for boxes too large to enumerate: each
   adversary encoded once (:func:`~repro.verify.smt_verifier.encode_adversary`,

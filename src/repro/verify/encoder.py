@@ -137,10 +137,6 @@ class ScaledQuery:
 
     # -- evaluation --------------------------------------------------------------
 
-    def input_affine(self) -> tuple[np.ndarray, np.ndarray]:
-        """``A0 = const + diag(x) · p``: returns (const, diagonal coeffs)."""
-        return 100 * self.x, self.x.copy()
-
     def forward_batch(self, noise: np.ndarray) -> np.ndarray:
         """Final-layer scaled values for a batch of noise rows (exact)."""
         noise = np.asarray(noise)

@@ -8,9 +8,12 @@ only the thin boundary band needs the complete solver.
 The incomplete stages run in one fixed order, interval → corner →
 random, as the frontier plane's
 :class:`~repro.verify.batch.FrontierPrepass` on a frontier of one probe;
-a survivor goes to the complete stage.  Every stage folds its attempts,
-decisions and wall time into an :class:`~repro.verify.stats.EngineStats`
-table (shared with the runner) for the engine-utilisation report.
+a survivor goes to the complete stage.  The analysis runtime keeps one
+portfolio per runner and calls :meth:`PortfolioVerifier.verify_complete`
+on the survivors of its own frontier prepass, whose random stage is
+seeded per input.  Every stage folds its attempts, decisions and wall
+time into an :class:`~repro.verify.stats.EngineStats` table (shared
+with the runner) for the engine-utilisation report.
 """
 
 from __future__ import annotations
@@ -26,9 +29,10 @@ from .result import VerificationResult, VerificationStatus
 from .stats import EngineStats
 
 #: Warm ladder sessions kept per portfolio: one per (input, label) pair
-#: whose noise box was too large to enumerate.  A per-input portfolio
-#: only ever sees a handful of pairs; the cap is a safety net against
-#: unbounded growth when a verifier is shared across inputs.
+#: whose noise box was too large to enumerate.  A runner shares one
+#: portfolio across every input, and its analyses finish one input's
+#: ladder before moving on, so FIFO eviction of the oldest pair costs
+#: little; the cap bounds a long-lived (serve) runner's memory.
 MAX_SESSIONS = 8
 
 

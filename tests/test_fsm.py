@@ -110,11 +110,6 @@ class TestTransitionSystem:
         assert len(list(system.initial_states())) == 3
         assert len(list(system.successors((0,)))) == 3
 
-    def test_successor_count_matches_enumeration(self):
-        system = TransitionSystem(module_of(NONDET))
-        state = next(iter(system.initial_states()))
-        assert system.successor_count(state) == len(set(system.successors(state)))
-
     def test_out_of_domain_choices_deadlock(self):
         bad = module_of(
             "MODULE main VAR n : 0..3; ASSIGN init(n) := 0; next(n) := n + 1;"
@@ -122,7 +117,6 @@ class TestTransitionSystem:
         system = TransitionSystem(bad)
         # n = 3 would step to 4, outside the domain: the state deadlocks.
         assert list(system.successors((3,))) == []
-        assert system.successor_count((3,)) == 0
 
     def test_validate_reports_possible_overflow(self):
         bad = module_of(
@@ -135,10 +129,6 @@ class TestTransitionSystem:
     def test_validate_clean_model(self):
         system = TransitionSystem(module_of(COUNTER))
         assert system.validate() == []
-
-    def test_state_space_bound(self):
-        system = TransitionSystem(module_of(NONDET))
-        assert system.state_space_bound() == 4
 
     def test_holds(self):
         system = TransitionSystem(module_of(COUNTER))

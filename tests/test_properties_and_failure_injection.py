@@ -1,6 +1,6 @@
 """Cross-cutting property tests and failure injection.
 
-These target the invariants DESIGN.md §7 commits to: interval soundness,
+These target the invariants the verifiers rest on: interval soundness,
 scaled-query/network agreement on deep nets, and graceful behaviour on
 degenerate inputs.
 """

@@ -7,6 +7,8 @@ plus the per-input seed derivation and the process-pool fan-out.
 
 from __future__ import annotations
 
+import gc
+import weakref
 from dataclasses import fields, replace
 from fractions import Fraction
 
@@ -30,7 +32,7 @@ from repro.runtime import (
     verifier_fingerprint,
 )
 from repro.verify.result import VerificationResult, VerificationStatus
-from repro.verify import PortfolioVerifier, build_query
+from repro.verify import PortfolioVerifier, build_query, portfolio
 
 SCALE = 1000
 
@@ -440,7 +442,8 @@ class TestRunnerCaching:
         self, network, x, label, monkeypatch
     ):
         """With the cache off a ladder prepass's verdicts would be dropped
-        and re-derived by every probe: each engine call is one probe."""
+        and re-derived by every probe: each engine call is one probe, and
+        each probe is a frontier of one."""
         runner = QueryRunner(network, runtime=RuntimeConfig(cache=False))
         probes = []
         verify_at = runner.verify_at
@@ -454,7 +457,7 @@ class TestRunnerCaching:
         report = task.run(runner)
         assert probes
         assert runner.stats.verify_calls == len(probes)
-        assert runner.stats.frontier_queries == 0
+        assert runner.stats.frontier_queries == runner.stats.verify_calls
         cached = QueryRunner(network)
         assert task.run(cached) == report
 
@@ -475,11 +478,93 @@ class TestRunnerCaching:
         assert runner.engine_stats.stages["corner"].attempts == 1
 
     def test_verify_result_matches_direct_portfolio(self, network, x, label):
-        runner = QueryRunner(network, VerifierConfig())
-        query = build_query(network, np.array(x), label, NoiseConfig(max_percent=8))
-        direct = PortfolioVerifier(VerifierConfig()).verify(query)
-        via_runner = runner.verify_at(x, label, 8)
-        assert via_runner.status == direct.status
+        """A runner query equals a portfolio seeded with ``(seed, index)``.
+
+        The fixture network's rungs are decided by the interval, the
+        exhaustive and the corner stages; on the bump network only one
+        interior value of node 0 flips the label, so the random stage
+        decides and node 1's witness value comes from the seed."""
+        bump = make_network(
+            [[1000, 0], [1000, 0], [1000, 0]],
+            [-104000, -106000, -108000],
+            [[0, 0, 0], [1000, -2000, 1000]],
+            [1500, 0],
+        )
+        cases = [
+            (network, x, label, (1, 8, 15)),
+            (bump, (100, 100), 0, (3, 6, 10, 20, 60)),
+        ]
+        config = VerifierConfig()
+        stages = set()
+        random_witnesses = set()
+        for net, point, true_label, percents in cases:
+            for index in (-1, 0, 5):
+                seeded = replace(config, seed=derive_seed(config.seed, index))
+                for percent in percents:
+                    query = build_query(
+                        net, np.array(point), true_label, NoiseConfig(percent)
+                    )
+                    direct = PortfolioVerifier(seeded).verify(query)
+                    via_runner = QueryRunner(net, config).verify_at(
+                        point, true_label, percent, index=index
+                    )
+                    assert via_runner.status == direct.status
+                    assert via_runner.witness == direct.witness
+                    assert via_runner.predicted_label == direct.predicted_label
+                    assert via_runner.engine == direct.engine
+                    assert via_runner.stats["stage"] == direct.stats["stage"]
+                    stages.add(direct.stats["stage"])
+                    if direct.stats["stage"] == "random":
+                        random_witnesses.add(direct.witness)
+        assert stages == {"interval", "exhaustive", "corner", "random"}
+        assert len(random_witnesses) > 1  # the seed really moves the witness
+
+
+class TestSharedPortfolio:
+    """One portfolio per runner: warm ladder sessions are keyed by
+    ``(x, label)`` and bounded by ``MAX_SESSIONS``, whatever index asks."""
+
+    RUNGS = range(1, 41)
+
+    def test_sessions_are_shared_across_indices_and_bounded(self, monkeypatch):
+        live = weakref.WeakSet()
+        created = []
+
+        class TrackedSession(portfolio.LadderSession):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                live.add(self)
+                created.append(id(self))
+
+        monkeypatch.setattr(portfolio, "LadderSession", TrackedSession)
+        rng = np.random.default_rng(4)
+        draw = lambda *shape: rng.integers(-2000, 2001, shape).tolist()  # noqa: E731
+        net = make_network(draw(4, 5), draw(4), draw(2, 4), draw(2))
+        runner = QueryRunner(net)
+
+        def boundary_input():
+            # The next input whose ladder reaches the session stage.
+            while True:
+                point = tuple(int(v) for v in rng.integers(1, 31, 5))
+                label = net.predict(point)
+                before = len(created)
+                runner.verify_frontier(
+                    [(len(created), point, label, p) for p in self.RUNGS]
+                )
+                if len(created) > before:
+                    return point, label
+
+        point, label = boundary_input()
+        (session,) = live
+        rungs = session.rungs_verified
+        runner.verify_frontier([(99, point, label, p) for p in self.RUNGS])
+        assert len(created) == 1  # the second index reused the warm session
+        assert session.rungs_verified > rungs
+        del session
+        while len(created) <= portfolio.MAX_SESSIONS:
+            boundary_input()
+        gc.collect()
+        assert len(live) <= portfolio.MAX_SESSIONS
 
 
 class TestSharedEncoding:
@@ -763,7 +848,8 @@ class TestRunnerFanOut:
         assert pooled.stats.parallel_batches == 1  # the pool really ran
         assert pooled_reports == serial_reports
         assert pooled.stats.verify_calls == serial.stats.verify_calls
-        assert pooled.stats.frontier_queries == serial.stats.frontier_queries == 0
+        assert pooled.stats.frontier_queries == serial.stats.frontier_queries
+        assert serial.stats.frontier_queries == serial.stats.verify_calls
         assert pooled.cache.stats == serial.cache.stats
         assert pooled.cache.stats.stores == 0
         assert len(pooled.cache) == 0
