@@ -5,13 +5,9 @@ Run:  python examples/quickstart.py
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.config import NoiseConfig
 from repro.core import Fannet
 from repro.data import load_leukemia_case_study
 from repro.nn import train_paper_network
-from repro.verify import PortfolioVerifier, build_query
 
 
 def main() -> None:
@@ -34,11 +30,12 @@ def main() -> None:
     print("P1 validation passed: float net == exact net == SMV model")
 
     # 4. One formal robustness query: can ±5% noise on every gene flip the
-    #    first test sample's diagnosis?
-    x = np.asarray(case_study.test.features[0])
+    #    first test sample's diagnosis?  The runner runs the cheap stages
+    #    (interval, corner, random) first and a complete engine only if
+    #    they cannot decide; index=0 names the sample's cache entry.
+    x = case_study.test.features[0]
     label = int(case_study.test.labels[0])
-    query = build_query(fannet.quantized, x, label, NoiseConfig(max_percent=5))
-    verdict = PortfolioVerifier().verify(query)
+    verdict = fannet.runner.verify_at(x, label, 5, index=0)
     print(f"test[0] under ±5% noise: {verdict.status.value}")
 
     # 5. The headline number: the network's noise tolerance.

@@ -65,14 +65,6 @@ class BiasReport:
         )
 
     @property
-    def flips_away_from_majority(self) -> int:
-        return sum(
-            count
-            for (_, wrong), count in self.flip_matrix.items()
-            if wrong != self.training_majority_label
-        )
-
-    @property
     def total_flips(self) -> int:
         return sum(self.flip_matrix.values())
 

@@ -81,22 +81,6 @@ class NoiseVectorExtraction:
         # runner's budgets/seed win over a separately passed ``config``.
         self.config = self.runner.config
 
-    def _task(self, x, true_label: int, noise_percent: int, index: int) -> ExtractionTask:
-        return ExtractionTask(
-            index=index,
-            x=tuple(int(v) for v in x),
-            true_label=true_label,
-            percent=noise_percent,
-            limit=self.per_input_limit,
-        )
-
-    def extract_for_input(
-        self, x, true_label: int, noise_percent: int, index: int = -1
-    ) -> InputNoiseVectors:
-        """Unique adversarial vectors for one input at ``±noise_percent``."""
-        outcome = self._task(x, true_label, noise_percent, index).run(self.runner)
-        return InputNoiseVectors(index=index, true_label=true_label, **outcome)
-
     def extract(self, dataset: Dataset, noise_percent: int) -> ExtractionReport:
         """P3 extraction over every correctly-classified input.
 
@@ -107,12 +91,17 @@ class NoiseVectorExtraction:
         """
         report = ExtractionReport(noise_percent=noise_percent)
         tasks = [
-            self._task(x, true_label, noise_percent, index)
+            ExtractionTask(
+                index=index,
+                x=x,
+                true_label=true_label,
+                percent=noise_percent,
+                limit=self.per_input_limit,
+            )
             for index, x, true_label in self.runner.correctly_classified(dataset)
         ]
-        self.runner.verify_frontier(
-            [(t.index, t.x, t.true_label, t.percent) for t in tasks],
-            complete=False,
+        self.runner.prepass_frontier(
+            [(t.index, t.x, t.true_label, t.percent) for t in tasks]
         )
         for task, outcome in zip(tasks, self.runner.run_tasks(tasks)):
             report.per_input.append(

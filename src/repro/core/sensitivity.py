@@ -39,14 +39,6 @@ class NodeSensitivity:
         return self.positive + self.negative + self.zero
 
     @property
-    def positive_share(self) -> float:
-        return self.positive / self.total if self.total else 0.0
-
-    @property
-    def negative_share(self) -> float:
-        return self.negative / self.total if self.total else 0.0
-
-    @property
     def insensitive_to_positive(self) -> bool:
         """The paper's i5 pattern: counterexamples never push this node up."""
         return self.total > 0 and self.positive == 0
@@ -158,32 +150,11 @@ class InputSensitivityAnalysis:
 
     # -- Eq. 3 single-node probing ---------------------------------------------------
 
-    def _probe_inputs(self, dataset: Dataset) -> tuple:
-        """Correctly-classified ``(index, x, label)`` triples for the tasks."""
-        return tuple(self.runner.correctly_classified(dataset))
-
-    def single_node_probe(
-        self,
-        dataset: Dataset,
-        node: int,
-        sign: int,
-        search_ceiling: int = 60,
-    ) -> int | None:
-        """Minimal |noise| on ``node`` alone (sign fixed) flipping any
-        correctly-classified input; None if no flip up to the ceiling."""
-        task = ProbeTask(
-            node=node,
-            sign=sign,
-            ceiling=search_ceiling,
-            inputs=self._probe_inputs(dataset),
-        )
-        return task.run(self.runner)
-
     def probe_all_nodes(
         self, dataset: Dataset, search_ceiling: int = 60
     ) -> dict[int, tuple[int | None, int | None]]:
         """(positive, negative) single-node flip thresholds for every node."""
-        inputs = self._probe_inputs(dataset)
+        inputs = tuple(self.runner.correctly_classified(dataset))
         tasks = [
             ProbeTask(node=node, sign=sign, ceiling=search_ceiling, inputs=inputs)
             for node in range(self.network.num_inputs)

@@ -124,26 +124,6 @@ class NoiseToleranceAnalysis:
             network, config or VerifierConfig(), runtime
         )
 
-    # -- single input ----------------------------------------------------------
-
-    def min_flip_percent(self, x, true_label: int) -> InputTolerance:
-        """Smallest ±P admitting a counterexample for this input.
-
-        Runs under cache index -1 (no dataset position), so it neither
-        reads nor warms the entries of a dataset-wide :meth:`analyze`
-        pass — and its falsifier seed differs from the per-index one, so
-        the *witness* may differ from the report entry for the same
-        input even though the verdicts always agree.
-        """
-        task = ToleranceSearchTask(
-            index=-1,
-            x=tuple(int(v) for v in x),
-            true_label=true_label,
-            ceiling=self.search_ceiling,
-            schedule=self.schedule,
-        )
-        return InputTolerance(index=-1, true_label=true_label, **task.run(self.runner))
-
     # -- dataset ------------------------------------------------------------------
 
     def analyze(self, dataset: Dataset) -> ToleranceReport:
@@ -198,7 +178,7 @@ class NoiseToleranceAnalysis:
             for index, x, true_label in self.runner.correctly_classified(dataset)
             for percent in percents
         ]
-        results = self.runner.verify_frontier(grid, complete=True)
+        results = self.runner.verify_frontier(grid)
         vulnerable: dict[int, list[int]] = {p: [] for p in percents}
         for index, x, true_label, percent in grid:
             key = make_key("verify", index, x, true_label, percent)

@@ -9,9 +9,9 @@ entries computed under a different model or budget.
 
 ``derive_seed`` is the one place the runtime turns the run-wide base seed
 into a per-input seed.  Deriving from ``(base seed, input index)`` makes
-every stochastic engine (the :class:`~repro.verify.falsify.RandomFalsifier`)
-reproducible regardless of which worker process, and in which order, ends
-up verifying the input.
+every stochastic stage (the frontier prepass's random stage,
+:mod:`repro.verify.batch`) reproducible regardless of which worker
+process, and in which order, ends up verifying the input.
 """
 
 from __future__ import annotations

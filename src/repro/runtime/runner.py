@@ -17,14 +17,15 @@ verification work.  It provides:
   / :meth:`QueryRunner.close`, so repeated CLI runs over the same model
   and budget issue zero solver calls.
 - **Frontier batching** — the analyses submit whole probe ladders and
-  grids (:meth:`prepass_ladder`, :meth:`verify_frontier`,
+  grids (:meth:`prepass_frontier`, :meth:`verify_frontier`,
   :meth:`probe_ladder`): a vectorised bulk prepass
   (:class:`~repro.verify.batch.FrontierPrepass`) resolves the cheap mass
   of the frontier — one interval matmul pair per layer for *all*
   queries, concatenated falsifier evaluations — and only the boundary
-  band reaches a complete engine, per query (lazily for searches,
-  monotone-bisected for grids).  A lone :meth:`verify_at` is a frontier
-  of one, and a single Eq.-3 probe a ladder of one input.  One
+  band reaches a complete engine, per query (lazily after a speculative
+  :meth:`prepass_frontier`, monotone-bisected inside
+  :meth:`verify_frontier`).  A lone :meth:`verify_at` is a frontier of
+  one, and a single Eq.-3 probe a ladder of one input.  One
   :class:`~repro.verify.portfolio.PortfolioVerifier` per runner serves
   the complete stage.
 - **Engine utilisation** — an :class:`~repro.verify.stats.EngineStats`
@@ -268,76 +269,70 @@ class QueryRunner:
 
     # -- frontier batching -------------------------------------------------------------
 
-    def prepass_ladder(self, x, true_label: int, percents, index: int = -1) -> None:
-        """Bulk-resolve a whole verify ladder's cheap mass ahead of a search.
+    def _pending(self, probes, lookup) -> tuple[dict, dict]:
+        """Split ``(index, x, true_label, percent)`` probes into answered
+        ``{key: result}`` and pending ``{key: probe}``, deduplicated.
 
-        Submits every ``±percent`` of ``percents`` whose answer is not
-        already cached (or implied, or known-undecidable) to the frontier
-        prepass.  Decided verdicts are memoised; survivors are remembered
-        so the search's own probes skip straight to the complete engine.
-        A no-op with the cache off: the verdicts would be dropped, and
-        every rung the search probes would run its incomplete stages again.
-        """
-        if not self.cache.enabled:
-            return
-        x = tuple(int(v) for v in x)
-        probes = []
-        for percent in percents:
-            key = make_key("verify", index, x, true_label, int(percent))
-            if key in self._frontier_unknown:
-                continue
-            if self.cache.peek(key) is not MISS:
-                continue
-            probes.append((key, index, x, true_label, int(percent)))
-        if not probes:
-            return
-        outcome = self._prepass(probes)
-        self._frontier_unknown.update(probe.key for probe in outcome.unknown)
-
-    def verify_frontier(self, probes, complete: bool = True) -> dict:
-        """Resolve many ``(index, x, true_label, percent)`` probes in bulk.
-
-        The grid entry point (Fig.-4 sweeps, extraction prepasses).
-        Returns ``{cache key: VerificationResult}`` covering every probe:
-        cache answers, bulk-prepass verdicts, in-frontier implications,
-        and — with ``complete=True`` — complete-engine verdicts for the
-        boundary band, dispatched along a monotone bisection per input
-        so a band of width ``w`` costs ``O(log w)`` complete calls.
-        With ``complete=False`` survivors are only marked for lazy
-        complete dispatch (the extraction prepass never needs them), and
-        with the cache off as well nothing runs at all: the prepass's
-        verdicts would only have been memoised, and the cache drops them.
-        A probe repeated in ``probes`` is resolved once.
-        """
-        results: dict = {}
+        ``lookup`` is the cache read: :meth:`QueryCache.get` for queries
+        asked for their answer, :meth:`QueryCache.peek` for speculative
+        ones, which leave the hit and miss counters alone."""
+        answered: dict = {}
         pending: dict = {}
         for index, x, true_label, percent in probes:
             x = tuple(int(v) for v in x)
             key = make_key("verify", index, x, true_label, int(percent))
-            if key in results or key in pending:
+            if key in answered or key in pending:
                 continue
-            cached = self.cache.get(key)
+            cached = lookup(key)
             if cached is not MISS:
-                results[key] = cached
+                answered[key] = cached
                 continue
             pending[key] = (key, index, x, true_label, int(percent))
-        if not pending or (not complete and not self.cache.enabled):
+        return answered, pending
+
+    def prepass_frontier(self, probes) -> None:
+        """Speculatively bulk-resolve the cheap mass of a frontier.
+
+        Runs the incomplete stages on every ``(index, x, true_label,
+        percent)`` probe not already cached (or implied, or known
+        undecidable).  Decided verdicts are memoised; survivors are
+        remembered so a later query at the same key skips straight to
+        the complete engine.  A no-op with the cache off: the verdicts
+        would be dropped, and every later query would run its incomplete
+        stages again.
+        """
+        if not self.cache.enabled:
+            return
+        _, pending = self._pending(probes, self.cache.peek)
+        fresh = [p for p in pending.values() if p[0] not in self._frontier_unknown]
+        if fresh:
+            outcome = self._prepass(fresh)
+            self._frontier_unknown.update(probe.key for probe in outcome.unknown)
+
+    def verify_frontier(self, probes) -> dict:
+        """Resolve many ``(index, x, true_label, percent)`` probes in bulk.
+
+        Returns ``{cache key: VerificationResult}`` covering every probe:
+        cache answers, bulk-prepass verdicts, in-frontier implications
+        and complete-engine verdicts for the boundary band, dispatched
+        along a monotone bisection per input so a band of width ``w``
+        costs ``O(log w)`` complete calls.  A probe repeated in
+        ``probes`` is resolved once.
+        """
+        results, pending = self._pending(probes, self.cache.get)
+        if not pending:
             return results
         fresh = [p for p in pending.values() if p[0] not in self._frontier_unknown]
         known_unknown = [p for p in pending.values() if p[0] in self._frontier_unknown]
         outcome = self._prepass(fresh)
-        for key, result in outcome.decided.items():
-            results[key] = result
+        results.update(outcome.decided)
         results.update(outcome.derived)
         survivors = outcome.unknown + [
             self._frontier_probe(*p) for p in known_unknown
         ]
-        if complete:
-            exact, derived = resolve_survivors(survivors, self._complete_probe)
-            results.update(exact)
-            results.update(derived)
-        else:
-            self._frontier_unknown.update(probe.key for probe in survivors)
+        exact, derived = resolve_survivors(survivors, self._complete_probe)
+        results.update(exact)
+        results.update(derived)
         return results
 
     def _frontier_probe(self, key, index, x, true_label, percent) -> FrontierProbe:

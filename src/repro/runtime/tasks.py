@@ -51,8 +51,11 @@ class ToleranceSearchTask:
     def run(self, runner) -> dict[str, Any]:
         if self.schedule not in ("binary", "paper"):
             raise ConfigError("schedule must be 'binary' or 'paper'")
-        runner.prepass_ladder(
-            self.x, self.true_label, range(1, self.ceiling + 1), index=self.index
+        runner.prepass_frontier(
+            [
+                (self.index, self.x, self.true_label, percent)
+                for percent in range(1, self.ceiling + 1)
+            ]
         )
         verify = lambda percent: runner.verify_at(  # noqa: E731
             self.x, self.true_label, percent, index=self.index

@@ -49,6 +49,7 @@ import threading
 import time
 
 from ..config import VerifierConfig
+from ..data import load_leukemia_case_study
 from ..errors import ConfigError, DataError, ReproError
 from ..service import BatchService, BatchSpec, JobSpec, NetworkSpec
 from ..service.planner import build_network
@@ -88,6 +89,7 @@ class ServeApp:
         self.started_at = time.time()
         self._net_mutex = threading.Lock()
         self._networks: dict[NetworkSpec, object] = {}
+        self._case_study = None
 
     def attach_journal(self, journal) -> dict:
         """Wire a :class:`~repro.serve.journal.JobJournal` and replay it.
@@ -442,13 +444,20 @@ class ServeApp:
             "jobs": jobs_out,
         }
 
+    def _case_study_data(self):
+        """The case study every case-study network trains on, loaded once."""
+        with self._net_mutex:
+            if self._case_study is None:
+                self._case_study = load_leukemia_case_study()
+            return self._case_study
+
     def _network_for(self, spec: NetworkSpec):
         """Quantised network for a spec (cached; built by the planner's builder)."""
         with self._net_mutex:
             cached = self._networks.get(spec)
         if cached is not None:
             return cached
-        quantized = build_network(spec)
+        quantized = build_network(spec, self._case_study_data)
         with self._net_mutex:
             return self._networks.setdefault(spec, quantized)
 

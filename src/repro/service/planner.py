@@ -97,14 +97,14 @@ class PlannedJob:
         return [t for t in self.tasks if t.shard(shard_count) == shard_index]
 
 
-def build_network(spec: NetworkSpec, load_case_study=None):
+def build_network(spec: NetworkSpec, load_case_study):
     """The quantised network a spec names, built afresh (callers cache it).
 
     A ``case-study`` network trains on the training split of the case
-    study ``load_case_study()`` returns (by default, a fresh one)."""
+    study ``load_case_study()`` returns; callers memoise that one too."""
     if spec.kind == "file":
         return quantize_network(load_network(spec.path))
-    data = (load_case_study or load_leukemia_case_study)()
+    data = load_case_study()
     trained = train_paper_network(
         data.train.features, data.train.labels, TrainConfig(seed=spec.train_seed)
     )

@@ -8,23 +8,20 @@ Engines, ordered by the guarantees they offer:
 
 - :class:`ExhaustiveEnumerator` — exact integer evaluation of *every*
   noise vector (vectorised int64 with overflow guard); ground truth for
-  small ranges.  Its P3 census queries return the same answers without
+  small ranges.  Its P3 census query returns the same answers without
   visiting every point: interval-proved sub-boxes are skipped or emitted
   whole, and only unproved leaves are evaluated.
-- :class:`IntervalVerifier` — interval bound propagation; proves
-  robustness (UNSAT) quickly, never finds counterexamples.
-- :class:`RandomFalsifier` / :class:`CornerFalsifier` — find
-  counterexamples quickly, never prove robustness.  These three scalar
-  engines are the single-query references the frontier plane's bulk
-  passes are tested against.
+- :func:`interval_bulk` — interval bound propagation over many queries
+  at once; proves robustness (UNSAT) quickly, never finds
+  counterexamples.
 - :class:`SmtVerifier` — complete: ReLU phase splitting over the exact
   rational simplex with integer branch & bound (Reluplex-style).  The
   from-scratch reference; sessions call it to derive canonical witnesses.
-- :class:`PortfolioVerifier` — interval ⇒ falsifiers ⇒ complete engine,
-  with the incomplete stages run as a one-probe :class:`FrontierPrepass`
-  in one fixed order (an :class:`EngineStats` table reports their
-  decide rates and wall time).  The runtime keeps one per runner for
-  its complete stage.
+- :class:`PortfolioVerifier` — the complete stage: enumeration for small
+  boxes, a warm :class:`LadderSession` otherwise, with an
+  :class:`EngineStats` table of decide rates and wall time.  The runtime
+  keeps one per runner and hands it the survivors of its frontier
+  prepass.
 - :class:`LadderSession` (:mod:`repro.verify.incremental`) — the
   portfolio's complete stage for boxes too large to enumerate: each
   adversary encoded once (:func:`~repro.verify.smt_verifier.encode_adversary`,
@@ -33,10 +30,11 @@ Engines, ordered by the guarantees they offer:
   clauses and tableau bases reused across the whole ladder.
 - :class:`FrontierPrepass` / :func:`resolve_survivors`
   (:mod:`repro.verify.batch`) — the frontier-batched plane and the only
-  implementation of the incomplete stages: many queries (same network,
-  many inputs × many percents) resolved in bulk by vectorised incomplete
-  passes, with only the boundary band dispatched to the complete engines
-  along a monotone bisection.
+  implementation of the incomplete stages (interval → corner → random):
+  many queries (same network, many inputs × many percents) resolved in
+  bulk by vectorised incomplete passes, with only the boundary band
+  dispatched to the complete engines along a monotone bisection.  A
+  single query is a frontier of one.
 
 All engines consume the same :class:`ScaledQuery`, whose arithmetic is
 integer-exact by construction.  A :class:`NetworkEncoding` scales one
@@ -47,9 +45,8 @@ them; it also labels many inputs exactly in one pass.
 
 from .encoder import NetworkEncoding, ScaledQuery, build_query
 from .result import VerificationResult, VerificationStatus
-from .interval import IntervalVerifier, interval_bulk
+from .interval import interval_bulk
 from .exhaustive import ExhaustiveEnumerator
-from .falsify import CornerFalsifier, RandomFalsifier
 from .smt_verifier import SmtVerifier
 from .incremental import LadderSession
 from .stats import EngineStats, StageStat
@@ -69,11 +66,8 @@ __all__ = [
     "build_query",
     "VerificationResult",
     "VerificationStatus",
-    "IntervalVerifier",
     "interval_bulk",
     "ExhaustiveEnumerator",
-    "RandomFalsifier",
-    "CornerFalsifier",
     "SmtVerifier",
     "LadderSession",
     "EngineStats",

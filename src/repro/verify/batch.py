@@ -12,8 +12,7 @@ inputs × many percents) is resolved together:
 - a batched corner pass evaluates every query's corner grid in one
   concatenated network evaluation;
 - a batched random pass draws each query's blocks from its *own* seeded
-  RNG (bit-identical to the scalar falsifier's stream) but evaluates the
-  concatenated blocks together, round by round;
+  RNG but evaluates the concatenated blocks together, round by round;
 - surviving queries — the boundary band — go to the complete engines
   *per query*, and :func:`resolve_survivors` dispatches them along a
   monotone bisection per input: a complete ROBUST verdict at ±P covers
@@ -21,17 +20,14 @@ inputs × many percents) is resolved together:
   band of width ``w`` costs ``O(log w)`` complete calls instead of ``w``.
 
 :class:`FrontierPrepass` is the only implementation of the incomplete
-stages: a single query's portfolio
-(:meth:`~repro.verify.portfolio.PortfolioVerifier.verify`) resolves a
-frontier of one probe.  Determinism contract (inherited from the
-runtime): every decided result is bit-identical to what the scalar
-reference engines (:class:`~repro.verify.interval.IntervalVerifier`,
-:class:`~repro.verify.falsify.CornerFalsifier`,
-:class:`~repro.verify.falsify.RandomFalsifier`) produce for that probe
-alone — the passes evaluate the same candidate streams in the same order
-with the same seeds, and the monotone implications used for skipping
-mirror the :class:`~repro.runtime.cache.QueryCache` derivation rules
-exactly.
+stages, and a single query is a frontier of one probe.  Determinism
+contract (inherited from the runtime): every decided result is
+bit-identical to what the probe would get in a frontier of its own —
+each probe's candidate streams are evaluated in the same order with its
+own seed, whatever else shares the frontier (the tests check this
+against single-query reference engines), and the monotone implications
+used for skipping mirror the :class:`~repro.runtime.cache.QueryCache`
+derivation rules exactly.
 Row chunking (:data:`ROW_CHUNK`) only splits the concatenated
 evaluations; it can never move a verdict, a witness or a node count.
 """

@@ -5,21 +5,21 @@ on every noise vector in the box, vectorised and chunked, up to the first
 witness.  Integer arithmetic makes this bit-exact, so the enumerator is
 the reference the complete solvers are tested against.
 
-The census queries behind the paper's P3 analyses (every flipping
-vector, its label, per-label counts) are output-sensitive instead of
-walking every grid point.  They bisect the noise box, always on its
+The P3 census query, :meth:`ExhaustiveEnumerator.collect_witnesses`
+(every flipping vector and its label), is output-sensitive instead of
+walking every grid point.  It bisects the noise box, always on its
 first dimension wider than one point, so every sub-box is a contiguous
 run of the lexicographic grid order.  Each frontier level is bounded in
 one exact interval pass (:func:`~repro.verify.interval.proved_labels`):
 
 - a sub-box proved to keep the true label emits nothing;
 - a sub-box proved to take one wrong label emits all its points with
-  that label, with no forward pass (the census only counts them);
+  that label, with no forward pass;
 - an unproved sub-box of at most :data:`LEAF_POINTS` points is evaluated
   point by point, the rest are split again.
 
-The results equal the flat grid walk's, in the same order.  Their cost
-is the leaf points, not the box size, so they are complete at every
+The result equals the flat grid walk's, in the same order.  Its cost
+is the leaf points, not the box size, so it is complete at every
 noise range; a ``limit`` on the witnesses ends the split as soon as the
 first ``limit`` of them in grid order are known.
 """
@@ -49,7 +49,7 @@ class ExhaustiveEnumerator:
     :meth:`verify`.
 
     ``boxes`` and ``leaf_points`` count, over this instance's lifetime,
-    the sub-boxes the census queries bounded and the leaf points they
+    the sub-boxes the census query bounded and the leaf points it
     evaluated one by one.
     """
 
@@ -122,11 +122,11 @@ class ExhaustiveEnumerator:
 
         Returns ``(lo, hi, labels)`` of the sub-boxes proved to take a
         wrong label, and ``(points, labels)`` of the wrongly labelled leaf
-        points.  Neither is in grid order; callers order by
-        :func:`_ranks`.  With a ``limit``, once the wrong points found
-        hold at least ``limit`` points, open sub-boxes that start after
-        the ``limit``-th of them in grid order are dropped: they hold
-        only later points.
+        points.  Neither is in grid order; :meth:`collect_witnesses`
+        orders them by :func:`_ranks`.  With a ``limit``, once the wrong
+        points found hold at least ``limit`` points, open sub-boxes that
+        start after the ``limit``-th of them in grid order are dropped:
+        they hold only later points.
 
         The cost is the leaf points, not the box size, so the only bound
         is the int64 grid rank: boxes of 2^63 points or more raise.
@@ -171,10 +171,6 @@ class ExhaustiveEnumerator:
         points, point_labels = (np.concatenate(part) for part in zip(*leaves))
         return (box_lo, box_hi, box_labels), (points, point_labels)
 
-    def count_misclassifications(self, query: ScaledQuery) -> int:
-        """Number of misclassifying noise vectors in the box."""
-        return sum(self.misclassification_census(query).values())
-
     def collect_witnesses(
         self, query: ScaledQuery, limit: int | None = None
     ) -> list[tuple[tuple[int, ...], int]]:
@@ -202,17 +198,6 @@ class ExhaustiveEnumerator:
         labels = np.concatenate([np.repeat(box_labels, sizes), labels])
         order = np.argsort(_ranks(query, points))[:limit]
         return list(zip(map(tuple, points[order].tolist()), labels[order].tolist()))
-
-    def misclassification_census(self, query: ScaledQuery) -> dict[int, int]:
-        """Histogram: wrong label → count (used by the bias analysis)."""
-        (box_lo, box_hi, box_labels), (_, labels) = self._split(query)
-        census: dict[int, int] = {}
-        sizes = (box_hi - box_lo + 1).prod(axis=1)
-        for label, size in zip(box_labels.tolist(), sizes.tolist()):
-            census[label] = census.get(label, 0) + size
-        for label in labels.tolist():
-            census[label] = census.get(label, 0) + 1
-        return dict(sorted(census.items()))
 
 
 def _ranks(query: ScaledQuery, points: np.ndarray) -> np.ndarray:

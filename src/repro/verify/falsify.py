@@ -1,16 +1,14 @@
-"""Falsifiers: fast counterexample search without completeness.
+"""Falsifier candidates: fast counterexample search without completeness.
 
-These play the role adversarial-attack baselines play against formal
-tools: when a misclassifying noise vector exists they usually find one in
-milliseconds, letting the portfolio skip the complete engines.
+The corner and random stages play the role adversarial-attack baselines
+play against formal tools: when a misclassifying noise vector exists
+they usually find one in milliseconds, letting a query skip the
+complete engines.
 
-The candidate generation lives in module-level helpers
-(:func:`corner_grid`, :func:`draw_noise_block`) and budget constants,
-which the frontier plane (:mod:`repro.verify.batch`) — the only
-implementation of the incomplete stages on the production path — uses
-verbatim.  :class:`CornerFalsifier` and :class:`RandomFalsifier` are the
-single-query references: the bulk passes evaluate *exactly* the
-candidate streams these would, and the tests hold them to it.
+This module holds their candidate generation (:func:`corner_grid`,
+:func:`draw_noise_block`) and budget constants; the frontier plane
+(:mod:`repro.verify.batch`), the only implementation of the incomplete
+stages, evaluates these candidate blocks in bulk.
 """
 
 from __future__ import annotations
@@ -18,10 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from .encoder import ScaledQuery
-from .result import VerificationResult, VerificationStatus
 
-#: Sampling budget / block size of the random falsifier; the frontier
-#: plane imports these so it draws the reference falsifier's streams.
+#: Sampling budget / block size of the random stage.
 RANDOM_SAMPLES = 4096
 RANDOM_BLOCK = 512
 
@@ -84,8 +80,7 @@ def draw_noise_block(
 ) -> np.ndarray:
     """One block of uniform noise rows — a single ``rng.integers`` call.
 
-    The scalar falsifier and the bulk frontier pass both consume this
-    helper, so their sample streams are identical by construction.  When
+    Every random-stage sample stream is drawn through this helper.  When
     every node shares one box (every :class:`~repro.config.NoiseConfig`
     box does) the bounds are passed as scalars, which numpy draws faster
     and into the same stream as the per-node bounds broadcast over the
@@ -95,82 +90,3 @@ def draw_noise_block(
     if (low == low[0]).all() and (high == high[0]).all():
         low, high = low[0], high[0]
     return rng.integers(low, high, size=(size, query.num_inputs), dtype=np.int64)
-
-
-class RandomFalsifier:
-    """Uniform random sampling of the noise box."""
-
-    name = "random-falsifier"
-
-    def __init__(
-        self,
-        samples: int = RANDOM_SAMPLES,
-        seed: int = 0,
-        batch: int = RANDOM_BLOCK,
-    ):
-        self.samples = samples
-        self.seed = seed
-        self.batch = batch
-
-    def verify(self, query: ScaledQuery) -> VerificationResult:
-        """VULNERABLE with a witness, or UNKNOWN — never ROBUST."""
-        rng = np.random.default_rng(self.seed)
-        remaining = self.samples
-        tried = 0
-        while remaining > 0:
-            block_size = min(self.batch, remaining)
-            remaining -= block_size
-            block = draw_noise_block(rng, query, block_size)
-            labels = query.labels_for_batch(block)
-            tried += block_size
-            bad = np.nonzero(labels != query.true_label)[0]
-            if bad.size:
-                return VerificationResult(
-                    VerificationStatus.VULNERABLE,
-                    witness=tuple(int(v) for v in block[bad[0]]),
-                    predicted_label=int(labels[bad[0]]),
-                    engine=self.name,
-                    nodes_explored=tried,
-                )
-        return VerificationResult(
-            VerificationStatus.UNKNOWN, engine=self.name, nodes_explored=tried
-        )
-
-
-class CornerFalsifier:
-    """Tries the corners of the noise box (optionally with midpoints).
-
-    Piecewise-linear networks attain extreme logit differences at box
-    corners far more often than in the interior, so this tiny search
-    catches most vulnerable inputs.  The grid is built with one
-    mixed-radix construction (no Python product loop) in the exact order
-    the old ``itertools.product`` generation used.
-    """
-
-    name = "corner-falsifier"
-
-    def __init__(self, include_midpoints: bool = True, max_corners: int = MAX_CORNERS):
-        self.include_midpoints = include_midpoints
-        self.max_corners = max_corners
-
-    def verify(self, query: ScaledQuery) -> VerificationResult:
-        block = corner_grid(query, self.include_midpoints, self.max_corners)
-        if block is None:
-            return VerificationResult(
-                VerificationStatus.UNKNOWN, engine=self.name, nodes_explored=0
-            )
-        labels = query.labels_for_batch(block)
-        bad = np.nonzero(labels != query.true_label)[0]
-        if bad.size:
-            return VerificationResult(
-                VerificationStatus.VULNERABLE,
-                witness=tuple(int(v) for v in block[bad[0]]),
-                predicted_label=int(labels[bad[0]]),
-                engine=self.name,
-                nodes_explored=int(block.shape[0]),
-            )
-        return VerificationResult(
-            VerificationStatus.UNKNOWN,
-            engine=self.name,
-            nodes_explored=int(block.shape[0]),
-        )

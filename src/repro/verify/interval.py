@@ -18,7 +18,7 @@ and propagates them with one matmul pair per layer for the whole batch,
 replacing the per-query per-element Python loops.  Queries are grouped
 by integer dtype — int64 where the magnitude analysis proved it safe,
 exact object integers otherwise — so the arithmetic stays bit-exact
-either way.  :class:`IntervalVerifier` is the single-query wrapper.
+either way.  A single query is a batch of one: ``interval_bulk([q])[0]``.
 
 :func:`proved_labels` runs the same pass over many sub-boxes of one
 query's noise box and reports, per sub-box, the label the interval lower
@@ -109,10 +109,11 @@ def interval_bulk(queries: Sequence[ScaledQuery]) -> list[VerificationResult]:
     """Interval verdicts for many same-network queries, vectorised.
 
     Returns one result per query, in order: ROBUST when certified,
-    UNKNOWN otherwise (with the scalar verifier's ``blocking_adversary``
-    / ``margin`` stats).  All queries must encode the same network (they
-    may differ in input, label and noise box); they are grouped by
-    integer dtype so exact object arithmetic and fast int64 coexist.
+    UNKNOWN otherwise (with ``blocking_adversary`` / ``margin`` stats:
+    the first adversary whose bound reaches it, and that bound).  All
+    queries must encode the same network (they may differ in input,
+    label and noise box); they are grouped by integer dtype so exact
+    object arithmetic and fast int64 coexist.
     """
     results: list[VerificationResult | None] = [None] * len(queries)
     groups: dict[bool, list[int]] = {}
@@ -186,16 +187,3 @@ def _decide_group(group, dtype) -> list[VerificationResult]:
             )
     return results
 
-
-class IntervalVerifier:
-    """Certify robustness via interval arithmetic (single-query wrapper)."""
-
-    name = _NAME
-
-    def verify(self, query: ScaledQuery) -> VerificationResult:
-        """ROBUST when certified; UNKNOWN otherwise (never VULNERABLE)."""
-        return interval_bulk([query])[0]
-
-    def certified(self, query: ScaledQuery) -> bool:
-        """Convenience: True when the box is certified robust."""
-        return self.verify(query).is_robust

@@ -1,19 +1,19 @@
-"""Portfolio verifier: cheap engines first, complete engine last.
+"""Portfolio verifier: the complete stage behind the frontier prepass.
 
 The schedule mirrors how the paper's workflow spends effort: most
 (input, noise-range) queries are either clearly robust (interval proof in
 microseconds) or clearly vulnerable (a falsifier finds a witness), and
-only the thin boundary band needs the complete solver.
+only the thin boundary band needs a complete solver.
 
-The incomplete stages run in one fixed order, interval → corner →
-random, as the frontier plane's
-:class:`~repro.verify.batch.FrontierPrepass` on a frontier of one probe;
-a survivor goes to the complete stage.  The analysis runtime keeps one
-portfolio per runner and calls :meth:`PortfolioVerifier.verify_complete`
-on the survivors of its own frontier prepass, whose random stage is
-seeded per input.  Every stage folds its attempts, decisions and wall
-time into an :class:`~repro.verify.stats.EngineStats` table (shared
-with the runner) for the engine-utilisation report.
+The cheap stages run in bulk, interval → corner → random, as the
+frontier plane's :class:`~repro.verify.batch.FrontierPrepass`; the
+analysis runtime keeps one portfolio per runner and calls
+:meth:`PortfolioVerifier.verify_complete` on the survivors of its own
+frontier prepass.  The complete stage enumerates small boxes and runs a
+warm :class:`~repro.verify.incremental.LadderSession` on the rest; it
+folds its attempts, decisions and wall time into an
+:class:`~repro.verify.stats.EngineStats` table (shared with the runner)
+for the engine-utilisation report.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import time
 
 from ..config import VerifierConfig
-from .batch import FrontierPrepass, FrontierProbe, stamp
+from .batch import stamp
 from .encoder import ScaledQuery
 from .exhaustive import ExhaustiveEnumerator
 from .incremental import LadderSession
@@ -37,7 +37,7 @@ MAX_SESSIONS = 8
 
 
 class PortfolioVerifier:
-    """interval ⇒ corner ⇒ random ⇒ exhaustive-or-session."""
+    """The complete stage: exhaustive enumeration or a warm ladder session."""
 
     name = "portfolio"
 
@@ -54,30 +54,16 @@ class PortfolioVerifier:
         #: (input values, true label) -> LadderSession, insertion-ordered.
         self._sessions: dict[tuple, LadderSession] = {}
 
-    def verify(self, query: ScaledQuery) -> VerificationResult:
-        """Complete verdict; ``stats['stage']`` records the deciding engine.
-
-        The incomplete stages run as a one-probe frontier prepass whose
-        random stage is seeded with ``config.seed``."""
-        probe = FrontierProbe(
-            key=None, query=query, percent=0, group=None, seed=self.config.seed
-        )
-        prepass = FrontierPrepass(engine_stats=self.engine_stats)
-        decided = prepass.resolve([probe]).decided
-        if decided:
-            return decided[None]
-        return self.verify_complete(query)
-
     def verify_complete(self, query: ScaledQuery) -> VerificationResult:
-        """The complete stage alone: enumeration when the box is small (it
-        is usually faster than phase splitting there), otherwise the warm
+        """A complete verdict: enumeration when the box is small (it is
+        usually faster than phase splitting there), otherwise the warm
         per-(input, label) :class:`LadderSession`, whose verdicts and
         witnesses are byte-identical to a from-scratch
         :class:`~repro.verify.smt_verifier.SmtVerifier` run (the session
         re-derives witnesses canonically).
 
-        Also the entry point for queries whose incomplete stages already
-        ran inside a bulk frontier prepass (:mod:`repro.verify.batch`)."""
+        Callers run the incomplete stages first, in a bulk frontier
+        prepass (:mod:`repro.verify.batch`), and pass only its survivors."""
         if query.noise_space_size() <= self.exhaustive_cutoff:
             stage, engine = "exhaustive", self.exhaustive
         else:

@@ -28,7 +28,14 @@ from repro.config import RuntimeConfig
 from repro.core import NoiseToleranceAnalysis
 from repro.data.dataset import Dataset
 from repro.nn.quantize import QuantizedLayer, QuantizedNetwork
-from repro.runtime import MISS, CacheStore, QueryCache, QueryRunner, make_key
+from repro.runtime import (
+    MISS,
+    CacheStore,
+    QueryCache,
+    QueryRunner,
+    ToleranceSearchTask,
+    make_key,
+)
 
 SCALE = 1000
 MAX_PERCENT = 12  # (2·12+1)² = 625 noise vectors: exhaustively checkable
@@ -68,6 +75,12 @@ inputs = st.tuples(
     st.integers(min_value=1, max_value=25), st.integers(min_value=1, max_value=25)
 )
 percents = st.integers(min_value=1, max_value=MAX_PERCENT)
+
+
+def search(runner, x, label, ceiling) -> dict:
+    """One input's binary tolerance search (cache index -1) on ``runner``."""
+    task = ToleranceSearchTask(index=-1, x=tuple(x), true_label=label, ceiling=ceiling)
+    return task.run(runner)
 
 
 def cold_verify(network, x, label, percent):
@@ -135,15 +148,15 @@ class TestMonotoneDerivationSoundness:
     ):
         """After a bisection, *all* percents ≤ ceiling are implied — and right."""
         label = network.predict(x)
-        analysis = NoiseToleranceAnalysis(network, search_ceiling=ceiling)
-        analysis.min_flip_percent(x, label)
-        solver_calls = analysis.runner.stats.solver_calls
+        runner = QueryRunner(network)
+        search(runner, x, label, ceiling)
+        solver_calls = runner.stats.solver_calls
         for percent in range(1, ceiling + 1):
-            result = analysis.runner.verify_at(x, label, percent)
+            result = runner.verify_at(x, label, percent)
             cold = cold_verify(network, x, label, percent)
             assert result.status == cold.status
         # The post-search sweep was answered entirely from the cache.
-        assert analysis.runner.stats.solver_calls == solver_calls
+        assert runner.stats.solver_calls == solver_calls
 
 
 def canonical(report) -> list:
@@ -211,20 +224,17 @@ class TestPersistenceTransparency:
         cache_dir = str(tmp_path_factory.mktemp("qcache"))
         persisted = RuntimeConfig(cache_dir=cache_dir)
 
-        run1 = NoiseToleranceAnalysis(network, search_ceiling=first, runtime=persisted)
-        run1.min_flip_percent(x, label)
-        run1.runner.close()
+        run1 = QueryRunner(network, runtime=persisted)
+        search(run1, x, label, first)
+        run1.close()
 
-        run2 = NoiseToleranceAnalysis(network, search_ceiling=second, runtime=persisted)
-        entry = run2.min_flip_percent(x, label)
-        cold = NoiseToleranceAnalysis(
-            network, search_ceiling=second, runtime=RuntimeConfig(cache=False)
-        ).min_flip_percent(x, label)
-        assert (entry.min_flip_percent, entry.flipped_to, entry.queries) == (
-            cold.min_flip_percent,
-            cold.flipped_to,
-            cold.queries,
+        run2 = QueryRunner(network, runtime=persisted)
+        entry = search(run2, x, label, second)
+        cold = search(
+            QueryRunner(network, runtime=RuntimeConfig(cache=False)), x, label, second
         )
+        fields = ("min_flip_percent", "flipped_to", "queries")
+        assert [entry[f] for f in fields] == [cold[f] for f in fields]
 
 
 class TestStoreRoundTripProperty:

@@ -34,6 +34,7 @@ from repro.errors import VerificationError
 from repro.fsm import TransitionSystem, count_states_and_transitions, evaluate_expression
 from repro.mc import ExplicitChecker, Verdict
 from repro.nn.quantize import QuantizedLayer, QuantizedNetwork
+from repro.runtime import ProbeTask, QueryRunner
 from repro.smv import print_module, parse_module
 from repro.smv.ast import Ident
 
@@ -251,8 +252,14 @@ class TestExtractionAndDownstreamAnalyses:
             assert node.total == total
 
     def test_single_node_probe_consistency(self, network, dataset):
-        analysis = InputSensitivityAnalysis(network)
-        threshold = analysis.single_node_probe(dataset, node=0, sign=1, search_ceiling=30)
+        runner = QueryRunner(network)
+        task = ProbeTask(
+            node=0,
+            sign=1,
+            ceiling=30,
+            inputs=tuple(runner.correctly_classified(dataset)),
+        )
+        threshold = task.run(runner)
         if threshold is None:
             pytest.skip("node 0 not single-node flippable at +30%")
         # At the threshold some input flips; below it none does.

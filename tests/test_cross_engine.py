@@ -6,9 +6,10 @@ Two layers of the stack are cross-checked on randomized instances:
   brute-force oracle (``tests/sat_oracle.py``) on random small CNFs:
   same satisfiability verdict, and every SAT model actually satisfies
   the formula.
-- **NN verification** — :class:`IntervalVerifier`,
-  :class:`ExhaustiveEnumerator`, :class:`SmtVerifier` and
-  :class:`PortfolioVerifier` on the same :class:`ScaledQuery` built from
+- **NN verification** — :func:`interval_bulk`,
+  :class:`ExhaustiveEnumerator`, :class:`SmtVerifier` and the runner's
+  production path (a cache-off :meth:`QueryRunner.verify_at`: bulk
+  prepass, then the portfolio's complete stage) on the same query over
   random tiny networks.  Exhaustive enumeration is ground truth; sound
   engines may abstain (UNKNOWN) but may never assert the opposite
   verdict, and every witness must misclassify under exact evaluation.
@@ -21,17 +22,17 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.config import NoiseConfig
+from repro.config import NoiseConfig, RuntimeConfig
 from repro.nn.quantize import QuantizedLayer, QuantizedNetwork
+from repro.runtime import QueryRunner
 from repro.sat.cnf import Cnf
 from repro.sat.solver import solve_cnf
 from repro.verify import (
     ExhaustiveEnumerator,
-    IntervalVerifier,
-    PortfolioVerifier,
     SmtVerifier,
     VerificationStatus,
     build_query,
+    interval_bulk,
 )
 
 from sat_oracle import brute_force_models, brute_force_satisfiable
@@ -97,8 +98,8 @@ def make_network(weight_rows_1, bias_1, weight_rows_2, bias_2) -> QuantizedNetwo
 
 
 @st.composite
-def random_query(draw):
-    """Random 2-3 input / 2-4 hidden / 2 output query with small noise."""
+def random_problem(draw):
+    """Random 2-3 input / 2-4 hidden / 2 output network, input and noise."""
     num_inputs = draw(st.integers(2, 3))
     hidden = draw(st.integers(2, 4))
     weight = st.integers(-2000, 2000)
@@ -110,18 +111,29 @@ def random_query(draw):
     x = np.array([draw(st.integers(1, 30)) for _ in range(num_inputs)])
     percent = draw(st.integers(1, 6))
     label = network.predict(x)
+    return network, x, label, percent
+
+
+def query_of(network, x, label, percent):
     return build_query(network, x, label, NoiseConfig(percent))
 
 
+def runner_verdict(network, x, label, percent):
+    """The production path for one query, with nothing memoised."""
+    runner = QueryRunner(network, runtime=RuntimeConfig(cache=False))
+    return runner.verify_at(x, label, percent)
+
+
 class TestEnginesNeverContradict:
-    @given(random_query())
+    @given(random_problem())
     @settings(max_examples=50, deadline=None)
-    def test_all_engines_agree_on_one_query(self, query):
+    def test_all_engines_agree_on_one_query(self, problem):
+        query = query_of(*problem)
         truth = ExhaustiveEnumerator().verify(query)
         verdicts = {
-            "interval": IntervalVerifier().verify(query),
+            "interval": interval_bulk([query])[0],
             "smt": SmtVerifier().verify(query),
-            "portfolio": PortfolioVerifier().verify(query),
+            "runner": runner_verdict(*problem),
         }
         for name, result in verdicts.items():
             # Sound engines may abstain but never contradict ground truth.
@@ -134,14 +146,16 @@ class TestEnginesNeverContradict:
                     f"{name} produced a witness that does not misclassify"
                 )
 
-    @given(random_query())
+    @given(random_problem())
     @settings(max_examples=50, deadline=None)
-    def test_complete_engines_always_decide(self, query):
-        for engine in (SmtVerifier(), PortfolioVerifier()):
-            assert engine.verify(query).status is not VerificationStatus.UNKNOWN
+    def test_complete_engines_always_decide(self, problem):
+        query = query_of(*problem)
+        for result in (SmtVerifier().verify(query), runner_verdict(*problem)):
+            assert result.status is not VerificationStatus.UNKNOWN
 
-    @given(random_query())
+    @given(random_problem())
     @settings(max_examples=30, deadline=None)
-    def test_interval_proofs_imply_empty_witness_set(self, query):
-        if IntervalVerifier().verify(query).is_robust:
+    def test_interval_proofs_imply_empty_witness_set(self, problem):
+        query = query_of(*problem)
+        if interval_bulk([query])[0].is_robust:
             assert ExhaustiveEnumerator().collect_witnesses(query) == []

@@ -1,16 +1,17 @@
 """Tests for the frontier-batched verification plane.
 
 The bulk prepass is the only implementation of the incomplete stages —
-a single query's portfolio runs it as a frontier of one — so the scalar
-engines (``IntervalVerifier``, ``CornerFalsifier``, ``RandomFalsifier``)
-serve as its references.  Three layers of coverage:
+a single query is a frontier of one — so single queries serve as its
+references: ``interval_bulk`` on one query, and the scalar falsifiers
+``CornerFalsifier`` and ``RandomFalsifier`` from
+``tests/reference_engines.py``.  Three layers of coverage:
 
 1. **Bulk = scalar, bit for bit** — hypothesis property tests on random
    small networks assert that the vectorised interval pass and the
-   batched falsifier passes (in bulk and through
-   ``PortfolioVerifier.verify``) produce exactly the results the scalar
-   reference engines do (verdict, witness, node counts), and that
-   in-frontier implications are sound against exhaustive ground truth.
+   batched falsifier passes (over a whole ladder and over a frontier of
+   one probe) produce exactly the results the single-query references
+   do (verdict, witness, node counts), and that in-frontier
+   implications are sound against exhaustive ground truth.
 2. **Determinism matrix** — workers 1/4 × cache on/off/warm must
    produce bit-identical tolerance reports and Fig.-4 sweeps on the
    case-study substrate; row chunking never moves a label.
@@ -30,7 +31,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.config import NoiseConfig, RuntimeConfig, VerifierConfig
+from repro.config import NoiseConfig, RuntimeConfig
 from repro.data import load_leukemia_case_study
 from repro.data.dataset import Dataset
 from repro.errors import BudgetExceededError
@@ -38,13 +39,9 @@ from repro.nn import train_paper_network
 from repro.nn.quantize import QuantizedLayer, QuantizedNetwork, quantize_network
 from repro.runtime import EngineStats, QueryRunner, make_key
 from repro.verify import (
-    CornerFalsifier,
     ExhaustiveEnumerator,
     FrontierPrepass,
     FrontierProbe,
-    IntervalVerifier,
-    PortfolioVerifier,
-    RandomFalsifier,
     ScaledQuery,
     build_query,
     interval_bulk,
@@ -60,6 +57,8 @@ from repro.verify.falsify import (
 )
 from repro.verify.result import VerificationResult, VerificationStatus
 from repro.verify.stats import CANONICAL_INCOMPLETE
+
+from reference_engines import CornerFalsifier, RandomFalsifier
 
 SCALE = 1000
 MAX_PERCENT = 10
@@ -116,7 +115,7 @@ class TestBulkIntervalEqualsScalar:
         label = network.predict(x)
         queries = ladder_queries(network, x, label, ceiling)
         bulk = interval_bulk(queries)
-        scalar = [IntervalVerifier().verify(q) for q in queries]
+        scalar = [interval_bulk([q])[0] for q in queries]
         for many, one in zip(bulk, scalar):
             assert many.status == one.status
             assert many.stats == one.stats  # blocking adversary + margin
@@ -175,7 +174,7 @@ class TestBulkIntervalEqualsScalar:
             for percent in (2, 9, 17):
                 q = build_query(network, x, label, NoiseConfig(max_percent=percent))
                 queries.append(q)
-                scalar.append(IntervalVerifier().verify(q))
+                scalar.append(interval_bulk([q])[0])
         bulk = interval_bulk(queries)
         assert [r.status for r in bulk] == [r.status for r in scalar]
         assert [r.stats for r in bulk] == [r.stats for r in scalar]
@@ -202,21 +201,22 @@ class TestPrepassEqualsScalarPortfolio:
         ]
         outcome = FrontierPrepass().resolve(probes)
 
-        interval = IntervalVerifier()
         corner = CornerFalsifier()
-        portfolio = PortfolioVerifier(VerifierConfig(seed=seed))
         for percent, query in zip(range(1, ceiling + 1), queries):
-            # The scalar incomplete prefix of the portfolio.
-            expected = interval.verify(query)
+            # The scalar incomplete chain: interval, corner, random.
+            expected = interval_bulk([query])[0]
             if not expected.is_robust:
                 expected = corner.verify(query)
                 if not expected.is_vulnerable:
                     expected = RandomFalsifier(seed=seed).verify(query)
 
-            if expected.status is not VerificationStatus.UNKNOWN:
-                # A single query's portfolio (a one-probe prepass) decides
-                # every rung the scalar chain decides, identically.
-                single = portfolio.verify(query)
+            # A frontier of one probe decides exactly the rungs the
+            # scalar chain decides, identically.
+            alone = FrontierPrepass().resolve([probes[percent - 1]])
+            if expected.status is VerificationStatus.UNKNOWN:
+                assert not alone.decided
+            else:
+                single = alone.decided[percent]
                 assert single.status == expected.status
                 assert single.witness == expected.witness
                 assert single.predicted_label == expected.predicted_label
@@ -249,7 +249,7 @@ class TestPrepassEqualsScalarPortfolio:
         label = network.predict(x)
         frontier = QueryRunner(network)
         grid = [(0, tuple(x), label, p) for p in range(1, ceiling + 1)]
-        results = frontier.verify_frontier(grid, complete=True)
+        results = frontier.verify_frontier(grid)
         for index, xv, lab, percent in grid:
             key = make_key("verify", index, xv, lab, percent)
             query = build_query(
@@ -387,22 +387,30 @@ class TestFrontierDeterminismMatrix:
                 assert got == expected
 
     def test_extraction_matches_frontier_on_off(self, substrate):
-        """``extract`` bulk-prepasses the input frontier ("on");
-        ``extract_for_input`` runs each input's task alone ("off")."""
+        """``extract`` bulk-prepasses the input frontier ("on"); an
+        ``ExtractionTask`` per input runs each input alone ("off")."""
         from repro.core import NoiseVectorExtraction
+        from repro.runtime import ExtractionTask
 
         network, dataset = substrate
         percent = 28  # the slice's first flips: input 7 at ±28 %
         on = NoiseVectorExtraction(network).extract(dataset, percent)
-        off = NoiseVectorExtraction(network)
+        off = QueryRunner(network)
         expected = []
         for index, (x, label) in enumerate(zip(dataset.features, dataset.labels)):
             if network.predict(x) != label:
                 continue
-            entry = off.extract_for_input(x, int(label), percent, index=index)
+            task = ExtractionTask(
+                index=index,
+                x=tuple(int(v) for v in x),
+                true_label=int(label),
+                percent=percent,
+                limit=None,
+            )
+            outcome = task.run(off)
             expected.extend(
                 (index, int(label), vector, wrong)
-                for vector, wrong in zip(entry.vectors, entry.flipped_to)
+                for vector, wrong in zip(outcome["vectors"], outcome["flipped_to"])
             )
         assert expected
         assert sorted(on.all_vectors_with_labels()) == sorted(expected)
@@ -436,11 +444,9 @@ class TestGridChunkOverflowRegression:
         with pytest.raises(BudgetExceededError):
             enumerator.verify(query)
         # Box splitting ignores max_vectors, but ranks grid points in
-        # int64: the census queries must refuse the box, not wrap.
+        # int64: the census query must refuse the box, not wrap.
         with pytest.raises(BudgetExceededError):
             enumerator.collect_witnesses(query)
-        with pytest.raises(BudgetExceededError):
-            enumerator.misclassification_census(query)
 
     def test_in_budget_boxes_still_enumerate(self):
         network = QuantizedNetwork(

@@ -18,9 +18,9 @@ from repro.errors import VerificationError
 from repro.nn.quantize import QuantizedLayer, QuantizedNetwork
 from repro.verify import (
     ExhaustiveEnumerator,
-    IntervalVerifier,
     SmtVerifier,
     build_query,
+    interval_bulk,
 )
 
 SCALE = 1000
@@ -97,7 +97,7 @@ class TestDeepNetworks:
         network, x, noise = problem
         label = network.predict(x)
         query = build_query(network, x, label, noise)
-        if IntervalVerifier().verify(query).is_robust:
+        if interval_bulk([query])[0].is_robust:
             assert ExhaustiveEnumerator().verify(query).is_robust
 
 
@@ -114,7 +114,7 @@ class TestFailureInjection:
         label = network.predict(x)  # logits (0.5, 0): always label 0
         assert label == 0
         query = build_query(network, x, label, NoiseConfig(40))
-        assert IntervalVerifier().verify(query).is_robust
+        assert interval_bulk([query])[0].is_robust
         assert SmtVerifier().verify(query).is_robust
 
     def test_zero_noise_range_behaves(self):

@@ -24,6 +24,7 @@ from repro.runtime import (
     ExtractionTask,
     QueryCache,
     QueryRunner,
+    RunnerStats,
     ToleranceSearchTask,
     derive_seed,
     make_key,
@@ -32,7 +33,9 @@ from repro.runtime import (
     verifier_fingerprint,
 )
 from repro.verify.result import VerificationResult, VerificationStatus
-from repro.verify import PortfolioVerifier, build_query, portfolio
+from repro.verify import ExhaustiveEnumerator, build_query, interval_bulk, portfolio
+
+from reference_engines import CornerFalsifier, RandomFalsifier
 
 SCALE = 1000
 
@@ -463,7 +466,7 @@ class TestRunnerCaching:
 
     def test_cache_off_extraction_prepass_is_skipped(self, network, x, label):
         runner = QueryRunner(network, runtime=RuntimeConfig(cache=False))
-        assert runner.verify_frontier([(0, x, label, 20)], complete=False) == {}
+        assert runner.prepass_frontier([(0, x, label, 20)]) is None
         assert runner.stats.verify_calls == 0
         assert runner.stats.frontier_queries == 0
         assert runner.engine_stats.stages == {}
@@ -478,7 +481,8 @@ class TestRunnerCaching:
         assert runner.engine_stats.stages["corner"].attempts == 1
 
     def test_verify_result_matches_direct_portfolio(self, network, x, label):
-        """A runner query equals a portfolio seeded with ``(seed, index)``.
+        """A runner query equals the scalar chain seeded with ``(seed, index)``:
+        interval, then corner, then random, then exhaustive enumeration.
 
         The fixture network's rungs are decided by the interval, the
         exhaustive and the corner stages; on the bump network only one
@@ -499,12 +503,21 @@ class TestRunnerCaching:
         random_witnesses = set()
         for net, point, true_label, percents in cases:
             for index in (-1, 0, 5):
-                seeded = replace(config, seed=derive_seed(config.seed, index))
+                seed = derive_seed(config.seed, index)
                 for percent in percents:
                     query = build_query(
                         net, np.array(point), true_label, NoiseConfig(percent)
                     )
-                    direct = PortfolioVerifier(seeded).verify(query)
+                    chain = [
+                        ("interval", lambda: interval_bulk([query])[0]),
+                        ("corner", lambda: CornerFalsifier().verify(query)),
+                        ("random", lambda: RandomFalsifier(seed=seed).verify(query)),
+                        ("exhaustive", lambda: ExhaustiveEnumerator().verify(query)),
+                    ]
+                    for stage, engine in chain:
+                        direct = engine()
+                        if direct.status is not VerificationStatus.UNKNOWN:
+                            break
                     via_runner = QueryRunner(net, config).verify_at(
                         point, true_label, percent, index=index
                     )
@@ -512,12 +525,39 @@ class TestRunnerCaching:
                     assert via_runner.witness == direct.witness
                     assert via_runner.predicted_label == direct.predicted_label
                     assert via_runner.engine == direct.engine
-                    assert via_runner.stats["stage"] == direct.stats["stage"]
-                    stages.add(direct.stats["stage"])
-                    if direct.stats["stage"] == "random":
+                    assert via_runner.stats["stage"] == stage
+                    stages.add(stage)
+                    if stage == "random":
                         random_witnesses.add(direct.witness)
         assert stages == {"interval", "exhaustive", "corner", "random"}
         assert len(random_witnesses) > 1  # the seed really moves the witness
+
+    def test_prepass_frontier_is_speculative(self, network, x, label):
+        """``prepass_frontier`` reads the cache without counting lookups,
+        runs nothing with the cache off, and leaves ``verify_frontier``
+        answering exactly as a cold runner does."""
+        grid = [(index, x, label, p) for index in (0, 3) for p in range(1, 41)]
+        off = QueryRunner(network, runtime=RuntimeConfig(cache=False))
+        off.prepass_frontier(grid)
+        assert off.stats == RunnerStats()
+        assert off.engine_stats.stages == {}
+
+        runner = QueryRunner(network)
+        runner.prepass_frontier(grid)
+        assert runner.stats.frontier_queries == len(grid)
+        assert runner.cache.stats.lookups == 0
+        runner.prepass_frontier(grid)  # everything is known: nothing reruns
+        assert runner.stats.frontier_queries == len(grid)
+        assert runner.cache.stats.lookups == 0
+
+        def verdicts(results):  # engine names tell cache from in-frontier derivations
+            return {
+                key: (r.status, r.witness, r.predicted_label)
+                for key, r in results.items()
+            }
+
+        cold = QueryRunner(network).verify_frontier(grid)
+        assert verdicts(runner.verify_frontier(grid)) == verdicts(cold)
 
 
 class TestSharedPortfolio:
@@ -580,7 +620,7 @@ class TestSharedEncoding:
 
         monkeypatch.setattr(encoder, "_as_scaled_int", counting)
         runner = QueryRunner(network)
-        runner.prepass_ladder(x, label, range(1, 31), index=0)
+        runner.prepass_frontier([(0, x, label, p) for p in range(1, 31)])
         runner.verify_at(x, label, 7, index=0)
         runner.verify_frontier([(1, x, label, p) for p in (3, 9, 15, 40)])
         runner.collect_at(x, label, 20, limit=None, index=0)

@@ -46,6 +46,7 @@ from repro.service import (
     BatchSpec,
     DatasetSpec,
     JobSpec,
+    NetworkSpec,
     ToleranceSpec,
 )
 
@@ -501,3 +502,27 @@ class TestServeClientErrors:
         assert final["state"] == "error"
         with pytest.raises(ServeClientError, match="500"):
             client.result(job["id"])
+
+
+class TestServeNetworks:
+    def test_the_case_study_is_loaded_once_for_every_train_seed(self, monkeypatch):
+        from repro.serve import app as serve_app
+        from repro.service import planner
+
+        case_study = load_leukemia_case_study()
+        loads = []
+
+        def counting_load(*args, **kwargs):
+            loads.append(args)
+            return case_study
+
+        for module in (serve_app, planner):
+            monkeypatch.setattr(
+                module, "load_leukemia_case_study", counting_load, raising=False
+            )
+        app = serve_app.ServeApp(workers=1, max_pending=4)
+        networks = [
+            app._network_for(NetworkSpec(train_seed=seed)) for seed in (7, 8, 7)
+        ]
+        assert len(loads) == 1
+        assert networks[0] is networks[2] and networks[0] is not networks[1]

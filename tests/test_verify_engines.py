@@ -12,7 +12,6 @@ import math
 import os
 import subprocess
 import sys
-from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,24 +20,24 @@ import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
 import repro
-from repro.config import NoiseConfig, VerifierConfig
+from repro.config import NoiseConfig, RuntimeConfig, VerifierConfig
 from repro.errors import BudgetExceededError, VerificationError
 from repro.nn.quantize import QuantizedLayer, QuantizedNetwork
 from repro.verify import (
-    CornerFalsifier,
     ExhaustiveEnumerator,
-    IntervalVerifier,
     NetworkEncoding,
     NoiseVectorCollector,
-    PortfolioVerifier,
-    RandomFalsifier,
     ScaledQuery,
     SmtVerifier,
     VerificationStatus,
     build_query,
+    interval_bulk,
 )
+from repro.runtime import QueryRunner
 from repro.verify import exhaustive
 from repro.verify.encoder import _float64_exact_layers, forward_scaled
+
+from reference_engines import CornerFalsifier, RandomFalsifier
 
 SCALE = 1000
 
@@ -458,13 +457,13 @@ class TestIntervalVerifier:
         x = np.array([10, 20])
         label = simple_network.predict(x)
         query = build_query(simple_network, x, label, NoiseConfig(0))
-        assert IntervalVerifier().verify(query).is_robust
+        assert interval_bulk([query])[0].is_robust
 
     def test_never_vulnerable(self, simple_network):
         x = np.array([10, 20])
         label = simple_network.predict(x)
         query = build_query(simple_network, x, label, NoiseConfig(40))
-        result = IntervalVerifier().verify(query)
+        result = interval_bulk([query])[0]
         assert result.status in (
             VerificationStatus.ROBUST,
             VerificationStatus.UNKNOWN,
@@ -475,7 +474,7 @@ class TestIntervalVerifier:
         label = simple_network.predict(x)
         for percent in (1, 2, 4, 8, 16):
             query = build_query(simple_network, x, label, NoiseConfig(percent))
-            if IntervalVerifier().verify(query).is_robust:
+            if interval_bulk([query])[0].is_robust:
                 assert ExhaustiveEnumerator().verify(query).is_robust
 
 
@@ -495,17 +494,6 @@ class TestExhaustive:
                 assert query.misclassified(result.witness)
                 return
         pytest.skip("network too robust for this test input")
-
-    def test_census_counts_match_collection(self, simple_network):
-        x = np.array([10, 20])
-        label = simple_network.predict(x)
-        query = build_query(simple_network, x, label, NoiseConfig(25))
-        enumerator = ExhaustiveEnumerator()
-        count = enumerator.count_misclassifications(query)
-        witnesses = enumerator.collect_witnesses(query)
-        assert count == len(witnesses)
-        census = enumerator.misclassification_census(query)
-        assert sum(census.values()) == count
 
 
 class TestSplitEnumerator:
@@ -549,9 +537,6 @@ class TestSplitEnumerator:
             fine = ExhaustiveEnumerator(chunk=1)
             for limit in limits:
                 assert fine.collect_witnesses(query, limit=limit) == expected[:limit]
-        census = Counter(label for _, label in expected)
-        assert enumerator.misclassification_census(query) == dict(census)
-        assert enumerator.count_misclassifications(query) == total
 
     def test_limit_stops_the_split_early(self, vulnerable_query):
         unlimited = ExhaustiveEnumerator()
@@ -651,7 +636,8 @@ class TestCompleteEnginesAgainstGroundTruth:
         network, x, label, noise = problem
         query = build_query(network, x, label, noise)
         truth = ExhaustiveEnumerator().verify(query)
-        result = PortfolioVerifier().verify(query)
+        runner = QueryRunner(network, runtime=RuntimeConfig(cache=False))
+        result = runner.verify_at(x, label, noise.max_percent)
         assert result.status == truth.status
 
 
