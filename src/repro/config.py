@@ -69,10 +69,6 @@ class TrainConfig(_FromMapping):
         if self.batch_size < 0:
             raise ConfigError("batch_size must be >= 0 (0 = full batch)")
 
-    @property
-    def total_epochs(self) -> int:
-        return self.epochs_phase1 + self.epochs_phase2
-
 
 @dataclass(frozen=True)
 class NoiseConfig:
@@ -104,10 +100,6 @@ class NoiseConfig:
     def percent_values(self) -> list[int]:
         """All admissible signed noise percentages."""
         return list(range(self.low, self.high + 1))
-
-    def vector_count(self, num_inputs: int) -> int:
-        """Size of the noise-vector space for ``num_inputs`` nodes."""
-        return len(self.percent_values()) ** num_inputs
 
 
 @dataclass(frozen=True)

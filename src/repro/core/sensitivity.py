@@ -110,11 +110,9 @@ class InputSensitivityAnalysis:
 
     The Eq.-3 probes run as :class:`~repro.runtime.ProbeTask` units on the
     query runner — one task per ``(node, sign)`` pair, fanned out in
-    parallel when the runtime allows, with every single-node flip check
-    memoised.  Each task first submits its whole ladder (every input ×
-    every magnitude up to the ceiling) as one bulk exact network
-    evaluation, so the per-input bisections read memoised flip thresholds
-    instead of re-evaluating the network magnitude by magnitude.
+    parallel when the runtime allows.  Each task evaluates its whole
+    ladder (every input × every magnitude up to the ceiling) as one bulk
+    exact network pass and reports the least flipping magnitude.
     """
 
     def __init__(

@@ -73,11 +73,6 @@ def vec_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
     return [x + y for x, y in zip(a, b)]
 
 
-def vec_scale(a: Sequence[Fraction], k: Fraction) -> list[Fraction]:
-    """Multiply every component of ``a`` by scalar ``k``."""
-    return [x * k for x in a]
-
-
 def argmax_with_tiebreak(values: Sequence[Fraction]) -> int:
     """Index of the maximum; ties resolve to the *lowest* index.
 
@@ -102,23 +97,3 @@ def relative_noise(value: Fraction, percent: int | Fraction) -> Fraction:
     exact: ``value * (100 + percent) / 100``.
     """
     return value * (Fraction(100) + Fraction(percent)) / Fraction(100)
-
-
-def lcm_of_denominators(values: Iterable[Fraction]) -> int:
-    """Least common multiple of all denominators (1 for an empty input).
-
-    Used to rescale a rational constraint row to integers, which keeps the
-    exact simplex pivots cheap.
-    """
-    result = 1
-    for v in values:
-        d = v.denominator
-        g = _gcd(result, d)
-        result = result // g * d
-    return result
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

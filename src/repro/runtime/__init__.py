@@ -18,10 +18,10 @@ This package turns that structure into throughput:
   (never ``None``) when nothing is cached, so a legitimately-``None``
   payload round-trips.  The cache also answers queries *implied* along
   the noise-percent axis: ROBUST at ±P ⇒ ROBUST at every ±P' ≤ P (nested
-  boxes), VULNERABLE at ±P ⇒ VULNERABLE at every ±P' ≥ P (the witness
-  stays in range), and dually for single-node probe flips.  Derived
-  answers are counted in ``CacheStats.derived_hits`` and never stored —
-  the entry table holds engine-proved facts only;
+  boxes), and VULNERABLE at ±P ⇒ VULNERABLE at every ±P' ≥ P (the
+  witness stays in range).  Derived answers are counted in
+  ``CacheStats.derived_hits`` and never stored — the entry table holds
+  engine-proved facts only;
 - :class:`CacheStore` (:mod:`repro.runtime.store`) — cross-run
   persistence: one versioned, checksummed file per (network,
   verifier-config) fingerprint context under ``RuntimeConfig.cache_dir``.

@@ -5,7 +5,7 @@ Every query the analyses issue is addressed by a structured key::
     (kind, input index, input values, true label, noise percent, extra)
 
 ``kind`` namespaces the payload ("verify" → :class:`VerificationResult`,
-"extract" → collected noise vectors, "probe" → single-node flip booleans).
+"extract" → collected noise vectors).
 The input *values* ride along with the index so a cache can never hand
 back results for a different dataset that happens to reuse an index.
 
@@ -18,17 +18,16 @@ Misses are reported with the :data:`MISS` sentinel, never ``None`` — a
 cached payload may legitimately *be* ``None``, so ``None`` cannot double
 as "not present".
 
-Besides exact-key hits, :class:`QueryCache` answers "verify" and
-"probe" queries *implied* by the paper's noise-model monotonicity: a
-ROBUST verdict at ±P covers every ±P' ≤ P (the smaller box is a subset),
-a VULNERABLE verdict at ±P covers every ±P' ≥ P (its witness stays in
-range), and a single-node probe flip at magnitude P covers every P' ≥ P
-(dually for "no flip").  Derived answers are counted in
-:attr:`CacheStats.derived_hits`, are never stored back as "verify" or
-"probe" entries (the fact tables hold engine-proved verdicts only), and a
-derived VULNERABLE verdict carries the witness of the source entry — a
-valid counterexample for the larger box, though not necessarily the one
-a cold solver run at that exact percent would report.  One downstream
+Besides exact-key hits, :class:`QueryCache` answers "verify" queries
+*implied* by the paper's noise-model monotonicity: a ROBUST verdict at
+±P covers every ±P' ≤ P (the smaller box is a subset), and a VULNERABLE
+verdict at ±P covers every ±P' ≥ P (its witness stays in range).
+Derived answers are counted in :attr:`CacheStats.derived_hits`, are
+never stored back as "verify" entries (the fact table holds
+engine-proved verdicts only), and a derived VULNERABLE verdict carries
+the witness of the source entry — a valid counterexample for the larger
+box, though not necessarily the one a cold solver run at that exact
+percent would report.  One downstream
 consequence *is* stored: the extraction short-circuit in
 :meth:`~repro.runtime.runner.QueryRunner.collect_at` memoises its empty
 "extract" outcome whether the ROBUST verdict that forced it was exact or
@@ -148,14 +147,6 @@ class _VerifyFacts:
     vulnerable_key: QueryKey | None = None
 
 
-@dataclass
-class _ProbeFacts:
-    """Single-node flip thresholds for one (input, label, node, sign) group."""
-
-    flip_min: int | None = None  # smallest percent known to flip
-    noflip_max: int | None = None  # largest percent known not to flip
-
-
 class QueryCache:
     """In-memory query memo with monotone derivation, stats and context
     invalidation.
@@ -179,7 +170,6 @@ class QueryCache:
         # so warm-entry harvesting never scans the whole cache.
         self._by_input: dict[tuple, dict[QueryKey, Any]] = {}
         self._verify_facts: dict[tuple, _VerifyFacts] = {}
-        self._probe_facts: dict[tuple, _ProbeFacts] = {}
         #: Entries stored via :meth:`put` since construction, the last
         #: :meth:`preload` or the last journal reset — what a pooled
         #: worker ships back to the parent, and what a
@@ -209,7 +199,6 @@ class QueryCache:
         self._entries.clear()
         self._by_input.clear()
         self._verify_facts.clear()
-        self._probe_facts.clear()
         self.added.clear()
 
     # -- lookups -------------------------------------------------------------------
@@ -288,7 +277,7 @@ class QueryCache:
 
         Served from the per-input secondary index (no full-cache scan).
         ``kinds`` restricts the result to the given key namespaces so a
-        task is only shipped entries it can actually consume (a probe
+        task is only shipped entries it can actually consume (a search
         task has no use for cached extraction vector lists).  Only exact
         entries are returned — derived answers are re-derived on the
         receiving side from the same facts, never materialised.
@@ -303,7 +292,7 @@ class QueryCache:
     # -- fact indexing and derivation ----------------------------------------------
 
     def _insert(self, key: QueryKey, value: Any) -> None:
-        """Add an entry to the table, the per-input index and the fact tables."""
+        """Add an entry to the table, the per-input index and the fact table."""
         self._entries[key] = value
         self._by_input.setdefault((key[1], key[2]), {})[key] = value
         kind, percent = key[0], _percent_of(key)
@@ -315,25 +304,12 @@ class QueryCache:
             elif value.status is VerificationStatus.VULNERABLE:
                 if facts.vulnerable_min is None or percent < facts.vulnerable_min:
                     facts.vulnerable_min, facts.vulnerable_key = percent, key
-        elif kind == "probe" and isinstance(value, bool):
-            facts = self._probe_facts.setdefault(_group_of(key), _ProbeFacts())
-            if value:
-                if facts.flip_min is None or percent < facts.flip_min:
-                    facts.flip_min = percent
-            else:
-                if facts.noflip_max is None or percent > facts.noflip_max:
-                    facts.noflip_max = percent
 
     def _implied(self, key: QueryKey) -> Any:
-        """The answer a proved fact at another percent implies, or MISS."""
-        kind = key[0]
-        if kind == "verify":
-            return self._implied_verify(key)
-        if kind == "probe":
-            return self._implied_probe(key)
-        return MISS
+        """The verdict a proved fact at another percent implies, or MISS.
 
-    def _implied_verify(self, key: QueryKey) -> Any:
+        Only "verify" keys have facts, so every other kind misses here.
+        """
         facts = self._verify_facts.get(_group_of(key))
         if facts is None:
             return MISS
@@ -353,15 +329,4 @@ class QueryCache:
                 engine=f"monotone(vulnerable@±{facts.vulnerable_min}%)",
                 stats={"derived_from_percent": facts.vulnerable_min},
             )
-        return MISS
-
-    def _implied_probe(self, key: QueryKey) -> Any:
-        facts = self._probe_facts.get(_group_of(key))
-        if facts is None:
-            return MISS
-        percent = _percent_of(key)
-        if facts.flip_min is not None and percent >= facts.flip_min:
-            return True
-        if facts.noflip_max is not None and percent <= facts.noflip_max:
-            return False
         return MISS

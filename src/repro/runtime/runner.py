@@ -4,11 +4,11 @@
 analyses (P2 tolerance search, P3 extraction, sensitivity probes) issue
 verification work.  It provides:
 
-- **Memoisation** — every query outcome lands in a :class:`QueryCache`
-  keyed by ``(kind, input index, input values, true label, noise
-  percent, extra)`` under a (network, verifier-config) fingerprint
-  context, so the tolerance bisection, the literal paper schedule, the
-  Fig.-4 sweep, extraction and the probes stop re-solving identical
+- **Memoisation** — every verify and extract outcome lands in a
+  :class:`QueryCache` keyed by ``(kind, input index, input values, true
+  label, noise percent, extra)`` under a (network, verifier-config)
+  fingerprint context, so the tolerance bisection, the literal paper
+  schedule, the Fig.-4 sweep and extraction stop re-solving identical
   queries — and queries whose answer is *implied* by a verdict at a
   different percent (nested noise boxes).
 - **Persistence** — with ``RuntimeConfig.cache_dir`` set, the cache
@@ -17,17 +17,19 @@ verification work.  It provides:
   / :meth:`QueryRunner.close`, so repeated CLI runs over the same model
   and budget issue zero solver calls.
 - **Frontier batching** — the analyses submit whole probe ladders and
-  grids (:meth:`prepass_frontier`, :meth:`verify_frontier`,
-  :meth:`probe_ladder`): a vectorised bulk prepass
+  grids (:meth:`prepass_frontier`, :meth:`verify_frontier`): a
+  vectorised bulk prepass
   (:class:`~repro.verify.batch.FrontierPrepass`) resolves the cheap mass
   of the frontier — one interval matmul pair per layer for *all*
   queries, concatenated falsifier evaluations — and only the boundary
   band reaches a complete engine, per query (lazily after a speculative
   :meth:`prepass_frontier`, monotone-bisected inside
   :meth:`verify_frontier`).  A lone :meth:`verify_at` is a frontier of
-  one, and a single Eq.-3 probe a ladder of one input.  One
-  :class:`~repro.verify.portfolio.PortfolioVerifier` per runner serves
-  the complete stage.
+  one.  One :class:`~repro.verify.portfolio.PortfolioVerifier` per
+  runner serves the complete stage.
+- **Eq.-3 probes** — :meth:`probe_ladder` finds many inputs' exact
+  single-node flip thresholds in one bulk network evaluation; it needs
+  no solver and caches nothing.
 - **Engine utilisation** — an :class:`~repro.verify.stats.EngineStats`
   table records per-stage attempts, decisions and wall time for this
   runner's own work (worker tables fold in; nothing is persisted).  It
@@ -152,9 +154,6 @@ class QueryRunner:
         #: Keys whose incomplete stages a bulk prepass already exhausted:
         #: a later exact query skips straight to the complete engine.
         self._frontier_unknown: set = set()
-        #: (index, x, label, node, sign) -> (checked ceiling, min flip
-        #: magnitude or None): the bulk single-node probe ladders.
-        self._probe_thresholds: dict = {}
         #: Serialises flush/close and stats snapshots.  Query execution
         #: itself is not made concurrent by this lock — a runner shared
         #: between threads (the serve plane's per-context runner pool)
@@ -243,29 +242,6 @@ class QueryRunner:
         self.stats.extract_calls += 1
         self.cache.put(key, outcome)
         return outcome
-
-    def flips_single_node(
-        self,
-        x,
-        true_label: int,
-        node: int,
-        sign: int,
-        percent: int,
-        index: int = -1,
-    ) -> bool:
-        """Exact Eq.-3 check (noise on one node only), memoised."""
-        x = tuple(int(v) for v in x)
-        key = make_key("probe", index, x, true_label, percent, extra=(node, sign))
-        cached = self.cache.get(key)
-        if cached is not MISS:
-            return cached
-        # A ladder of one input: the bulk evaluation fills the threshold memo.
-        self.probe_ladder([(index, x, true_label)], node, sign, percent)
-        threshold = self._probe_thresholds[(index, x, true_label, node, sign)][1]
-        flips = threshold is not None and threshold <= percent
-        self.stats.probe_evals += 1
-        self.cache.put(key, flips)
-        return flips
 
     # -- frontier batching -------------------------------------------------------------
 
@@ -363,35 +339,29 @@ class QueryRunner:
         self._frontier_unknown.discard(probe.key)
         return result
 
-    def probe_ladder(self, inputs, node: int, sign: int, ceiling: int) -> None:
-        """Bulk-evaluate the single-node flip ladders of many inputs at once.
+    def probe_ladder(
+        self, inputs, node: int, sign: int, ceiling: int
+    ) -> list[int | None]:
+        """Exact Eq.-3 flip thresholds of many inputs in one bulk pass.
 
         One concatenated exact network evaluation covers every magnitude
-        ``1..ceiling`` of every input, seeding the threshold memo the
-        Eq.-3 probes read — the probe bisections then never evaluate the
-        network again.
+        ``1..ceiling`` of every ``(index, x, true_label)`` input, with the
+        noise on ``node`` alone and of sign ``sign``.  Returns, per input,
+        the least magnitude that changes its label, or None.
         """
-        todo = []
-        for index, x, true_label in inputs:
-            x = tuple(int(v) for v in x)
-            group = (index, x, true_label, node, sign)
-            memo = self._probe_thresholds.get(group)
-            if memo is not None and (memo[1] is not None or memo[0] >= ceiling):
-                continue
-            todo.append((group, x, true_label))
-        if not todo:
-            return
+        inputs = list(inputs)
         blocks = []
-        for group, x, true_label in todo:
+        for _, x, true_label in inputs:
             query = self._build_query(x, true_label, ceiling)
             block = np.zeros((ceiling, len(x)), dtype=np.int64)
             block[:, node] = sign * np.arange(1, ceiling + 1, dtype=np.int64)
             blocks.append((query, block))
-        labels = labels_for_rows(blocks)
-        for (group, x, true_label), row_labels in zip(todo, labels):
+        self.stats.probe_evals += len(inputs)
+        thresholds = []
+        for (_, _, true_label), row_labels in zip(inputs, labels_for_rows(blocks)):
             flips = np.nonzero(row_labels != true_label)[0]
-            threshold = int(flips[0]) + 1 if flips.size else None
-            self._probe_thresholds[group] = (ceiling, threshold)
+            thresholds.append(int(flips[0]) + 1 if flips.size else None)
+        return thresholds
 
     # -- fan-out ----------------------------------------------------------------------
 
@@ -426,12 +396,10 @@ class QueryRunner:
         return values
 
     def _warm_entries(self, task) -> dict:
-        """Cache entries relevant to a task's inputs, shipped to the worker."""
-        kinds = getattr(task, "warm_kinds", None)
-        warm: dict = {}
-        for index, x in task_inputs(task):
-            warm.update(self.cache.entries_for_input(index, x, kinds=kinds))
-        return warm
+        """Cache entries relevant to a task's input, shipped to the worker."""
+        if not task.warm_kinds:
+            return {}
+        return self.cache.entries_for_input(task.index, task.x, kinds=task.warm_kinds)
 
     def _pool_handle(self) -> ProcessPoolExecutor:
         """Lazily created, reused worker pool.
@@ -512,13 +480,6 @@ class QueryRunner:
             self.close()
         except Exception:
             pass
-
-
-def task_inputs(task) -> list[tuple[int, tuple]]:
-    """The ``(index, input values)`` pairs a task will query."""
-    if hasattr(task, "inputs"):  # ProbeTask spans several inputs
-        return [(index, x) for index, x, _ in task.inputs]
-    return [(task.index, task.x)]
 
 
 # -- worker-process side ----------------------------------------------------------

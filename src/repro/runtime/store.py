@@ -67,7 +67,10 @@ MAGIC = b"FANNET-QCACHE\n"
 #: that a cold run of the current code cannot reproduce.  Dropping the
 #: cutoff from the "extract" key (``(limit, cutoff)`` → ``(limit,)``)
 #: needed no bump: old keys cannot collide with new ones, they only miss.
-STORE_VERSION = 3
+#: Version 4: single-node probes are no longer cached, so the "probe"
+#: booleans a version-3 file carries would never be read again; without
+#: the bump a warm run would load them and re-save them on every flush.
+STORE_VERSION = 4
 
 _LEN_BYTES = 8
 
@@ -78,7 +81,7 @@ class CacheStoreWarning(UserWarning):
 
 #: The only non-builtin globals a legitimate cache entry pickles: the
 #: verdict container and its status enum.  Everything else a snapshot
-#: holds (keys, witnesses, extraction dicts, probe booleans) is plain
+#: holds (keys, witnesses, extraction dicts) is plain
 #: containers and scalars, which pickle reconstructs without imports.
 _ALLOWED_GLOBALS = frozenset(
     {

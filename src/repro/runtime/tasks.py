@@ -92,33 +92,20 @@ class ProbeTask:
     """Eq.-3 probe: minimal single-node noise (one node, one sign) that
     flips *any* of the given correctly-classified inputs.
 
-    The task submits its whole ladder — every input × every magnitude up
-    to the ceiling — as one bulk exact network evaluation before
-    bisecting; the bisections then read the memoised flip thresholds and
-    never evaluate the network again.
+    One bulk exact network evaluation over every input × every magnitude
+    up to the ceiling yields each input's flip threshold; the probe is
+    their minimum.  Nothing is cached, so no warm entries ship with it.
     """
 
     node: int
     sign: int
     ceiling: int
     inputs: tuple  # ((index, x, true_label), ...)
-    warm_kinds = ("probe",)
+    warm_kinds = ()
 
     def run(self, runner) -> int | None:
-        runner.probe_ladder(self.inputs, self.node, self.sign, self.ceiling)
-        best: int | None = None
-        for index, x, true_label in self.inputs:
-            low = 1
-            high = best - 1 if best is not None else self.ceiling
-            while low <= high:
-                mid = (low + high) // 2
-                if runner.flips_single_node(
-                    x, true_label, self.node, self.sign, mid, index=index
-                ):
-                    best, high = mid, mid - 1
-                else:
-                    low = mid + 1
-        return best
+        thresholds = runner.probe_ladder(self.inputs, self.node, self.sign, self.ceiling)
+        return min((t for t in thresholds if t is not None), default=None)
 
 
 # -- the two P2 search schedules (paper §IV-B / Fig. 2) -------------------------

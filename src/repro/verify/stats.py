@@ -72,9 +72,6 @@ class EngineStats:
             self.stages[name].attempts for name in COMPLETE_STAGES if name in self.stages
         )
 
-    def total_wall_s(self) -> float:
-        return sum(stat.wall_s for stat in self.stages.values())
-
     def merge(self, other: "EngineStats") -> None:
         """Fold another table in (a pooled worker's, shipped back whole)."""
         for name, stat in other.stages.items():

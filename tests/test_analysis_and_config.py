@@ -19,13 +19,11 @@ from repro.errors import ConfigError, DataError
 from repro.rational import (
     argmax_with_tiebreak,
     dot,
-    lcm_of_denominators,
     mat_vec,
     relative_noise,
     to_fraction,
     to_fraction_vector,
     vec_add,
-    vec_scale,
 )
 
 
@@ -92,7 +90,6 @@ class TestConfigs:
     def test_noise_config_values(self):
         noise = NoiseConfig(max_percent=2)
         assert noise.percent_values() == [-2, -1, 0, 1, 2]
-        assert noise.vector_count(3) == 125
 
     def test_noise_asymmetric_range(self):
         noise = NoiseConfig(max_percent=1, min_percent=0)
@@ -109,7 +106,6 @@ class TestConfigs:
             TrainConfig(hidden_units=0)
         with pytest.raises(ConfigError):
             TrainConfig(lr_phase1=0)
-        assert TrainConfig().total_epochs == 80
 
     def test_verifier_config_validation(self):
         with pytest.raises(ConfigError):
@@ -140,7 +136,6 @@ class TestRational:
         b = to_fraction_vector([3, 4])
         assert dot(a, b) == Fraction(11)
         assert vec_add(a, b) == [Fraction(4), Fraction(6)]
-        assert vec_scale(a, Fraction(2)) == [Fraction(2), Fraction(4)]
         assert mat_vec([a, b], to_fraction_vector([1, 1])) == [
             Fraction(3),
             Fraction(7),
@@ -157,8 +152,3 @@ class TestRational:
     def test_relative_noise_exact(self):
         assert relative_noise(Fraction(50), 11) == Fraction(50 * 111, 100)
         assert relative_noise(Fraction(50), -11) == Fraction(50 * 89, 100)
-
-    def test_lcm_of_denominators(self):
-        values = [Fraction(1, 2), Fraction(1, 3), Fraction(5, 6)]
-        assert lcm_of_denominators(values) == 6
-        assert lcm_of_denominators([]) == 1

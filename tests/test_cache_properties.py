@@ -3,10 +3,11 @@
 Randomised adversarial coverage of the two claims the runtime's cache
 layer must never get wrong, checked on small random quantised networks:
 
-1. **Soundness of derivation** — every monotone-derived verdict (verify
-   or probe) equals the verdict a *cold* solver produces for that exact
-   ``(input, percent)`` query, and every derived witness is a genuine
-   in-range counterexample.
+1. **Soundness of derivation** — every monotone-derived verdict equals
+   the verdict a *cold* solver produces for that exact ``(input,
+   percent)`` query, every derived witness is a genuine in-range
+   counterexample, and an Eq.-3 probe answers the same with the cache on
+   or off.
 2. **Transparency of persistence** — analysis reports are bit-identical
    with persistence on, off, and warm-from-disk, and the warm replay
    issues zero solver calls.
@@ -20,8 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import RuntimeConfig
@@ -33,6 +33,7 @@ from repro.runtime import (
     CacheStore,
     QueryCache,
     QueryRunner,
+    ProbeTask,
     ToleranceSearchTask,
     make_key,
 )
@@ -75,6 +76,23 @@ inputs = st.tuples(
     st.integers(min_value=1, max_value=25), st.integers(min_value=1, max_value=25)
 )
 percents = st.integers(min_value=1, max_value=MAX_PERCENT)
+
+#: Few random networks flip any input through one node within the
+#: ceiling; on this one, node 1 at −24% flips input (15, 14).
+FLIPPABLE = QuantizedNetwork(
+    [
+        QuantizedLayer(
+            ((Fraction(1), Fraction(-1)), (Fraction(-1, 2), Fraction(3, 2))),
+            (Fraction(0), Fraction(1, 10)),
+            relu=True,
+        ),
+        QuantizedLayer(
+            ((Fraction(1), Fraction(-1, 5)), (Fraction(-1), Fraction(4, 5))),
+            (Fraction(0), Fraction(0)),
+            relu=False,
+        ),
+    ]
+)
 
 
 def search(runner, x, label, ceiling) -> dict:
@@ -121,25 +139,30 @@ class TestMonotoneDerivationSoundness:
     @HARNESS
     @given(
         network=quantized_networks(),
-        x=inputs,
+        xs=st.lists(inputs, min_size=1, max_size=3),
         node=st.integers(min_value=0, max_value=1),
         sign=st.sampled_from([-1, 1]),
-        schedule=st.lists(percents, min_size=2, max_size=8, unique=True),
+        ceiling=st.integers(min_value=1, max_value=60),
     )
-    def test_derived_probe_answers_match_a_cold_probe(
-        self, network, x, node, sign, schedule
+    @example(network=FLIPPABLE, xs=[(20, 10), (15, 14)], node=1, sign=-1, ceiling=30)
+    @example(network=FLIPPABLE, xs=[(15, 14)], node=1, sign=-1, ceiling=23)
+    def test_probe_task_finds_the_least_flip(
+        self, network, xs, node, sign, ceiling
     ):
-        label = network.predict(x)
-        runner = QueryRunner(network)
-        for percent in schedule:
-            derived_before = runner.cache.stats.derived_hits
-            answer = runner.flips_single_node(x, label, node, sign, percent)
-            if runner.cache.stats.derived_hits == derived_before:
-                continue
-            cold = QueryRunner(
-                network, runtime=RuntimeConfig(cache=False)
-            ).flips_single_node(x, label, node, sign, percent)
-            assert answer == cold
+        probe_inputs = tuple((i, x, network.predict(x)) for i, x in enumerate(xs))
+
+        def flips(magnitude) -> bool:
+            noise = [0, 0]
+            noise[node] = sign * magnitude
+            return any(
+                network.predict_noisy(x, noise) != label for _, x, label in probe_inputs
+            )
+
+        least = next((m for m in range(1, ceiling + 1) if flips(m)), None)
+        for cache in (True, False):
+            runner = QueryRunner(network, runtime=RuntimeConfig(cache=cache))
+            task = ProbeTask(node=node, sign=sign, ceiling=ceiling, inputs=probe_inputs)
+            assert task.run(runner) == least
 
     @HARNESS
     @given(network=quantized_networks(), x=inputs, ceiling=st.integers(4, MAX_PERCENT))

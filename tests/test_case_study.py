@@ -28,7 +28,7 @@ from repro.core import (
 from repro.core.translate import noise_model_state_counts
 from repro.data import LABEL_ALL, LABEL_AML, load_leukemia_case_study
 from repro.fsm import TransitionSystem, count_states_and_transitions
-from repro.nn import quantize_network, train_paper_network
+from repro.nn import train_paper_network
 
 
 @pytest.fixture(scope="module")

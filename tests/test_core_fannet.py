@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from repro.config import NoiseConfig, VerifierConfig
+from repro.config import NoiseConfig
 from repro.core import (
     BoundaryEstimation,
     InputSensitivityAnalysis,
@@ -159,23 +159,27 @@ class TestProperties:
     def test_p3_blocks_known_vectors(self, network):
         x = np.array([15, 14])
         label = int(network.predict(x))
-        module, query = network_noise_module(network, x, label, NoiseConfig(4))
+        # ±14 is the least range at which this input has witnesses (three).
+        module, query = network_noise_module(network, x, label, NoiseConfig(14))
         from repro.verify import ExhaustiveEnumerator
 
         witnesses = [v for v, _ in ExhaustiveEnumerator().collect_witnesses(query)]
-        if not witnesses:
-            pytest.skip("fixture not vulnerable at ±4%")
-        known = witnesses[: len(witnesses) // 2] or witnesses[:1]
-        module.invarspecs = [p3_next_counterexample_property(label, known)]
-        result = ExplicitChecker().check_invariant(module, module.invarspecs[0])
-        if len(known) == len(witnesses):
-            assert result.verdict is Verdict.HOLDS
-        else:
-            assert result.verdict is Verdict.VIOLATED
-            final = result.counterexample.final
-            vector = tuple(final[f"p{i}"] for i in range(query.num_inputs))
-            assert vector not in known
-            assert query.misclassified(vector)
+        assert len(witnesses) > 1
+
+        def check(known):
+            module.invarspecs = [p3_next_counterexample_property(label, known)]
+            return ExplicitChecker().check_invariant(module, module.invarspecs[0])
+
+        # Blocking every witness leaves no counterexample ...
+        assert check(witnesses).verdict is Verdict.HOLDS
+        # ... and blocking some leaves a fresh one.
+        known = witnesses[: len(witnesses) // 2]
+        result = check(known)
+        assert result.verdict is Verdict.VIOLATED
+        final = result.counterexample.final
+        vector = tuple(final[f"p{i}"] for i in range(query.num_inputs))
+        assert vector not in known
+        assert query.misclassified(vector)
 
 
 class TestToleranceAnalysis:
@@ -253,23 +257,21 @@ class TestExtractionAndDownstreamAnalyses:
 
     def test_single_node_probe_consistency(self, network, dataset):
         runner = QueryRunner(network)
-        task = ProbeTask(
-            node=0,
-            sign=1,
-            ceiling=30,
-            inputs=tuple(runner.correctly_classified(dataset)),
-        )
+        inputs = tuple(runner.correctly_classified(dataset))
+        task = ProbeTask(node=1, sign=-1, ceiling=30, inputs=inputs)
         threshold = task.run(runner)
-        if threshold is None:
-            pytest.skip("node 0 not single-node flippable at +30%")
+        assert threshold is not None
+
+        def flips(magnitude) -> bool:
+            noise = [0, 0]
+            noise[task.node] = task.sign * magnitude
+            return any(
+                network.predict_noisy(x, noise) != label for _, x, label in inputs
+            )
+
         # At the threshold some input flips; below it none does.
-        assert any(
-            network.predict_noisy(
-                dataset.features[i], [threshold, 0]
-            ) != int(dataset.labels[i])
-            for i in range(dataset.num_samples)
-            if network.predict(dataset.features[i]) == int(dataset.labels[i])
-        )
+        assert flips(threshold)
+        assert not any(flips(m) for m in range(1, threshold))
 
     def test_boundary_partition_is_complete(self, network, dataset):
         tolerance = NoiseToleranceAnalysis(network, search_ceiling=55).analyze(dataset)

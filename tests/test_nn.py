@@ -22,7 +22,6 @@ from repro.nn import (
     network_to_dict,
     quantize_network,
     save_network,
-    train_paper_network,
 )
 from repro.nn.activations import ReLU, Identity, activation_by_name
 from repro.nn.train import cross_entropy, one_hot, softmax

@@ -10,11 +10,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import NoiseConfig
-from repro.errors import VerificationError
 from repro.nn.quantize import QuantizedLayer, QuantizedNetwork
 from repro.verify import (
     ExhaustiveEnumerator,

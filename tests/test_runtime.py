@@ -21,6 +21,7 @@ from repro.nn.quantize import QuantizedLayer, QuantizedNetwork
 from repro.runtime import (
     MISS,
     CacheStats,
+    CacheStore,
     ExtractionTask,
     QueryCache,
     QueryRunner,
@@ -29,7 +30,6 @@ from repro.runtime import (
     derive_seed,
     make_key,
     network_fingerprint,
-    runtime_context,
     verifier_fingerprint,
 )
 from repro.verify.result import VerificationResult, VerificationStatus
@@ -106,7 +106,7 @@ class TestQueryCache:
     def test_none_payload_is_a_hit_not_a_miss(self):
         """Regression: a legitimately-None payload must not read as a miss."""
         cache = QueryCache()
-        key = make_key("probe", 0, (1, 2), 0, 5, extra=(0, 1))
+        key = make_key("extract", 0, (1, 2), 0, 5, extra=(None,))
         cache.put(key, None)
         assert cache.get(key) is None  # the cached payload, not a miss
         assert cache.get(key) is not MISS
@@ -118,9 +118,9 @@ class TestQueryCache:
         assert not MISS
         assert MISS is not None
         cache = QueryCache()
-        cache.put(make_key("probe", 0, (1,), 0, 5, extra=(0, 1)), None)
-        # The monotone fact indexer must skip non-bool probe payloads.
-        assert cache.get(make_key("probe", 0, (1,), 0, 9, extra=(0, 1))) is MISS
+        cache.put(make_key("verify", 0, (1,), 0, 5), None)
+        # The monotone fact indexer must skip payloads that are not verdicts.
+        assert cache.get(make_key("verify", 0, (1,), 0, 9)) is MISS
 
     def test_rebinding_same_context_keeps_entries(self):
         cache = QueryCache()
@@ -176,18 +176,19 @@ class TestQueryCache:
         cache = QueryCache()
         verify_key = make_key("verify", 2, (5, 6), 1, 10)  # extra ()
         extract_key = make_key("extract", 2, (5, 6), 1, 10, extra=(None, 100))
-        probe_key = make_key("probe", 2, (5, 6), 1, 10, extra=(0, -1))
+        capped_key = make_key("extract", 2, (5, 6), 1, 10, extra=(5,))
         cache.put(verify_key, "verdict")
         cache.put(extract_key, "vectors")
-        cache.put(probe_key, True)
+        cache.put(capped_key, "first five")
         bucket = cache.entries_for_input(2, (5, 6))
-        assert set(bucket) == {verify_key, extract_key, probe_key}
+        assert set(bucket) == {verify_key, extract_key, capped_key}
         assert cache.entries_for_input(2, (5, 6), kinds=("verify",)) == {
             verify_key: "verdict"
         }
-        assert set(
-            cache.entries_for_input(2, (5, 6), kinds=("extract", "probe"))
-        ) == {extract_key, probe_key}
+        assert set(cache.entries_for_input(2, (5, 6), kinds=("extract",))) == {
+            extract_key,
+            capped_key,
+        }
 
 
 def robust(engine="test"):
@@ -247,16 +248,6 @@ class TestMonotoneCache:
         ):
             assert cache.get(other) is MISS
 
-    def test_probe_flip_thresholds_derive_both_ways(self):
-        cache = QueryCache()
-        cache.put(make_key("probe", 0, (1,), 0, 10, extra=(2, 1)), True)
-        cache.put(make_key("probe", 0, (1,), 0, 4, extra=(2, 1)), False)
-        assert cache.get(make_key("probe", 0, (1,), 0, 15, extra=(2, 1))) is True
-        assert cache.get(make_key("probe", 0, (1,), 0, 2, extra=(2, 1))) is False
-        assert cache.get(make_key("probe", 0, (1,), 0, 7, extra=(2, 1))) is MISS
-        # Opposite sign is a different group.
-        assert cache.get(make_key("probe", 0, (1,), 0, 15, extra=(2, -1))) is MISS
-
     def test_derived_hits_counted_separately(self):
         cache = QueryCache()
         key = make_key("verify", 0, (1,), 0, 10)
@@ -287,12 +278,10 @@ class TestMonotoneCache:
     def test_preload_rebuilds_monotone_facts(self):
         source = QueryCache()
         source.put(make_key("verify", 0, (1,), 0, 10), robust())
-        source.put(make_key("probe", 0, (1,), 0, 6, extra=(0, 1)), True)
         target = QueryCache()
         target.preload(source.snapshot())
         assert target.get(make_key("verify", 0, (1,), 0, 4)).is_robust
-        assert target.get(make_key("probe", 0, (1,), 0, 9, extra=(0, 1))) is True
-        assert target.stats.derived_hits == 2
+        assert target.stats.derived_hits == 1
 
     def test_context_invalidation_drops_monotone_facts(self):
         cache = QueryCache()
@@ -404,13 +393,6 @@ class TestRunnerCaching:
         monkeypatch.setattr(ExhaustiveEnumerator, "collect_witnesses", mislabelled)
         with pytest.raises(VerificationError, match="exact evaluation disagrees"):
             QueryRunner(network).collect_at(x, label, 20, limit=None)
-
-    def test_probe_checks_are_memoised(self, network, x, label):
-        runner = QueryRunner(network)
-        first = runner.flips_single_node(x, label, node=0, sign=1, percent=10)
-        second = runner.flips_single_node(x, label, node=0, sign=1, percent=10)
-        assert first == second
-        assert runner.stats.probe_evals == 1
 
     def test_unlimited_extraction_above_the_old_cutoff_is_complete(self):
         """No hidden cap: ±12 % on five inputs is 9.8 M points, where
@@ -625,7 +607,6 @@ class TestSharedEncoding:
         runner.verify_frontier([(1, x, label, p) for p in (3, 9, 15, 40)])
         runner.collect_at(x, label, 20, limit=None, index=0)
         runner.probe_ladder([(0, x, label)], node=0, sign=1, ceiling=30)
-        runner.flips_single_node(x, label, node=1, sign=-1, percent=40, index=0)
         assert runner.stats.frontier_queries and runner.stats.extract_calls
         assert runner.stats.probe_evals == 1
         weights = [w for layer in network.layers for row in layer.weights for w in row]
@@ -673,17 +654,6 @@ class TestRunnerMonotoneReuse:
         outcome = runner.collect_at(x, label, 2, limit=None)
         assert outcome == {"vectors": [], "flipped_to": [], "exhausted": True}
         assert runner.stats.extract_calls == 0
-
-    def test_probe_thresholds_derive_through_the_runner(self, network, x, label):
-        runner = QueryRunner(network)
-        flipped = runner.flips_single_node(x, label, node=0, sign=1, percent=40)
-        evals = runner.stats.probe_evals
-        if flipped:
-            assert runner.flips_single_node(x, label, node=0, sign=1, percent=50)
-        else:
-            assert not runner.flips_single_node(x, label, node=0, sign=1, percent=30)
-        assert runner.stats.probe_evals == evals  # answered by derivation
-        assert runner.cache.stats.derived_hits >= 1
 
     def test_sweep_after_analyze_issues_zero_solver_calls(self, network):
         from repro.core import NoiseToleranceAnalysis
@@ -802,6 +772,27 @@ class TestRunnerPersistence:
         reloaded = QueryRunner(network, runtime=runtime)
         assert reloaded.engine_stats.stages == {}
         reloaded.close()
+
+    def test_probes_share_a_cache_dir_and_store_no_probe_entries(
+        self, tmp_path, network, x, label
+    ):
+        from repro.core import InputSensitivityAnalysis
+        from repro.data.dataset import Dataset
+
+        features = np.array([x, (20, 10), (9, 27)])
+        dataset = Dataset(features, np.array([network.predict(f) for f in features]))
+        runtime = RuntimeConfig(cache_dir=str(tmp_path))
+        thresholds = []
+        for _ in range(2):
+            runner = QueryRunner(network, runtime=runtime)
+            runner.verify_at(x, label, 10, index=0)  # something worth storing
+            analysis = InputSensitivityAnalysis(network, runner=runner)
+            thresholds.append(analysis.probe_all_nodes(dataset, search_ceiling=40))
+            runner.close()
+        assert thresholds[0] == thresholds[1]
+        assert any(t is not None for pair in thresholds[0].values() for t in pair)
+        stored = CacheStore(str(tmp_path)).load(runner.cache.context)
+        assert stored and all(key[0] != "probe" for key in stored)
 
     def test_config_change_keys_a_different_file(self, tmp_path, network, x, label):
         runtime = RuntimeConfig(cache_dir=str(tmp_path))

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
 import repro
-from repro.config import NoiseConfig, RuntimeConfig, VerifierConfig
+from repro.config import NoiseConfig, RuntimeConfig
 from repro.errors import BudgetExceededError, VerificationError
 from repro.nn.quantize import QuantizedLayer, QuantizedNetwork
 from repro.verify import (
