@@ -19,16 +19,14 @@ cached payload may legitimately *be* ``None``, so ``None`` cannot double
 as "not present".
 
 Besides exact-key hits, :class:`QueryCache` answers "verify" queries
-*implied* by the paper's noise-model monotonicity: a ROBUST verdict at
-±P covers every ±P' ≤ P (the smaller box is a subset), and a VULNERABLE
-verdict at ±P covers every ±P' ≥ P (its witness stays in range).
-Derived answers are counted in :attr:`CacheStats.derived_hits`, are
-never stored back as "verify" entries (the fact table holds
-engine-proved verdicts only), and a derived VULNERABLE verdict carries
-the witness of the source entry — a valid counterexample for the larger
-box, though not necessarily the one a cold solver run at that exact
-percent would report.  One downstream
-consequence *is* stored: the extraction short-circuit in
+*implied* by the paper's noise-model monotonicity, through one
+:class:`~repro.verify.result.LadderFacts` per ``(input, label, extra)``
+group: a ROBUST verdict at ±P covers every ±P' ≤ P (the smaller box is
+a subset), and a VULNERABLE verdict at ±P covers every ±P' ≥ P (its
+witness stays in range).  Derived answers read ``monotone(...)``, are
+counted in :attr:`CacheStats.derived_hits` and are never stored back as
+"verify" entries (the facts hold engine-proved verdicts only).  One
+downstream consequence *is* stored: the extraction short-circuit in
 :meth:`~repro.runtime.runner.QueryRunner.collect_at` memoises its empty
 "extract" outcome whether the ROBUST verdict that forced it was exact or
 implied — either way the entry records a fact forced by an engine-proved
@@ -40,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Hashable, Iterable
 
-from ..verify.result import VerificationResult, VerificationStatus
+from ..verify.result import LadderFacts, VerificationResult
 
 #: Structured cache key; see the module docstring for the field layout.
 QueryKey = tuple
@@ -131,22 +129,6 @@ def _percent_of(key: QueryKey) -> int:
     return key[4]
 
 
-@dataclass
-class _VerifyFacts:
-    """Strongest proved verdicts for one (input, label, extra) group.
-
-    ``robust_max`` is the largest percent with a proved ROBUST verdict
-    (covers every smaller percent); ``vulnerable_min`` the smallest with
-    a proved VULNERABLE verdict (covers every larger percent).  The keys
-    point at the source entries so derived verdicts can carry a witness.
-    """
-
-    robust_max: int | None = None
-    robust_key: QueryKey | None = None
-    vulnerable_min: int | None = None
-    vulnerable_key: QueryKey | None = None
-
-
 class QueryCache:
     """In-memory query memo with monotone derivation, stats and context
     invalidation.
@@ -154,9 +136,10 @@ class QueryCache:
     ``enabled=False`` turns every operation into a no-op so callers never
     need an ``if cache`` branch; stats still record the misses.
 
-    Derivation is sound because the noise boxes are nested (±P' ⊆ ±P for
-    P' ≤ P) and strictly side-effect-free: derived answers are never
-    stored, so the entry table — and therefore the disk store and the
+    Derivation is :class:`~repro.verify.result.LadderFacts`, sound
+    because the noise boxes are nested (±P' ⊆ ±P for P' ≤ P), and
+    strictly side-effect-free: derived answers are never stored, so
+    the entry table — and therefore the disk store and the
     warm entries shipped to pooled workers — only ever contains
     engine-proved facts.
     """
@@ -169,7 +152,7 @@ class QueryCache:
         # Secondary index: (index, input values) → that input's entries,
         # so warm-entry harvesting never scans the whole cache.
         self._by_input: dict[tuple, dict[QueryKey, Any]] = {}
-        self._verify_facts: dict[tuple, _VerifyFacts] = {}
+        self._facts: dict[tuple, LadderFacts] = {}
         #: Entries stored via :meth:`put` since construction, the last
         #: :meth:`preload` or the last journal reset — what a pooled
         #: worker ships back to the parent, and what a
@@ -198,7 +181,7 @@ class QueryCache:
     def clear(self) -> None:
         self._entries.clear()
         self._by_input.clear()
-        self._verify_facts.clear()
+        self._facts.clear()
         self.added.clear()
 
     # -- lookups -------------------------------------------------------------------
@@ -295,38 +278,16 @@ class QueryCache:
         """Add an entry to the table, the per-input index and the fact table."""
         self._entries[key] = value
         self._by_input.setdefault((key[1], key[2]), {})[key] = value
-        kind, percent = key[0], _percent_of(key)
-        if kind == "verify" and isinstance(value, VerificationResult):
-            facts = self._verify_facts.setdefault(_group_of(key), _VerifyFacts())
-            if value.status is VerificationStatus.ROBUST:
-                if facts.robust_max is None or percent > facts.robust_max:
-                    facts.robust_max, facts.robust_key = percent, key
-            elif value.status is VerificationStatus.VULNERABLE:
-                if facts.vulnerable_min is None or percent < facts.vulnerable_min:
-                    facts.vulnerable_min, facts.vulnerable_key = percent, key
+        if key[0] == "verify" and isinstance(value, VerificationResult):
+            self._facts.setdefault(_group_of(key), LadderFacts()).note(
+                _percent_of(key), value
+            )
 
     def _implied(self, key: QueryKey) -> Any:
         """The verdict a proved fact at another percent implies, or MISS.
 
         Only "verify" keys have facts, so every other kind misses here.
         """
-        facts = self._verify_facts.get(_group_of(key))
-        if facts is None:
-            return MISS
-        percent = _percent_of(key)
-        if facts.robust_max is not None and percent <= facts.robust_max:
-            return VerificationResult(
-                status=VerificationStatus.ROBUST,
-                engine=f"monotone(robust@±{facts.robust_max}%)",
-                stats={"derived_from_percent": facts.robust_max},
-            )
-        if facts.vulnerable_min is not None and percent >= facts.vulnerable_min:
-            source = self._entries[facts.vulnerable_key]
-            return VerificationResult(
-                status=VerificationStatus.VULNERABLE,
-                witness=source.witness,
-                predicted_label=source.predicted_label,
-                engine=f"monotone(vulnerable@±{facts.vulnerable_min}%)",
-                stats={"derived_from_percent": facts.vulnerable_min},
-            )
-        return MISS
+        facts = self._facts.get(_group_of(key))
+        implied = facts.implied(_percent_of(key)) if facts is not None else None
+        return MISS if implied is None else implied

@@ -13,7 +13,8 @@ Engines, ordered by the guarantees they offer:
   whole, and only unproved leaves are evaluated.
 - :func:`interval_bulk` — interval bound propagation over many queries
   at once; proves robustness (UNSAT) quickly, never finds
-  counterexamples.
+  counterexamples.  The same pass gives the complete engines their
+  hidden-layer bounds (:func:`~repro.verify.interval.layer_bounds`).
 - :class:`SmtVerifier` — complete: ReLU phase splitting over the exact
   rational simplex with integer branch & bound (Reluplex-style).  The
   from-scratch reference; sessions call it to derive canonical witnesses.

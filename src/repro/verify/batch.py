@@ -26,8 +26,9 @@ bit-identical to what the probe would get in a frontier of its own —
 each probe's candidate streams are evaluated in the same order with its
 own seed, whatever else shares the frontier (the tests check this
 against single-query reference engines), and the monotone implications
-used for skipping mirror the :class:`~repro.runtime.cache.QueryCache`
-derivation rules exactly.
+used for skipping come from the same
+:class:`~repro.verify.result.LadderFacts` the
+:class:`~repro.runtime.cache.QueryCache` derives through.
 Row chunking (:data:`ROW_CHUNK`) only splits the concatenated
 evaluations; it can never move a verdict, a witness or a node count.
 """
@@ -35,6 +36,7 @@ evaluations; it can never move a verdict, a witness or a node count.
 from __future__ import annotations
 
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
@@ -43,7 +45,7 @@ import numpy as np
 from .encoder import ScaledQuery, forward_scaled
 from .falsify import RANDOM_BLOCK, RANDOM_SAMPLES, corner_grid, draw_noise_block
 from .interval import interval_bulk
-from .result import VerificationResult, VerificationStatus
+from .result import LadderFacts, VerificationResult, VerificationStatus
 from .stats import EngineStats
 
 #: Cap on rows per concatenated network evaluation (bounds peak memory).
@@ -74,9 +76,9 @@ class FrontierOutcome:
 
     #: Engine-proved results (safe to memoise), keyed by probe key.
     decided: dict = field(default_factory=dict)
-    #: Results implied by a decided probe at another percent (valid
-    #: answers, but — like monotone cache derivations — not materialised
-    #: as engine-proved facts).
+    #: Results a witness decided here implies at another percent of its
+    #: group (:meth:`LadderFacts.implied`; valid answers, but — like the
+    #: cache's derivations — not materialised as engine-proved facts).
     derived: dict = field(default_factory=dict)
     #: Probes every incomplete stage passed on: the boundary band.
     unknown: list = field(default_factory=list)
@@ -141,40 +143,27 @@ class FrontierPrepass:
     def __init__(self, engine_stats: EngineStats | None = None):
         self.engine_stats = engine_stats if engine_stats is not None else EngineStats()
 
-    # -- implication bookkeeping --------------------------------------------------
-
-    @staticmethod
-    def _covered(probe: FrontierProbe, facts: dict) -> bool:
-        fact = facts.get(probe.group)
-        return fact is not None and probe.percent >= fact[0]
-
-    @staticmethod
-    def _note_vulnerable(probe: FrontierProbe, result, facts: dict) -> None:
-        fact = facts.get(probe.group)
-        if fact is None or probe.percent < fact[0]:
-            facts[probe.group] = (probe.percent, result)
-
     # -- the pass -----------------------------------------------------------------
 
     def resolve(self, probes: Iterable[FrontierProbe]) -> FrontierOutcome:
         outcome = FrontierOutcome()
         pending = list(probes)
-        #: group -> (minimal vulnerable percent decided here, its result)
-        facts: dict[Any, tuple[int, VerificationResult]] = {}
+        #: group -> the witnesses the corner and random stages decided
+        facts: dict[Any, LadderFacts] = defaultdict(LadderFacts)
         for stage in (self._interval_stage, self._corner_stage, self._random_stage):
             if not pending:
                 break
             pending = stage(pending, outcome, facts)
         for probe in pending:
-            fact = facts.get(probe.group)
-            if fact is not None and probe.percent >= fact[0]:
-                outcome.derived[probe.key] = derived_vulnerable(fact[1], fact[0])
+            implied = facts[probe.group].implied(probe.percent)
+            if implied is not None:
+                outcome.derived[probe.key] = implied
             else:
                 outcome.unknown.append(probe)
         return outcome
 
     def _interval_stage(self, pending, outcome, facts):
-        active = [p for p in pending if not self._covered(p, facts)]
+        active = [p for p in pending if facts[p.group].implied(p.percent) is None]
         if not active:
             return pending
         start = time.perf_counter()
@@ -199,7 +188,9 @@ class FrontierPrepass:
             # already covered by a witness at a smaller percent.
             per_group: dict[Any, list[FrontierProbe]] = {}
             for probe in pending:
-                if probe.key in attempted or self._covered(probe, facts):
+                if probe.key in attempted:
+                    continue
+                if facts[probe.group].implied(probe.percent) is not None:
                     continue
                 per_group.setdefault(probe.group, []).append(probe)
             wave: list[FrontierProbe] = []
@@ -235,7 +226,7 @@ class FrontierPrepass:
                         nodes_explored=int(block.shape[0]),
                     )
                     stage_decided[probe.key] = result
-                    self._note_vulnerable(probe, result, facts)
+                    facts[probe.group].note(probe.percent, result)
         wall = time.perf_counter() - start
         mean_wall = wall / max(1, attempts)
         for key, result in stage_decided.items():
@@ -246,7 +237,7 @@ class FrontierPrepass:
     def _random_stage(self, pending, outcome, facts):
         start = time.perf_counter()
         stage_decided: dict[Any, VerificationResult] = {}
-        active = [p for p in pending if not self._covered(p, facts)]
+        active = [p for p in pending if facts[p.group].implied(p.percent) is None]
         streams = {
             p.key: np.random.default_rng(p.seed) for p in active
         }
@@ -276,12 +267,12 @@ class FrontierPrepass:
                         nodes_explored=tried[probe.key],
                     )
                     stage_decided[probe.key] = result
-                    self._note_vulnerable(probe, result, facts)
+                    facts[probe.group].note(probe.percent, result)
                 else:
                     still.append(probe)
             # A witness at a lower percent of the same group covers the
             # rest of that group's ladder: stop sampling those probes.
-            active = [p for p in still if not self._covered(p, facts)]
+            active = [p for p in still if facts[p.group].implied(p.percent) is None]
         wall = time.perf_counter() - start
         mean_wall = wall / max(1, attempts)
         for key, result in stage_decided.items():
@@ -299,7 +290,8 @@ def resolve_survivors(
     Within one implication group the ground truth is monotone in the
     percent (noise boxes nest), so a binary search over the surviving
     rungs decides the whole band: every complete ROBUST verdict covers
-    the smaller rungs, every VULNERABLE one the larger.  Returns
+    the smaller rungs, every VULNERABLE one the larger (one
+    :class:`LadderFacts` per group).  Returns
     ``(exact, derived)`` dicts keyed by probe key; ``complete_fn`` is
     invoked once per bisection step and is expected to memoise/account
     on the caller's side.  The runtime's ``complete_fn`` routes every
@@ -315,56 +307,22 @@ def resolve_survivors(
     for probe in survivors:
         by_group.setdefault(probe.group, []).append(probe)
     for probes in by_group.values():
-        probes = sorted(probes, key=lambda p: p.percent)
-        remaining = list(probes)
-        robust_max: int | None = None
-        vulnerable: tuple[int, VerificationResult] | None = None
+        probes = remaining = sorted(probes, key=lambda p: p.percent)
+        facts = LadderFacts()
         while remaining:
             mid = remaining[len(remaining) // 2]
             result = complete_fn(mid)
             exact[mid.key] = result
-            if result.is_vulnerable:
-                if vulnerable is None or mid.percent < vulnerable[0]:
-                    vulnerable = (mid.percent, result)
-                remaining = [p for p in remaining if p.percent < mid.percent]
-            elif result.is_robust:
-                if robust_max is None or mid.percent > robust_max:
-                    robust_max = mid.percent
-                remaining = [p for p in remaining if p.percent > mid.percent]
-            else:  # defensive: an undecided complete engine resolves nothing
-                remaining = [p for p in remaining if p is not mid]
+            facts.note(mid.percent, result)
+            # An undecided complete engine resolves nothing but its own rung.
+            remaining = [
+                p for p in remaining
+                if p is not mid and facts.implied(p.percent) is None
+            ]
         for probe in probes:
-            if probe.key in exact:
-                continue
-            if robust_max is not None and probe.percent <= robust_max:
-                derived[probe.key] = derived_robust(robust_max)
-            elif vulnerable is not None and probe.percent >= vulnerable[0]:
-                derived[probe.key] = derived_vulnerable(vulnerable[1], vulnerable[0])
-            # else: unreachable — the bisection filters cover every probe.
+            if probe.key not in exact:
+                derived[probe.key] = facts.implied(probe.percent)
     return exact, derived
-
-
-# -- derived-result constructors (mirroring the monotone cache's style) ----------
-
-
-def derived_robust(source_percent: int) -> VerificationResult:
-    return VerificationResult(
-        VerificationStatus.ROBUST,
-        engine=f"frontier(robust@±{source_percent}%)",
-        stats={"derived_from_percent": source_percent},
-    )
-
-
-def derived_vulnerable(
-    source: VerificationResult, source_percent: int
-) -> VerificationResult:
-    return VerificationResult(
-        VerificationStatus.VULNERABLE,
-        witness=source.witness,
-        predicted_label=source.predicted_label,
-        engine=f"frontier(vulnerable@±{source_percent}%)",
-        stats={"derived_from_percent": source_percent},
-    )
 
 
 def stamp(result: VerificationResult, stage: str, wall_s: float) -> VerificationResult:

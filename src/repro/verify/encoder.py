@@ -20,7 +20,9 @@ network shares them: :meth:`NetworkEncoding.query` builds one
 :class:`ScaledQuery` per (input, label, noise box), and
 :meth:`NetworkEncoding.labels` gives the exact zero-noise labels of many
 inputs in one vectorised pass (the "correctly classified" filter of every
-analysis).  :func:`build_query` is the one-off form.
+analysis).  :func:`build_query` is the one-off form.  Interval bounds
+over a query's noise box live in :mod:`repro.verify.interval`
+(:func:`~repro.verify.interval.layer_bounds`).
 """
 
 from __future__ import annotations
@@ -197,44 +199,6 @@ class ScaledQuery:
         if adversary == self.true_label:
             raise VerificationError("adversary must differ from the true label")
         return 0 if adversary < self.true_label else 1
-
-    # -- interval analysis --------------------------------------------------------------
-
-    def layer_bounds(self) -> list[tuple[list[int], list[int]]]:
-        """Exact pre-activation bounds per layer under the noise box.
-
-        Returns, per layer, (lower, upper) lists of python ints for the
-        pre-activation values; used by the interval verifier and as the
-        phase-fixing prepass of the complete engines.
-        """
-        low = [int(xi) * (100 + int(lo)) for xi, lo in zip(self.x, self.low)]
-        high = [int(xi) * (100 + int(hi)) for xi, hi in zip(self.x, self.high)]
-        # Negative inputs flip the interval; inputs here are >= 1 by
-        # construction, but stay general.
-        act_low = [min(a, b) for a, b in zip(low, high)]
-        act_high = [max(a, b) for a, b in zip(low, high)]
-
-        bounds: list[tuple[list[int], list[int]]] = []
-        for index, (weight, bias) in enumerate(zip(self.weights, self.biases)):
-            pre_low, pre_high = [], []
-            for j in range(weight.shape[0]):
-                total_low = int(self.biases[index][j])
-                total_high = int(self.biases[index][j])
-                for i in range(weight.shape[1]):
-                    coeff = int(weight[j][i])
-                    if coeff >= 0:
-                        total_low += coeff * act_low[i]
-                        total_high += coeff * act_high[i]
-                    else:
-                        total_low += coeff * act_high[i]
-                        total_high += coeff * act_low[i]
-                pre_low.append(total_low)
-                pre_high.append(total_high)
-            bounds.append((pre_low, pre_high))
-            if index < self.num_layers - 1:
-                act_low = [max(0, v) for v in pre_low]
-                act_high = [max(0, v) for v in pre_high]
-        return bounds
 
     def noise_space_size(self) -> int:
         """Number of noise vectors in the box."""

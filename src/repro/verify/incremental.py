@@ -48,6 +48,7 @@ from ..sat.solver import CdclSolver, SatStatus
 from ..smt.branch_bound import solve_integer_feasibility
 from ..smt.simplex import BoundKind, BoundRef, Simplex
 from .encoder import ScaledQuery
+from .interval import layer_bounds
 from .result import VerificationResult, VerificationStatus
 from .smt_verifier import EncodedNeuron, SmtVerifier, encode_adversary
 
@@ -115,7 +116,7 @@ class LadderSession:
         """Decide one rung; ROBUST and VULNERABLE are both definitive."""
         self.nodes_explored = 0
         self.rungs_verified += 1
-        bounds = query.layer_bounds()
+        bounds = layer_bounds(query)
         for adversary in range(query.num_outputs):
             if adversary == query.true_label:
                 continue

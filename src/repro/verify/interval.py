@@ -20,6 +20,11 @@ by integer dtype — int64 where the magnitude analysis proved it safe,
 exact object integers otherwise — so the arithmetic stays bit-exact
 either way.  A single query is a batch of one: ``interval_bulk([q])[0]``.
 
+:func:`layer_bounds` reads one query's hidden pre-activation bounds off
+the same pass: the phase fixing of the complete engines
+(:class:`~repro.verify.incremental.LadderSession` and
+:class:`~repro.verify.smt_verifier.SmtVerifier`).
+
 :func:`proved_labels` runs the same pass over many sub-boxes of one
 query's noise box and reports, per sub-box, the label the interval lower
 bounds prove every point takes — the pruning step of the exhaustive
@@ -52,12 +57,15 @@ def _input_bounds(x, lo, hi, dtype) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(a, b), np.maximum(a, b)
 
 
-def _propagate(weights, biases, x, lo, hi, dtype) -> tuple[np.ndarray, np.ndarray]:
+def _propagate(
+    weights, biases, x, lo, hi, dtype, pre_bounds: list | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Activation bounds entering the final layer, one row per box.
 
     Sound for any sub-box of a query's noise box in the query's dtype: a
     sub-box only shrinks the magnitudes the encoder's int64 analysis
-    bounded.
+    bounded.  Each hidden layer's pre-activation ``(low, high)`` bounds
+    are appended to ``pre_bounds`` when one is given.
     """
     act_low, act_high = _input_bounds(x, lo, hi, dtype)
     for weight, bias in zip(weights[:-1], biases[:-1]):
@@ -67,9 +75,33 @@ def _propagate(weights, biases, x, lo, hi, dtype) -> tuple[np.ndarray, np.ndarra
         b = bias.astype(dtype)
         pre_low = act_low @ w_pos.T + act_high @ w_neg.T + b
         pre_high = act_high @ w_pos.T + act_low @ w_neg.T + b
+        if pre_bounds is not None:
+            pre_bounds.append((pre_low, pre_high))
         act_low = np.maximum(pre_low, 0)
         act_high = np.maximum(pre_high, 0)
     return act_low, act_high
+
+
+def layer_bounds(query: ScaledQuery) -> list[tuple[list[int], list[int]]]:
+    """Exact pre-activation bounds of each hidden layer under the noise box.
+
+    Per hidden layer, ``(lower, upper)`` lists of Python ints: the phase
+    fixing of the complete engines (a neuron whose bounds do not straddle
+    zero has a known ReLU phase).  Read off the same pass as
+    :func:`interval_bulk`; the final layer is not bounded.
+    """
+    dtype = object if query.exact_dtype else np.int64
+    pre_bounds: list = []
+    _propagate(
+        query.weights,
+        query.biases,
+        query.x,
+        query.low[None, :],
+        query.high[None, :],
+        dtype,
+        pre_bounds,
+    )
+    return [(low[0].tolist(), high[0].tolist()) for low, high in pre_bounds]
 
 
 def proved_labels(query: ScaledQuery, lo, hi) -> np.ndarray:

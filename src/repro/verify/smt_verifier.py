@@ -25,6 +25,7 @@ from ..errors import BudgetExceededError, VerificationError
 from ..smt.branch_bound import solve_integer_feasibility
 from ..smt.simplex import Simplex
 from .encoder import ScaledQuery
+from .interval import layer_bounds
 from .result import VerificationResult, VerificationStatus
 
 
@@ -172,7 +173,7 @@ class SmtVerifier:
         for var, lo, hi in zip(noise_vars, query.low, query.high):
             simplex.assert_lower(var, int(lo))
             simplex.assert_upper(var, int(hi))
-        bounds = query.layer_bounds()
+        bounds = layer_bounds(query)
         for neuron in neurons:
             high = bounds[neuron.layer][1][neuron.index]
             simplex.assert_upper(neuron.act_var, max(0, high))

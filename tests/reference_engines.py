@@ -1,10 +1,12 @@
-"""Single-query falsifiers: the scalar references for the bulk prepass.
+"""Scalar references for the vectorised verification passes.
 
 :class:`CornerFalsifier` and :class:`RandomFalsifier` decide one query at
 a time from the same candidate generators the frontier plane
 (:mod:`repro.verify.batch`) uses in bulk, so the bulk corner and random
 passes must reproduce their verdicts, witnesses and node counts exactly;
-the tests hold them to it.
+the tests hold them to it.  :func:`reference_layer_bounds` propagates one
+query's interval bounds element by element in Python ints, the reference
+for :func:`repro.verify.interval.layer_bounds`.
 """
 
 from __future__ import annotations
@@ -98,3 +100,38 @@ class CornerFalsifier:
             engine=self.name,
             nodes_explored=int(block.shape[0]),
         )
+
+
+def reference_layer_bounds(query: ScaledQuery) -> list[tuple[list[int], list[int]]]:
+    """Exact pre-activation bounds per layer under the noise box.
+
+    Returns, per layer (the final one included), (lower, upper) lists of
+    Python ints for the pre-activation values.
+    """
+    low = [int(xi) * (100 + int(lo)) for xi, lo in zip(query.x, query.low)]
+    high = [int(xi) * (100 + int(hi)) for xi, hi in zip(query.x, query.high)]
+    # Negative inputs flip the interval.
+    act_low = [min(a, b) for a, b in zip(low, high)]
+    act_high = [max(a, b) for a, b in zip(low, high)]
+
+    bounds: list[tuple[list[int], list[int]]] = []
+    for index, (weight, bias) in enumerate(zip(query.weights, query.biases)):
+        pre_low, pre_high = [], []
+        for j in range(weight.shape[0]):
+            total_low = int(bias[j])
+            total_high = int(bias[j])
+            for i in range(weight.shape[1]):
+                coeff = int(weight[j][i])
+                if coeff >= 0:
+                    total_low += coeff * act_low[i]
+                    total_high += coeff * act_high[i]
+                else:
+                    total_low += coeff * act_high[i]
+                    total_high += coeff * act_low[i]
+            pre_low.append(total_low)
+            pre_high.append(total_high)
+        bounds.append((pre_low, pre_high))
+        if index < query.num_layers - 1:
+            act_low = [max(0, v) for v in pre_low]
+            act_high = [max(0, v) for v in pre_high]
+    return bounds

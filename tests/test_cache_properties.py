@@ -7,14 +7,18 @@ layer must never get wrong, checked on small random quantised networks:
    the verdict a *cold* solver produces for that exact ``(input,
    percent)`` query, every derived witness is a genuine in-range
    counterexample, and an Eq.-3 probe answers the same with the cache on
-   or off.
+   or off.  :class:`~repro.verify.result.LadderFacts`, the one rule
+   behind every derivation, is checked on its own against a drawn
+   ground-truth boundary.
 2. **Transparency of persistence** — analysis reports are bit-identical
    with persistence on, off, and warm-from-disk, and the warm replay
    issues zero solver calls.
 
 Networks are kept tiny (2 inputs, ≤3 hidden units) so the exhaustive /
 portfolio engines answer each cold query in milliseconds, which lets the
-harness afford a fresh solver call per derived verdict.
+harness afford a fresh solver call per derived verdict.  Their decision
+boundary is drawn near the input (:func:`boundary_cases`), so most
+ladders hold both ROBUST and VULNERABLE rungs.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from repro.runtime import (
     ToleranceSearchTask,
     make_key,
 )
+from repro.verify.result import LadderFacts, VerificationResult, VerificationStatus
 
 SCALE = 1000
 MAX_PERCENT = 12  # (2·12+1)² = 625 noise vectors: exhaustively checkable
@@ -50,9 +55,21 @@ HARNESS = settings(
 weight = st.integers(min_value=-2500, max_value=2500)
 
 
+inputs = st.tuples(
+    st.integers(min_value=1, max_value=25), st.integers(min_value=1, max_value=25)
+)
+percents = st.integers(min_value=1, max_value=MAX_PERCENT)
+
+
 @st.composite
-def quantized_networks(draw) -> QuantizedNetwork:
-    """Random 2-input, 2-output networks with one small hidden ReLU layer."""
+def quantized_networks(draw, anchor=None) -> QuantizedNetwork:
+    """Random 2-input, 2-output networks with one small hidden ReLU layer.
+
+    Given an ``anchor`` input, the second output bias is drawn so that
+    both logits tie at a noisy copy of the anchor, with up to
+    ±1.5·MAX_PERCENT noise per input.  The anchor then flips within
+    ±MAX_PERCENT in about 3 draws in 5, against about 1 in 20 unbiased.
+    """
     hidden = draw(st.integers(min_value=2, max_value=3))
 
     def frac_matrix(rows, cols):
@@ -64,21 +81,33 @@ def quantized_networks(draw) -> QuantizedNetwork:
     def frac_vector(size):
         return tuple(Fraction(draw(weight), SCALE) for _ in range(size))
 
-    return QuantizedNetwork(
-        [
-            QuantizedLayer(frac_matrix(hidden, 2), frac_vector(hidden), relu=True),
-            QuantizedLayer(frac_matrix(2, hidden), frac_vector(2), relu=False),
+    first = QuantizedLayer(frac_matrix(hidden, 2), frac_vector(hidden), relu=True)
+    out_weights, out_bias = frac_matrix(2, hidden), frac_vector(2)
+    if anchor is not None:
+        reach = st.integers(-3 * MAX_PERCENT // 2, 3 * MAX_PERCENT // 2)
+        noisy = [Fraction(v * (100 + draw(reach)), 100) for v in anchor]
+        act = [
+            max(Fraction(0), b + sum(w * v for w, v in zip(row, noisy)))
+            for row, b in zip(first.weights, first.bias)
         ]
+        tie = out_bias[0] + sum(
+            (w0 - w1) * a for w0, w1, a in zip(*out_weights, act)
+        )
+        out_bias = (out_bias[0], Fraction(round(tie * SCALE), SCALE))
+    return QuantizedNetwork(
+        [first, QuantizedLayer(out_weights, out_bias, relu=False)]
     )
 
 
-inputs = st.tuples(
-    st.integers(min_value=1, max_value=25), st.integers(min_value=1, max_value=25)
-)
-percents = st.integers(min_value=1, max_value=MAX_PERCENT)
+@st.composite
+def boundary_cases(draw) -> tuple[QuantizedNetwork, tuple[int, int]]:
+    """An input and a network whose decision boundary passes near it."""
+    x = draw(inputs)
+    return draw(quantized_networks(anchor=x)), x
 
-#: Few random networks flip any input through one node within the
-#: ceiling; on this one, node 1 at −24% flips input (15, 14).
+
+#: A fixed single-node flip for the probe property's examples: node 1
+#: at −24% flips input (15, 14).
 FLIPPABLE = QuantizedNetwork(
     [
         QuantizedLayer(
@@ -111,11 +140,11 @@ def cold_verify(network, x, label, percent):
 class TestMonotoneDerivationSoundness:
     @HARNESS
     @given(
-        network=quantized_networks(),
-        x=inputs,
+        case=boundary_cases(),
         schedule=st.lists(percents, min_size=2, max_size=8, unique=True),
     )
-    def test_derived_verify_verdicts_match_a_cold_solver(self, network, x, schedule):
+    def test_derived_verify_verdicts_match_a_cold_solver(self, case, schedule):
+        network, x = case
         label = network.predict(x)
         runner = QueryRunner(network)
         for percent in schedule:
@@ -138,17 +167,21 @@ class TestMonotoneDerivationSoundness:
 
     @HARNESS
     @given(
-        network=quantized_networks(),
-        xs=st.lists(inputs, min_size=1, max_size=3),
+        case=boundary_cases(),
+        others=st.lists(inputs, max_size=2),
         node=st.integers(min_value=0, max_value=1),
         sign=st.sampled_from([-1, 1]),
         ceiling=st.integers(min_value=1, max_value=60),
     )
-    @example(network=FLIPPABLE, xs=[(20, 10), (15, 14)], node=1, sign=-1, ceiling=30)
-    @example(network=FLIPPABLE, xs=[(15, 14)], node=1, sign=-1, ceiling=23)
+    @example(
+        case=(FLIPPABLE, (20, 10)), others=[(15, 14)], node=1, sign=-1, ceiling=30
+    )
+    @example(case=(FLIPPABLE, (15, 14)), others=[], node=1, sign=-1, ceiling=23)
     def test_probe_task_finds_the_least_flip(
-        self, network, xs, node, sign, ceiling
+        self, case, others, node, sign, ceiling
     ):
+        network, x = case
+        xs = [x, *others]
         probe_inputs = tuple((i, x, network.predict(x)) for i, x in enumerate(xs))
 
         def flips(magnitude) -> bool:
@@ -165,11 +198,10 @@ class TestMonotoneDerivationSoundness:
             assert task.run(runner) == least
 
     @HARNESS
-    @given(network=quantized_networks(), x=inputs, ceiling=st.integers(4, MAX_PERCENT))
-    def test_every_percent_answer_after_a_search_matches_cold(
-        self, network, x, ceiling
-    ):
+    @given(case=boundary_cases(), ceiling=st.integers(4, MAX_PERCENT))
+    def test_every_percent_answer_after_a_search_matches_cold(self, case, ceiling):
         """After a bisection, *all* percents ≤ ceiling are implied — and right."""
+        network, x = case
         label = network.predict(x)
         runner = QueryRunner(network)
         search(runner, x, label, ceiling)
@@ -180,6 +212,70 @@ class TestMonotoneDerivationSoundness:
             assert result.status == cold.status
         # The post-search sweep was answered entirely from the cache.
         assert runner.stats.solver_calls == solver_calls
+
+
+LADDER = 40
+
+
+@st.composite
+def ladder_notes(draw):
+    """A ground-truth flip boundary and engine verdicts consistent with it.
+
+    ``boundary`` is the least VULNERABLE percent (``LADDER + 1``: robust
+    on the whole ladder).  Each note is ``(percent, verdict)`` in the
+    order it is noted: ROBUST or UNKNOWN below the boundary, VULNERABLE
+    or UNKNOWN at or above it.  Each witness records its note's percent
+    and position, so a derived witness names its source.
+    """
+    boundary = draw(st.integers(1, LADDER + 1))
+    notes = []
+    for position, percent in enumerate(
+        draw(st.lists(st.integers(1, LADDER), max_size=12))
+    ):
+        if draw(st.booleans()):
+            verdict = VerificationResult(VerificationStatus.UNKNOWN)
+        elif percent < boundary:
+            verdict = VerificationResult(VerificationStatus.ROBUST)
+        else:
+            verdict = VerificationResult(
+                VerificationStatus.VULNERABLE,
+                witness=(percent, position),
+                predicted_label=1,
+            )
+        notes.append((percent, verdict))
+    return boundary, notes
+
+
+class TestLadderFacts:
+    @settings(max_examples=200, deadline=None)
+    @given(case=ladder_notes())
+    def test_implied_verdicts_follow_the_noted_extremes(self, case):
+        boundary, notes = case
+        facts = LadderFacts()
+        for percent, verdict in notes:
+            facts.note(percent, verdict)
+        robust = [p for p, v in notes if v.is_robust]
+        vulnerable = [p for p, v in notes if v.is_vulnerable]
+        robust_max = max(robust, default=0)
+        vulnerable_min = min(vulnerable, default=LADDER + 1)
+        for percent in range(1, LADDER + 1):
+            implied = facts.implied(percent)
+            if robust_max < percent < vulnerable_min:
+                assert implied is None
+                continue
+            assert implied is not None
+            # Never contradicts the ground truth.
+            assert implied.is_vulnerable == (percent >= boundary)
+            if implied.is_robust:
+                source = robust_max
+                assert implied.witness is None
+            else:
+                source = vulnerable_min
+                assert implied.witness[0] == vulnerable_min
+                assert implied.predicted_label == 1
+            kind = implied.status.value
+            assert implied.engine == f"monotone({kind}@±{source}%)"
+            assert implied.stats == {"derived_from_percent": source}
 
 
 def canonical(report) -> list:
@@ -234,15 +330,15 @@ class TestPersistenceTransparency:
 
     @HARNESS
     @given(
-        network=quantized_networks(),
-        x=inputs,
+        case=boundary_cases(),
         first=st.integers(4, MAX_PERCENT),
         second=st.integers(4, MAX_PERCENT),
     )
     def test_warm_start_at_a_new_ceiling_still_matches_cold(
-        self, network, x, first, second, tmp_path_factory
+        self, case, first, second, tmp_path_factory
     ):
         """Monotone reuse across runs with *different* ceilings stays sound."""
+        network, x = case
         label = network.predict(x)
         cache_dir = str(tmp_path_factory.mktemp("qcache"))
         persisted = RuntimeConfig(cache_dir=cache_dir)

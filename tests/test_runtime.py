@@ -532,9 +532,15 @@ class TestRunnerCaching:
         assert runner.stats.frontier_queries == len(grid)
         assert runner.cache.stats.lookups == 0
 
-        def verdicts(results):  # engine names tell cache from in-frontier derivations
+        def verdicts(results):
             return {
-                key: (r.status, r.witness, r.predicted_label)
+                key: (
+                    r.status,
+                    r.witness,
+                    r.predicted_label,
+                    r.engine,
+                    r.stats.get("derived_from_percent"),
+                )
                 for key, r in results.items()
             }
 

@@ -36,8 +36,9 @@ from repro.verify import (
 from repro.runtime import QueryRunner
 from repro.verify import exhaustive
 from repro.verify.encoder import _float64_exact_layers, forward_scaled
+from repro.verify.interval import layer_bounds
 
-from reference_engines import CornerFalsifier, RandomFalsifier
+from reference_engines import CornerFalsifier, RandomFalsifier, reference_layer_bounds
 
 SCALE = 1000
 
@@ -191,21 +192,20 @@ class TestBuildQuery:
     def test_layer_bounds_contain_all_evaluations(self, simple_network):
         x = np.array([10, 20])
         query = build_query(simple_network, x, 0, NoiseConfig(4))
-        bounds = query.layer_bounds()
+        bounds = layer_bounds(query)
+        assert len(bounds) == query.num_layers - 1  # hidden layers only
         enumerator = ExhaustiveEnumerator()
         for block in enumerator._grid_chunks(query):
             values = (query.x * (100 + block)).astype(np.int64)
-            for layer_index, (weight, bias) in enumerate(
-                zip(query.weights, query.biases)
+            for (weight, bias), (lows, highs) in zip(
+                zip(query.weights, query.biases), bounds
             ):
                 values = values @ np.asarray(weight, dtype=np.int64).T + np.asarray(
                     bias, dtype=np.int64
                 )
-                lows, highs = bounds[layer_index]
                 assert (values >= np.array(lows)).all()
                 assert (values <= np.array(highs)).all()
-                if layer_index < query.num_layers - 1:
-                    values = np.maximum(values, 0)
+                values = np.maximum(values, 0)
 
     def test_noise_space_size(self, simple_network):
         query = build_query(simple_network, np.array([10, 20]), 0, NoiseConfig(3))
@@ -220,11 +220,11 @@ class TestBuildQuery:
 
 
 @st.composite
-def random_encodable_network(draw):
-    """A random quantised network: 0-2 hidden layers, 2-4 classes, signed
-    thousandth weights and biases."""
+def random_encodable_network(draw, hidden=(0, 2)):
+    """A random quantised network: ``hidden`` (min, max) hidden layers,
+    2-4 classes, signed thousandth weights and biases."""
     sizes = [draw(st.integers(1, 4))]
-    sizes += [draw(st.integers(1, 5)) for _ in range(draw(st.integers(0, 2)))]
+    sizes += [draw(st.integers(1, 5)) for _ in range(draw(st.integers(*hidden)))]
     sizes.append(draw(st.integers(2, 4)))
     coefficient = st.integers(-3000, 3000).map(lambda v: Fraction(v, SCALE))
     layers = []
@@ -476,6 +476,33 @@ class TestIntervalVerifier:
             query = build_query(simple_network, x, label, NoiseConfig(percent))
             if interval_bulk([query])[0].is_robust:
                 assert ExhaustiveEnumerator().verify(query).is_robust
+
+    @given(random_encodable_network(hidden=(1, 3)), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_layer_bounds_match_the_scalar_reference(self, network, data):
+        """Hidden-layer bounds equal the element-by-element reference
+        exactly, as Python ints, on int64 and object queries alike."""
+        encoding = NetworkEncoding(network)
+        width = network.num_inputs
+        rows = data.draw(
+            st.lists(
+                st.lists(encodable_input, min_size=width, max_size=width),
+                min_size=1,
+                max_size=4,
+            )
+        )
+        # Past int64 whatever was drawn: this query runs on object ints.
+        rows.append([2**62 * (-1) ** i for i in range(width)])
+        for x in rows:
+            ceiling = data.draw(st.integers(0, 60))
+            floor = data.draw(st.integers(-300, ceiling))
+            noise = NoiseConfig(ceiling, min_percent=floor)
+            query = encoding.query(np.array(x, dtype=np.int64), 0, noise)
+            event(f"exact_dtype={query.exact_dtype}")
+            bounds = layer_bounds(query)
+            assert bounds == reference_layer_bounds(query)[:-1]
+            assert all(type(v) is int for pair in bounds for side in pair for v in side)
+        assert query.exact_dtype
 
 
 class TestExhaustive:
