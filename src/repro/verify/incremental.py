@@ -19,11 +19,19 @@ the frontier's bisection probes:
 - a :class:`~repro.sat.solver.CdclSolver` over one *phase boolean* per
   hidden neuron plus one *rung assumption literal* per distinct noise
   box.  Rungs are solved under ``solve(assumptions=[rung literal,
-  interval-fixed phases…])``, so learned clauses, VSIDS activity and
+  bound-fixed phases…])``, so learned clauses, VSIDS activity and
   saved phases all survive from rung to rung.  Theory conflicts become
   learned clauses tagged with ``¬rung`` exactly when rung-owned bounds
   participated in the simplex core — clauses conditioned on a narrow box
   can never mis-prune a wider one.
+
+Each rung's phase fixing and activation caps come from
+:func:`~repro.verify.interval.linear_layer_bounds`: exact linear
+relaxation bounds, never looser than the interval bounds the
+from-scratch engine reads, so the CDCL loop never proposes a phase the
+box rules out.  They are sound over the continuous box the simplex
+relaxes, and they depend on the box alone, so they belong to the rung's
+literal like its noise bounds.
 
 A formula-level UNSAT (``SatResult.failed_assumptions is None``) proves
 the adversary unreachable under *any* noise box, so the session marks it
@@ -48,7 +56,7 @@ from ..sat.solver import CdclSolver, SatStatus
 from ..smt.branch_bound import solve_integer_feasibility
 from ..smt.simplex import BoundKind, BoundRef, Simplex
 from .encoder import ScaledQuery
-from .interval import layer_bounds
+from .interval import linear_layer_bounds
 from .result import VerificationResult, VerificationStatus
 from .smt_verifier import EncodedNeuron, SmtVerifier, encode_adversary
 
@@ -116,7 +124,7 @@ class LadderSession:
         """Decide one rung; ROBUST and VULNERABLE are both definitive."""
         self.nodes_explored = 0
         self.rungs_verified += 1
-        bounds = layer_bounds(query)
+        bounds = linear_layer_bounds(query)
         for adversary in range(query.num_outputs):
             if adversary == query.true_label:
                 continue
@@ -361,9 +369,9 @@ class LadderSession:
 
         The simplex side is :func:`encode_adversary`, the encoding
         :class:`SmtVerifier` builds per query; only the noise-box bounds
-        and the interval activation caps are deferred to the per-rung
-        frame.  The margin threshold depends only on the label pair, never
-        the rung, so it is permanent.
+        and the activation caps are deferred to the per-rung frame.  The
+        margin threshold depends only on the label pair, never the rung,
+        so it is permanent.
         """
         simplex = Simplex()
         noise_vars, neurons, margin = encode_adversary(simplex, query, adversary)

@@ -21,9 +21,12 @@ exact object integers otherwise — so the arithmetic stays bit-exact
 either way.  A single query is a batch of one: ``interval_bulk([q])[0]``.
 
 :func:`layer_bounds` reads one query's hidden pre-activation bounds off
-the same pass: the phase fixing of the complete engines
-(:class:`~repro.verify.incremental.LadderSession` and
-:class:`~repro.verify.smt_verifier.SmtVerifier`).
+the same pass: the phase fixing and activation caps of
+:class:`~repro.verify.smt_verifier.SmtVerifier`.
+:func:`linear_layer_bounds` tightens them with an exact symbolic linear
+relaxation (affine bounds in the noise percents, concretised per layer):
+the phase fixing and activation caps of
+:class:`~repro.verify.incremental.LadderSession`.
 
 :func:`proved_labels` runs the same pass over many sub-boxes of one
 query's noise box and reports, per sub-box, the label the interval lower
@@ -33,6 +36,7 @@ enumerator's box splitting.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -102,6 +106,84 @@ def layer_bounds(query: ScaledQuery) -> list[tuple[list[int], list[int]]]:
         pre_bounds,
     )
     return [(low[0].tolist(), high[0].tolist()) for low, high in pre_bounds]
+
+
+def linear_layer_bounds(query: ScaledQuery) -> list[tuple[list[int], list[int]]]:
+    """Pre-activation bounds of each hidden layer, tightened by linear relaxation.
+
+    The same shape as :func:`layer_bounds`, never looser, and equal to it
+    on the first hidden layer.  Every neuron keeps a lower and an upper
+    affine function of the noise percents that bound it over the whole
+    (continuous) box — the symbolic propagation of Neurify, which is
+    DeepPoly back-substitution when there are two hidden layers:
+
+    - the first layer is exact, ``b + W·x·(100 + p)`` being affine in ``p``;
+    - a ReLU whose bounds ``l < 0 < u`` straddle zero is bounded above by
+      the triangle line ``u·(z − l)/(u − l)``, below by ``z`` when
+      ``u > −l`` and by 0 otherwise; a stable ReLU is ``z`` or 0.
+
+    Each function is concretised over the box, lower bounds floored and
+    upper bounds ceiled, and intersected with :func:`layer_bounds`; the
+    intersected ``(l, u)`` feed the next layer's relaxation.  Arithmetic
+    is exact: every function is a row ``[constant, coefficient per noise
+    component]`` of Python ints over one positive denominator per layer.
+    """
+    interval = layer_bounds(query)
+    lo = query.low.astype(object)
+    hi = query.high.astype(object)
+    x = query.x.astype(object)
+    weight = query.weights[0].astype(object)
+    pre = np.column_stack(
+        [query.biases[0].astype(object) + weight @ (100 * x), weight * x]
+    )
+    pre_low = pre_high = pre
+    scale = 1
+    bounds: list[tuple[list[int], list[int]]] = []
+    for layer, (interval_low, interval_high) in enumerate(interval):
+        floor = _box_extreme(pre_low, lo, hi) // scale
+        ceiling = -(-_box_extreme(pre_high, hi, lo) // scale)
+        low = list(map(max, floor, interval_low))
+        high = list(map(min, ceiling, interval_high))
+        bounds.append((low, high))
+        if layer + 1 == len(interval):
+            break
+        # Activation rows over scale·widen: every triangle slope u/(u−l)
+        # becomes an integer multiple of 1/widen.
+        widen = math.lcm(*(u - l for l, u in zip(low, high) if l < 0 < u))
+        act_low = pre_low * widen
+        act_high = pre_high * widen
+        for j, (l, u) in enumerate(zip(low, high)):
+            if u <= 0:
+                act_low[j] = act_high[j] = 0
+            elif l < 0:
+                if u <= -l:
+                    act_low[j] = 0
+                line = pre_high[j].copy()
+                line[0] -= l * scale
+                act_high[j] = line * (u * (widen // (u - l)))
+        scale *= widen
+        weight = query.weights[layer + 1].astype(object)
+        positive = np.maximum(weight, 0)
+        negative = np.minimum(weight, 0)
+        bias = query.biases[layer + 1].astype(object) * scale
+        pre_low = positive @ act_low + negative @ act_high
+        pre_high = positive @ act_high + negative @ act_low
+        pre_low[:, 0] += bias
+        pre_high[:, 0] += bias
+    return bounds
+
+
+def _box_extreme(rows, toward_positive, toward_negative) -> np.ndarray:
+    """Each affine row's value at the box corner its coefficient signs pick.
+
+    ``rows`` are ``[constant, coefficients…]``; a positive coefficient
+    takes its component from ``toward_positive``, any other from
+    ``toward_negative`` — the minimum over the box for ``(lo, hi)``, the
+    maximum for ``(hi, lo)``.
+    """
+    coefficients = rows[:, 1:]
+    corner = np.where(coefficients > 0, toward_positive, toward_negative)
+    return rows[:, 0] + (coefficients * corner).sum(axis=1)
 
 
 def proved_labels(query: ScaledQuery, lo, hi) -> np.ndarray:

@@ -292,16 +292,21 @@ def small_datasets(draw) -> Dataset:
     return Dataset(features=[list(f) for f in features], labels=[0] * len(features))
 
 
+@st.composite
+def anchored_datasets(draw) -> tuple[QuantizedNetwork, Dataset]:
+    """A small dataset and a network whose decision boundary passes near
+    its first input, drawn as :func:`boundary_cases` draws."""
+    dataset = draw(small_datasets())
+    return draw(quantized_networks(anchor=dataset.features[0])), dataset
+
+
 class TestPersistenceTransparency:
     @HARNESS
-    @given(
-        network=quantized_networks(),
-        dataset=small_datasets(),
-        ceiling=st.integers(4, MAX_PERCENT),
-    )
+    @given(case=anchored_datasets(), ceiling=st.integers(4, MAX_PERCENT))
     def test_reports_bit_identical_with_persistence_on_off_and_warm(
-        self, network, dataset, ceiling, tmp_path_factory
+        self, case, ceiling, tmp_path_factory
     ):
+        network, dataset = case
         dataset = Dataset(
             features=dataset.features,
             labels=[network.predict(f) for f in dataset.features],

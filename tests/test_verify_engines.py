@@ -7,6 +7,7 @@ portfolio) agree with exhaustive enumeration — the exact ground truth.
 from __future__ import annotations
 
 import ast
+import dataclasses
 import itertools
 import math
 import os
@@ -36,7 +37,7 @@ from repro.verify import (
 from repro.runtime import QueryRunner
 from repro.verify import exhaustive
 from repro.verify.encoder import _float64_exact_layers, forward_scaled
-from repro.verify.interval import layer_bounds
+from repro.verify.interval import layer_bounds, linear_layer_bounds
 
 from reference_engines import CornerFalsifier, RandomFalsifier, reference_layer_bounds
 
@@ -152,6 +153,19 @@ def reference_predict(query, noise):
         if values[k] > values[best]:
             best = k
     return best
+
+
+def hidden_pre_activations(query, noise):
+    """Each hidden layer's pre-activations at one (integer or ``Fraction``)
+    noise point, in exact Python arithmetic."""
+    values = [int(xi) * (100 + pi) for xi, pi in zip(query.x, noise)]
+    for weight, bias in zip(query.weights[:-1], query.biases[:-1]):
+        values = [
+            int(b) + sum(int(w) * v for w, v in zip(row, values))
+            for row, b in zip(weight, bias)
+        ]
+        yield values
+        values = [max(0, v) for v in values]
 
 
 class TestBuildQuery:
@@ -503,6 +517,72 @@ class TestIntervalVerifier:
             assert bounds == reference_layer_bounds(query)[:-1]
             assert all(type(v) is int for pair in bounds for side in pair for v in side)
         assert query.exact_dtype
+
+    @given(random_encodable_network(hidden=(1, 3)), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_linear_layer_bounds_contain_every_point_of_the_box(self, network, data):
+        """Linear relaxation bounds hold every hidden pre-activation at every
+        integer point of a small box and at rational points of it (an exact
+        ``Fraction`` forward pass), are Python ints, are never looser than
+        the interval bounds and equal them on the first hidden layer — on
+        int64 and object queries alike."""
+        encoding = NetworkEncoding(network)
+        width = network.num_inputs
+        rows = data.draw(
+            st.lists(
+                st.lists(encodable_input, min_size=width, max_size=width),
+                min_size=1,
+                max_size=3,
+            )
+        )
+        # Past int64 whatever was drawn: this query runs on object ints.
+        rows.append([2**62 * (-1) ** i for i in range(width)])
+        for x in rows:
+            query = encoding.query(
+                np.array(x, dtype=np.int64), 0, NoiseConfig(60, min_percent=-300)
+            )
+            # A sub-box of the encoded one keeps its dtype proof; near -100 %
+            # the scaled inputs change sign, so phases turn unstable there.
+            low = data.draw(
+                st.lists(
+                    st.one_of(st.integers(-300, 60), st.integers(-103, -99)),
+                    min_size=width,
+                    max_size=width,
+                )
+            )
+            high = [lo + data.draw(st.integers(0, 2)) for lo in low]
+            query = dataclasses.replace(
+                query,
+                low=np.array(low, dtype=np.int64),
+                high=np.array(high, dtype=np.int64),
+            )
+            event(f"exact_dtype={query.exact_dtype}")
+            bounds = linear_layer_bounds(query)
+            interval = layer_bounds(query)
+            assert all(type(v) is int for pair in bounds for side in pair for v in side)
+            assert bounds[0] == interval[0]
+            tighter = False
+            for (lows, highs), (interval_lows, interval_highs) in zip(bounds, interval):
+                assert all(a >= b for a, b in zip(lows, interval_lows))
+                assert all(a <= b for a, b in zip(highs, interval_highs))
+                tighter |= lows != interval_lows or highs != interval_highs
+            event(f"tighter than interval={tighter}")
+            points = list(itertools.product(*map(range, low, [h + 1 for h in high])))
+            points += data.draw(
+                st.lists(
+                    st.tuples(
+                        *(
+                            st.fractions(lo, hi, max_denominator=97)
+                            for lo, hi in zip(low, high)
+                        )
+                    ),
+                    max_size=4,
+                )
+            )
+            for noise in points:
+                values = hidden_pre_activations(query, noise)
+                for layer, (lows, highs) in zip(values, bounds):
+                    assert all(lo <= v <= hi for v, lo, hi in zip(layer, lows, highs))
 
 
 class TestExhaustive:
