@@ -46,7 +46,7 @@ CEILING = 100
 REQUIRED_RATIO = 2.0
 
 #: (from-scratch pivots, warm pivots, complete calls) on this substrate.
-EXACT_BILL = (10968, 2639, 124)
+EXACT_BILL = (10968, 1521, 124)
 
 
 def boundary_band(network, dataset):
@@ -69,15 +69,21 @@ def boundary_band(network, dataset):
 
 
 def warm_arm(config):
-    """(verify, pivots) of one input's portfolio, sessions forced."""
+    """(verify, pivots, margin refutations) of one input's portfolio,
+    sessions forced."""
     portfolio = PortfolioVerifier(config, exhaustive_cutoff=0)
-    return portfolio.verify_complete, portfolio.complete_pivots
+    return (
+        portfolio.verify_complete,
+        portfolio.complete_pivots,
+        portfolio.margin_refutations,
+    )
 
 
 def scratch_arm(config):
-    """(verify, pivots) of one input's from-scratch engine."""
+    """(verify, pivots, margin refutations) of one input's from-scratch
+    engine, which refutes nothing by the margin bound."""
     engine = SmtVerifier(config)
-    return engine.verify, lambda: engine.total_pivots
+    return engine.verify, lambda: engine.total_pivots, lambda: 0
 
 
 def dispatch(survivors, arm):
@@ -89,15 +95,16 @@ def dispatch(survivors, arm):
         nonlocal calls
         if probe.group not in engines:
             engines[probe.group] = arm(VerifierConfig(seed=derive_seed(0, probe.group)))
-        verify, _ = engines[probe.group]
+        verify, _, _ = engines[probe.group]
         calls += 1
         return verify(probe.query)
 
     start = time.perf_counter()
     exact, derived = resolve_survivors(survivors, complete_fn)
     wall = time.perf_counter() - start
-    pivots = sum(pivots_of() for _, pivots_of in engines.values())
-    return exact, derived, pivots, calls, wall
+    pivots = sum(pivots_of() for _, pivots_of, _ in engines.values())
+    margin = sum(margin_of() for _, _, margin_of in engines.values())
+    return exact, derived, pivots, margin, calls, wall
 
 
 def canonical(results: dict) -> dict:
@@ -113,10 +120,10 @@ def test_incremental_ladder_halves_the_pivot_bill(case_study):
     # The band is real on this substrate — otherwise nothing is measured.
     assert survivors, "deep substrate no longer has a boundary band"
 
-    warm_exact, warm_derived, warm_pivots, warm_calls, warm_wall = dispatch(
-        survivors, warm_arm
+    warm_exact, warm_derived, warm_pivots, warm_margin, warm_calls, warm_wall = (
+        dispatch(survivors, warm_arm)
     )
-    cold_exact, cold_derived, cold_pivots, cold_calls, cold_wall = dispatch(
+    cold_exact, cold_derived, cold_pivots, _, cold_calls, cold_wall = dispatch(
         survivors, scratch_arm
     )
 
@@ -125,7 +132,8 @@ def test_incremental_ladder_halves_the_pivot_bill(case_study):
         f"\nboundary band: {len(survivors)} probes, {warm_calls} complete "
         f"calls per arm; simplex pivots {cold_pivots} from-scratch vs "
         f"{warm_pivots} warm sessions = {ratio:.1f}x fewer; "
-        f"wall {cold_wall:.1f}s vs {warm_wall:.1f}s"
+        f"wall {cold_wall:.1f}s vs {warm_wall:.1f}s; the margin bound "
+        f"refuted {warm_margin} rung adversaries before any search"
     )
 
     # Byte-identical results: same verdicts, same witnesses, same labels.
@@ -138,6 +146,7 @@ def test_incremental_ladder_halves_the_pivot_bill(case_study):
         "ceiling": CEILING,
         "band_probes": len(survivors),
         "complete_calls": warm_calls,
+        "margin_refutations": warm_margin,
         "pivots_incremental": warm_pivots,
         "pivots_scratch": cold_pivots,
         "pivot_ratio": ratio,
@@ -155,6 +164,7 @@ def test_incremental_ladder_halves_the_pivot_bill(case_study):
         f"(< {REQUIRED_RATIO}x): {warm_pivots} vs {cold_pivots}"
     )
     # The exact bill: tableau arithmetic may get cheaper, never move a pivot.
-    # The warm arm reads linear relaxation bounds, the scratch arm interval
-    # bounds; a change to either moves its count and is re-pinned.
+    # The warm arm reads linear relaxation bounds and refutes by their
+    # margin bound, the scratch arm reads interval bounds; a change to
+    # either moves its count and is re-pinned.
     assert (cold_pivots, warm_pivots, warm_calls) == EXACT_BILL

@@ -11,9 +11,10 @@ persistent pair of warm solvers alive across the whole ladder and across
 the frontier's bisection probes:
 
 - a :class:`~repro.smt.simplex.Simplex` holding the *structural*
-  encoding (network equations, triangle relaxation, misclassification
-  margin) at decision level 0, with each rung's noise bounds and
-  activation caps asserted inside one push/pop bound frame — the tableau
+  encoding (network equations, the ReLU lower bounds ``act ≥ 0`` and
+  ``act ≥ pre``, misclassification margin) at decision level 0, with
+  each rung's noise bounds and activation caps ``act ≤ max(0, u)``
+  asserted inside one push/pop bound frame — the tableau
   basis survives ``pop``, so later rungs re-solve from an almost-feasible
   state instead of from zero;
 - a :class:`~repro.sat.solver.CdclSolver` over one *phase boolean* per
@@ -31,7 +32,12 @@ relaxation bounds, never looser than the interval bounds the
 from-scratch engine reads, so the CDCL loop never proposes a phase the
 box rules out.  They are sound over the continuous box the simplex
 relaxes, and they depend on the box alone, so they belong to the rung's
-literal like its noise bounds.
+literal like its noise bounds.  The same pass bounds each adversary's
+margin ``N_adv − N_true`` from above; when that bound is below the
+misclassification threshold the adversary is refuted for this rung
+before any encoding, CDCL solve or simplex check (and counted in
+:attr:`LadderSession.margin_refutations`).  The refutation holds for
+this box only, so the adversary is not marked dead.
 
 A formula-level UNSAT (``SatResult.failed_assumptions is None``) proves
 the adversary unreachable under *any* noise box, so the session marks it
@@ -98,6 +104,8 @@ class LadderSession:
         self._scratch = SmtVerifier(self.config)
         self.nodes_explored = 0
         self.rungs_verified = 0
+        #: (rung, adversary) pairs refuted by the margin bound alone.
+        self.margin_refutations = 0
 
     # -- effort accounting (benchmark surface) --------------------------------
 
@@ -124,9 +132,14 @@ class LadderSession:
         """Decide one rung; ROBUST and VULNERABLE are both definitive."""
         self.nodes_explored = 0
         self.rungs_verified += 1
-        bounds = linear_layer_bounds(query)
+        bounds, margins = linear_layer_bounds(query)
         for adversary in range(query.num_outputs):
             if adversary == query.true_label:
+                continue
+            if margins[adversary] < query.misclass_threshold(adversary):
+                # No point of the box reaches the flip: refuted for this
+                # rung only, so the adversary is not marked dead.
+                self.margin_refutations += 1
                 continue
             if not self._rung_satisfiable(query, adversary, bounds):
                 continue

@@ -24,8 +24,10 @@ either way.  A single query is a batch of one: ``interval_bulk([q])[0]``.
 the same pass: the phase fixing and activation caps of
 :class:`~repro.verify.smt_verifier.SmtVerifier`.
 :func:`linear_layer_bounds` tightens them with an exact symbolic linear
-relaxation (affine bounds in the noise percents, concretised per layer):
-the phase fixing and activation caps of
+relaxation (affine bounds in the noise percents, concretised per layer)
+and carries it one step further, through the final layer's difference
+weights, to an upper bound of each adversary's margin: the phase fixing,
+activation caps and margin refutation of
 :class:`~repro.verify.incremental.LadderSession`.
 
 :func:`proved_labels` runs the same pass over many sub-boxes of one
@@ -108,13 +110,17 @@ def layer_bounds(query: ScaledQuery) -> list[tuple[list[int], list[int]]]:
     return [(low[0].tolist(), high[0].tolist()) for low, high in pre_bounds]
 
 
-def linear_layer_bounds(query: ScaledQuery) -> list[tuple[list[int], list[int]]]:
-    """Pre-activation bounds of each hidden layer, tightened by linear relaxation.
+def linear_layer_bounds(
+    query: ScaledQuery,
+) -> tuple[list[tuple[list[int], list[int]]], list[int]]:
+    """Hidden-layer bounds tightened by linear relaxation, and margin bounds.
 
-    The same shape as :func:`layer_bounds`, never looser, and equal to it
-    on the first hidden layer.  Every neuron keeps a lower and an upper
-    affine function of the noise percents that bound it over the whole
-    (continuous) box — the symbolic propagation of Neurify, which is
+    Returns ``(layers, margins)``.  ``layers`` has the shape of
+    :func:`layer_bounds`, is never looser, and equals it on the first
+    hidden layer.  ``margins[k]`` is an upper bound of ``N_k − N_true``
+    over the box (0 for the true label).  Every neuron keeps a lower and
+    an upper affine function of the noise percents that bound it over the
+    whole (continuous) box — the symbolic propagation of Neurify, which is
     DeepPoly back-substitution when there are two hidden layers:
 
     - the first layer is exact, ``b + W·x·(100 + p)`` being affine in ``p``;
@@ -122,20 +128,25 @@ def linear_layer_bounds(query: ScaledQuery) -> list[tuple[list[int], list[int]]]
       the triangle line ``u·(z − l)/(u − l)``, below by ``z`` when
       ``u > −l`` and by 0 otherwise; a stable ReLU is ``z`` or 0.
 
-    Each function is concretised over the box, lower bounds floored and
-    upper bounds ceiled, and intersected with :func:`layer_bounds`; the
-    intersected ``(l, u)`` feed the next layer's relaxation.  Arithmetic
-    is exact: every function is a row ``[constant, coefficient per noise
-    component]`` of Python ints over one positive denominator per layer.
+    Each hidden function is concretised over the box, lower bounds floored
+    and upper bounds ceiled, and intersected with :func:`layer_bounds`;
+    the intersected ``(l, u)`` feed the next layer's relaxation.  The last
+    hidden layer's activation rows go through the difference weights
+    ``W[k] − W[true]`` of the final layer (the CROWN margin), whose upper
+    functions are ceiled likewise.  Arithmetic is exact: every function is
+    a row ``[constant, coefficient per noise component]`` of Python ints
+    over one positive denominator per layer.
     """
     interval = layer_bounds(query)
     lo = query.low.astype(object)
     hi = query.high.astype(object)
     x = query.x.astype(object)
-    weight = query.weights[0].astype(object)
-    pre = np.column_stack(
-        [query.biases[0].astype(object) + weight @ (100 * x), weight * x]
-    )
+    weights = [weight.astype(object) for weight in query.weights]
+    biases = [bias.astype(object) for bias in query.biases]
+    # The final layer as margins N_k − N_true: the true label's row is 0.
+    weights[-1] = weights[-1] - weights[-1][query.true_label]
+    biases[-1] = biases[-1] - biases[-1][query.true_label]
+    pre = np.column_stack([biases[0] + weights[0] @ (100 * x), weights[0] * x])
     pre_low = pre_high = pre
     scale = 1
     bounds: list[tuple[list[int], list[int]]] = []
@@ -145,8 +156,6 @@ def linear_layer_bounds(query: ScaledQuery) -> list[tuple[list[int], list[int]]]
         low = list(map(max, floor, interval_low))
         high = list(map(min, ceiling, interval_high))
         bounds.append((low, high))
-        if layer + 1 == len(interval):
-            break
         # Activation rows over scale·widen: every triangle slope u/(u−l)
         # becomes an integer multiple of 1/widen.
         widen = math.lcm(*(u - l for l, u in zip(low, high) if l < 0 < u))
@@ -162,15 +171,15 @@ def linear_layer_bounds(query: ScaledQuery) -> list[tuple[list[int], list[int]]]
                 line[0] -= l * scale
                 act_high[j] = line * (u * (widen // (u - l)))
         scale *= widen
-        weight = query.weights[layer + 1].astype(object)
-        positive = np.maximum(weight, 0)
-        negative = np.minimum(weight, 0)
-        bias = query.biases[layer + 1].astype(object) * scale
+        positive = np.maximum(weights[layer + 1], 0)
+        negative = np.minimum(weights[layer + 1], 0)
+        bias = biases[layer + 1] * scale
         pre_low = positive @ act_low + negative @ act_high
         pre_high = positive @ act_high + negative @ act_low
         pre_low[:, 0] += bias
         pre_high[:, 0] += bias
-    return bounds
+    margins = -(-_box_extreme(pre_high, hi, lo) // scale)
+    return bounds, margins.tolist()
 
 
 def _box_extreme(rows, toward_positive, toward_negative) -> np.ndarray:

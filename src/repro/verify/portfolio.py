@@ -93,3 +93,10 @@ class PortfolioVerifier:
         The deterministic effort metric the incremental-ladder benchmark
         gates on."""
         return sum(session.total_pivots for session in self._sessions.values())
+
+    def margin_refutations(self) -> int:
+        """Rung adversaries this portfolio's sessions refuted by the margin
+        bound alone, before any search."""
+        return sum(
+            session.margin_refutations for session in self._sessions.values()
+        )

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from repro.config import NoiseConfig, RuntimeConfig, VerifierConfig
 from repro.core import NoiseToleranceAnalysis
@@ -68,30 +68,43 @@ def make_network(layer_shapes, draw_weight) -> QuantizedNetwork:
 
 @st.composite
 def ladder_case(draw):
-    """Random network (1-3 hidden layers) + input + a shuffled ladder of
-    noise rungs.  Past one hidden layer the sessions' linear relaxation
-    bounds can be tighter than the interval bounds the scratch engine
-    reads.  The second output bias is drawn so that both logits tie at a
-    noisy copy of the input (up to ±1.5·ceiling per input), so the
-    decision boundary crosses many ladders and VULNERABLE rungs are
-    common."""
+    """Random network (1-3 hidden layers of 2-6 neurons) + input + a
+    shuffled ladder of noise rungs.  Past one hidden layer the sessions'
+    linear relaxation bounds can be tighter than the interval bounds the
+    scratch engine reads.
+
+    Two noisy copies of the input (up to ±1.5·ceiling per input) anchor
+    the draw: each hidden neuron, with probability one half, has its bias
+    set so its ReLU kink passes through the first copy, so the ladder's
+    boxes straddle kinks and the relaxations' unstable-neuron lines
+    decide what the session assumes; the second output bias is set so
+    both logits tie at the second copy, so the decision boundary crosses
+    many ladders and VULNERABLE rungs are common."""
     sizes = [draw(st.integers(2, 3))]
-    sizes += [draw(st.integers(2, 4)) for _ in range(draw(st.integers(1, 3)))]
+    sizes += [draw(st.integers(2, 6)) for _ in range(draw(st.integers(1, 3)))]
     weight = lambda: draw(st.integers(-2000, 2000))  # noqa: E731
-    *hidden, last = make_network(list(zip(sizes, sizes[1:] + [2])), weight).layers
+    *drawn, last = make_network(list(zip(sizes, sizes[1:] + [2])), weight).layers
     x = np.array([draw(st.integers(1, 30)) for _ in range(sizes[0])])
     ceiling = draw(st.integers(2, 7))
     reach = st.integers(-3 * ceiling // 2, 3 * ceiling // 2)
-    values = [Fraction(int(v) * (100 + draw(reach)), 100) for v in x]
-    for layer in hidden:
-        values = [
-            max(Fraction(0), b + sum(w * v for w, v in zip(row, values)))
-            for row, b in zip(layer.weights, layer.bias)
-        ]
-    tie = last.bias[0] + sum(
-        (w0 - w1) * v for w0, w1, v in zip(*last.weights, values)
+    kink, tie = (
+        [Fraction(int(v) * (100 + draw(reach)), 100) for v in x] for _ in range(2)
     )
-    bias = (last.bias[0], Fraction(round(tie * SCALE), SCALE))
+    hidden = []
+    for layer in drawn:
+        bias = [
+            Fraction(round((b - z) * SCALE), SCALE) if draw(st.booleans()) else b
+            for b, z in zip(layer.bias, layer.preactivation(kink))
+        ]
+        layer = QuantizedLayer(layer.weights, tuple(bias), relu=True)
+        kink, tie = (
+            [max(Fraction(0), z) for z in layer.preactivation(v)] for v in (kink, tie)
+        )
+        hidden.append(layer)
+    tie_bias = last.bias[0] + sum(
+        (w0 - w1) * v for w0, w1, v in zip(*last.weights, tie)
+    )
+    bias = (last.bias[0], Fraction(round(tie_bias * SCALE), SCALE))
     network = QuantizedNetwork(
         [*hidden, QuantizedLayer(last.weights, bias, relu=False)]
     )
@@ -121,6 +134,7 @@ class TestSessionMatchesScratch:
                 # Witnesses are re-derived canonically: byte-identical.
                 assert warm.witness == cold.witness
                 assert warm.predicted_label == cold.predicted_label
+        event(f"margin refuted a rung={session.margin_refutations > 0}")
 
     def test_three_layer_ladders_in_random_orders(self):
         rng = np.random.default_rng(11)
@@ -168,7 +182,9 @@ def canonical(result):
 
 class TestPortfolioParity:
     def test_complete_stage_matches_scratch_smt(self):
-        queries = deterministic_ladder(2, range(1, 9))
+        """A ladder (6 ROBUST rungs, then 4 VULNERABLE) where the margin
+        bound settles 5 ROBUST rungs and the search decides the rest."""
+        queries = deterministic_ladder(380, range(1, 11))
         warm = PortfolioVerifier(exhaustive_cutoff=0)
         for query in queries:
             a = warm.verify_complete(query)
@@ -176,6 +192,7 @@ class TestPortfolioParity:
             assert canonical(a) == canonical(b)
             assert a.stats["stage"] == "session"
         assert warm.engine_stats.stages["session"].attempts == len(queries)
+        assert 0 < warm.margin_refutations() < len(queries)
         assert warm.complete_pivots() > 0
 
     def test_one_session_per_input_label_with_fifo_eviction(self):
@@ -255,7 +272,8 @@ class TestPortfolioParity:
     def test_deep_ladder_pivot_bill_is_pinned(self):
         """The exact pivot bill of a 5-12-12-2 ladder (integer weights, no
         training) crossing its boundary at 9 %: warm sessions on linear
-        relaxation bounds (540) and from scratch on interval bounds (755).
+        relaxation bounds and the margin bound read off them (503), and
+        from scratch on interval bounds (755).
         A change to tableau arithmetic alone must not move either number;
         a change to the encoding or to the bounds an engine reads does,
         and is re-pinned with its reason."""
@@ -273,7 +291,7 @@ class TestPortfolioParity:
         expected = ["robust"] * 3 + ["vulnerable"] * 2
         assert [verifier.verify_complete(q).status.value for q in queries] == expected
         assert [scratch.verify(q).status.value for q in queries] == expected
-        assert verifier.complete_pivots() == 540
+        assert verifier.complete_pivots() == 503
         assert scratch.total_pivots == 755
 
 

@@ -155,11 +155,11 @@ def reference_predict(query, noise):
     return best
 
 
-def hidden_pre_activations(query, noise):
-    """Each hidden layer's pre-activations at one (integer or ``Fraction``)
-    noise point, in exact Python arithmetic."""
+def pre_activations(query, noise):
+    """Each layer's pre-activations at one (integer or ``Fraction``) noise
+    point, in exact Python arithmetic; the last layer's are the logits."""
     values = [int(xi) * (100 + pi) for xi, pi in zip(query.x, noise)]
-    for weight, bias in zip(query.weights[:-1], query.biases[:-1]):
+    for weight, bias in zip(query.weights, query.biases):
         values = [
             int(b) + sum(int(w) * v for w, v in zip(row, values))
             for row, b in zip(weight, bias)
@@ -526,38 +526,8 @@ class TestIntervalVerifier:
         ``Fraction`` forward pass), are Python ints, are never looser than
         the interval bounds and equal them on the first hidden layer — on
         int64 and object queries alike."""
-        encoding = NetworkEncoding(network)
-        width = network.num_inputs
-        rows = data.draw(
-            st.lists(
-                st.lists(encodable_input, min_size=width, max_size=width),
-                min_size=1,
-                max_size=3,
-            )
-        )
-        # Past int64 whatever was drawn: this query runs on object ints.
-        rows.append([2**62 * (-1) ** i for i in range(width)])
-        for x in rows:
-            query = encoding.query(
-                np.array(x, dtype=np.int64), 0, NoiseConfig(60, min_percent=-300)
-            )
-            # A sub-box of the encoded one keeps its dtype proof; near -100 %
-            # the scaled inputs change sign, so phases turn unstable there.
-            low = data.draw(
-                st.lists(
-                    st.one_of(st.integers(-300, 60), st.integers(-103, -99)),
-                    min_size=width,
-                    max_size=width,
-                )
-            )
-            high = [lo + data.draw(st.integers(0, 2)) for lo in low]
-            query = dataclasses.replace(
-                query,
-                low=np.array(low, dtype=np.int64),
-                high=np.array(high, dtype=np.int64),
-            )
-            event(f"exact_dtype={query.exact_dtype}")
-            bounds = linear_layer_bounds(query)
+        for query, points in small_box_queries(network, data):
+            bounds, _ = linear_layer_bounds(query)
             interval = layer_bounds(query)
             assert all(type(v) is int for pair in bounds for side in pair for v in side)
             assert bounds[0] == interval[0]
@@ -567,22 +537,89 @@ class TestIntervalVerifier:
                 assert all(a <= b for a, b in zip(highs, interval_highs))
                 tighter |= lows != interval_lows or highs != interval_highs
             event(f"tighter than interval={tighter}")
-            points = list(itertools.product(*map(range, low, [h + 1 for h in high])))
-            points += data.draw(
-                st.lists(
-                    st.tuples(
-                        *(
-                            st.fractions(lo, hi, max_denominator=97)
-                            for lo, hi in zip(low, high)
-                        )
-                    ),
-                    max_size=4,
-                )
-            )
             for noise in points:
-                values = hidden_pre_activations(query, noise)
+                values = pre_activations(query, noise)
                 for layer, (lows, highs) in zip(values, bounds):
                     assert all(lo <= v <= hi for v, lo, hi in zip(layer, lows, highs))
+
+    @given(random_encodable_network(hidden=(1, 3)), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_linear_margin_bounds_cover_every_point_of_the_box(self, network, data):
+        """Each adversary's margin bound is a Python int at or above the
+        exact ``N_adv − N_true`` at every integer point of a small box and
+        at rational points of it (the bound is ceiled, so it holds over the
+        continuous box), on int64 and object queries alike; the true
+        label's own margin is 0."""
+        for query, points in small_box_queries(network, data):
+            _, margins = linear_layer_bounds(query)
+            true = query.true_label
+            assert len(margins) == query.num_outputs and margins[true] == 0
+            assert all(type(v) is int for v in margins)
+            refutes = any(
+                margins[k] < query.misclass_threshold(k)
+                for k in range(query.num_outputs)
+                if k != true
+            )
+            event(f"margin refutes an adversary={refutes}")
+            for noise in points:
+                *_, logits = pre_activations(query, noise)
+                assert all(v - logits[true] <= m for v, m in zip(logits, margins))
+
+
+def small_box_queries(network, data):
+    """Queries on small sub-boxes of ``network``'s encoded noise box, with
+    every integer point of each box and up to four drawn rational points.
+
+    Up to three drawn inputs run on int64 where the magnitude analysis
+    allows it, and one ±2**62 row always runs on object ints.  Each box
+    is at most 2 wide per component, often near −100 %, where the scaled
+    inputs change sign and phases turn unstable; the true label is drawn."""
+    encoding = NetworkEncoding(network)
+    width = network.num_inputs
+    rows = data.draw(
+        st.lists(
+            st.lists(encodable_input, min_size=width, max_size=width),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    # Past int64 whatever was drawn: this query runs on object ints.
+    rows.append([2**62 * (-1) ** i for i in range(width)])
+    cases = []
+    for x in rows:
+        label = data.draw(st.integers(0, network.num_outputs - 1))
+        query = encoding.query(
+            np.array(x, dtype=np.int64), label, NoiseConfig(60, min_percent=-300)
+        )
+        # A sub-box of the encoded one keeps its dtype proof.
+        low = data.draw(
+            st.lists(
+                st.one_of(st.integers(-300, 60), st.integers(-103, -99)),
+                min_size=width,
+                max_size=width,
+            )
+        )
+        high = [lo + data.draw(st.integers(0, 2)) for lo in low]
+        query = dataclasses.replace(
+            query,
+            low=np.array(low, dtype=np.int64),
+            high=np.array(high, dtype=np.int64),
+        )
+        event(f"exact_dtype={query.exact_dtype}")
+        points = list(itertools.product(*map(range, low, [h + 1 for h in high])))
+        points += data.draw(
+            st.lists(
+                st.tuples(
+                    *(
+                        st.fractions(lo, hi, max_denominator=97)
+                        for lo, hi in zip(low, high)
+                    )
+                ),
+                max_size=4,
+            )
+        )
+        cases.append((query, points))
+    return cases
 
 
 class TestExhaustive:
