@@ -69,25 +69,20 @@ def boundary_band(network, dataset):
 
 
 def warm_arm(config):
-    """(verify, pivots, margin refutations) of one input's portfolio,
-    sessions forced."""
+    """(verify, pivots) of one input's portfolio, sessions forced."""
     portfolio = PortfolioVerifier(config, exhaustive_cutoff=0)
-    return (
-        portfolio.verify_complete,
-        portfolio.complete_pivots,
-        portfolio.margin_refutations,
-    )
+    return portfolio.verify_complete, portfolio.complete_pivots
 
 
 def scratch_arm(config):
-    """(verify, pivots, margin refutations) of one input's from-scratch
-    engine, which refutes nothing by the margin bound."""
+    """(verify, pivots) of one input's from-scratch engine."""
     engine = SmtVerifier(config)
-    return engine.verify, lambda: engine.total_pivots, lambda: 0
+    return engine.verify, lambda: engine.total_pivots
 
 
 def dispatch(survivors, arm):
-    """Bisect the band through one ``arm`` engine per input."""
+    """Bisect the band through one ``arm`` engine per input; returns the
+    engines too, keyed by input."""
     engines: dict[int, tuple] = {}
     calls = 0
 
@@ -95,16 +90,15 @@ def dispatch(survivors, arm):
         nonlocal calls
         if probe.group not in engines:
             engines[probe.group] = arm(VerifierConfig(seed=derive_seed(0, probe.group)))
-        verify, _, _ = engines[probe.group]
+        verify, _ = engines[probe.group]
         calls += 1
         return verify(probe.query)
 
     start = time.perf_counter()
     exact, derived = resolve_survivors(survivors, complete_fn)
     wall = time.perf_counter() - start
-    pivots = sum(pivots_of() for _, pivots_of, _ in engines.values())
-    margin = sum(margin_of() for _, _, margin_of in engines.values())
-    return exact, derived, pivots, margin, calls, wall
+    pivots = sum(pivots_of() for _, pivots_of in engines.values())
+    return exact, derived, pivots, calls, wall, engines
 
 
 def canonical(results: dict) -> dict:
@@ -120,11 +114,15 @@ def test_incremental_ladder_halves_the_pivot_bill(case_study):
     # The band is real on this substrate — otherwise nothing is measured.
     assert survivors, "deep substrate no longer has a boundary band"
 
-    warm_exact, warm_derived, warm_pivots, warm_margin, warm_calls, warm_wall = (
+    warm_exact, warm_derived, warm_pivots, warm_calls, warm_wall, portfolios = (
         dispatch(survivors, warm_arm)
     )
-    cold_exact, cold_derived, cold_pivots, _, cold_calls, cold_wall = dispatch(
+    cold_exact, cold_derived, cold_pivots, cold_calls, cold_wall, _ = dispatch(
         survivors, scratch_arm
+    )
+    # Each warm arm's verify is bound to its input's portfolio.
+    warm_margin = sum(
+        verify.__self__.margin_refutations() for verify, _ in portfolios.values()
     )
 
     ratio = cold_pivots / max(1, warm_pivots)

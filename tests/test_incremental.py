@@ -68,22 +68,29 @@ def make_network(layer_shapes, draw_weight) -> QuantizedNetwork:
 
 @st.composite
 def ladder_case(draw):
-    """Random network (1-3 hidden layers of 2-6 neurons) + input + a
-    shuffled ladder of noise rungs.  Past one hidden layer the sessions'
-    linear relaxation bounds can be tighter than the interval bounds the
-    scratch engine reads.
+    """Random network (1-3 hidden layers of 2-6 neurons, 2-4 outputs) +
+    input + a shuffled ladder of noise rungs.  Past one hidden layer the
+    sessions' linear relaxation bounds can be tighter than the interval
+    bounds the scratch engine reads.
 
     Two noisy copies of the input (up to ±1.5·ceiling per input) anchor
     the draw: each hidden neuron, with probability one half, has its bias
     set so its ReLU kink passes through the first copy, so the ladder's
     boxes straddle kinks and the relaxations' unstable-neuron lines
-    decide what the session assumes; the second output bias is set so
-    both logits tie at the second copy, so the decision boundary crosses
-    many ladders and VULNERABLE rungs are common."""
+    decide what the session assumes; one drawn output (not the first)
+    has its bias set so its logit ties the first output's at the second
+    copy, so the decision boundary crosses many ladders and VULNERABLE
+    rungs are common.  With three or four outputs the other adversaries
+    are often refuted by the margin bound on rungs where the tied one is
+    VULNERABLE, so the session skips some adversaries and still reaches
+    the scratch engine's first satisfiable one."""
     sizes = [draw(st.integers(2, 3))]
     sizes += [draw(st.integers(2, 6)) for _ in range(draw(st.integers(1, 3)))]
+    outputs = draw(st.integers(2, 4))
+    rival = draw(st.integers(1, outputs - 1))
     weight = lambda: draw(st.integers(-2000, 2000))  # noqa: E731
-    *drawn, last = make_network(list(zip(sizes, sizes[1:] + [2])), weight).layers
+    shapes = list(zip(sizes, sizes[1:] + [outputs]))
+    *drawn, last = make_network(shapes, weight).layers
     x = np.array([draw(st.integers(1, 30)) for _ in range(sizes[0])])
     ceiling = draw(st.integers(2, 7))
     reach = st.integers(-3 * ceiling // 2, 3 * ceiling // 2)
@@ -102,11 +109,12 @@ def ladder_case(draw):
         )
         hidden.append(layer)
     tie_bias = last.bias[0] + sum(
-        (w0 - w1) * v for w0, w1, v in zip(*last.weights, tie)
+        (w0 - w1) * v for w0, w1, v in zip(last.weights[0], last.weights[rival], tie)
     )
-    bias = (last.bias[0], Fraction(round(tie_bias * SCALE), SCALE))
+    bias = list(last.bias)
+    bias[rival] = Fraction(round(tie_bias * SCALE), SCALE)
     network = QuantizedNetwork(
-        [*hidden, QuantizedLayer(last.weights, bias, relu=False)]
+        [*hidden, QuantizedLayer(last.weights, tuple(bias), relu=False)]
     )
     rungs = draw(st.permutations(list(range(1, ceiling + 1))))
     return network, x, network.predict(x), list(rungs)
@@ -121,8 +129,10 @@ class TestSessionMatchesScratch:
     def test_every_rung_matches_a_fresh_smt_verifier(self, case):
         network, x, label, rungs = case
         session = LadderSession(VerifierConfig())
+        skipped_then_found = False
         for percent in rungs:
             query = build_query(network, x, label, NoiseConfig(percent))
+            before = session.margin_refutations
             warm = session.verify(query)
             cold = SmtVerifier().verify(query)
             assert warm.status is cold.status, (
@@ -134,7 +144,10 @@ class TestSessionMatchesScratch:
                 # Witnesses are re-derived canonically: byte-identical.
                 assert warm.witness == cold.witness
                 assert warm.predicted_label == cold.predicted_label
+                # Refutations happen only before the satisfiable adversary.
+                skipped_then_found |= session.margin_refutations > before
         event(f"margin refuted a rung={session.margin_refutations > 0}")
+        event(f"margin skipped an adversary on a VULNERABLE rung={skipped_then_found}")
 
     def test_three_layer_ladders_in_random_orders(self):
         rng = np.random.default_rng(11)
