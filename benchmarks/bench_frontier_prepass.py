@@ -38,6 +38,14 @@ from repro.runtime import QueryRunner
 DEEP_CEILING = 100
 PAPER_CEILING = 40
 
+#: Complete-engine calls on the deep substrate's sweep: per-query arm,
+#: frontier arm.
+DEEP_COMPLETE_CALLS = (637, 121)
+#: Probes the random stage samples there, the same on both arms: only the
+#: rungs the exact margin bound leaves open (it sampled 637 before the
+#: margin gate).  Both arms' random rows read 0 decided.
+DEEP_RANDOM_SAMPLED = 80
+
 
 def deep_case_study_network(case_study) -> "quantize_network":
     """A 5-12-12-2 variant of the case-study network (seeded, trained)."""
@@ -109,6 +117,10 @@ def test_frontier_prepass_vs_per_query_portfolio(benchmark, case_study):
 
     # Bit-identical results on both paths.
     assert frontier_sweep == perquery_sweep
+    # Deterministic effort: the complete calls and the sampled probes.
+    assert (perquery_complete, frontier_complete) == DEEP_COMPLETE_CALLS
+    for stats in (frontier_stats, perquery_stats):
+        assert stats.stage("random").attempts == DEEP_RANDOM_SAMPLED
     # The band is real on this substrate...
     assert perquery_complete > 0
     # ...and the frontier resolves it with >= 5x fewer complete calls.

@@ -11,8 +11,12 @@ inputs × many percents) is resolved together:
   the robust mass with one matmul pair per layer for the entire frontier;
 - a batched corner pass evaluates every query's corner grid in one
   concatenated network evaluation;
-- a batched random pass draws each query's blocks from its *own* seeded
-  RNG but evaluates the concatenated blocks together, round by round;
+- a batched random pass samples only the rungs the exact margin bound
+  of :func:`~repro.verify.interval.linear_layer_bounds` leaves open
+  (:func:`margin_open`; a skipped rung is ROBUST, so no sample there
+  could flip, and it goes on to the complete engines as before), drawing
+  each query's blocks from its *own* seeded RNG but evaluating the
+  concatenated blocks together, round by round;
 - surviving queries — the boundary band — go to the complete engines
   *per query*, and :func:`resolve_survivors` dispatches them along a
   monotone bisection per input: a complete ROBUST verdict at ±P covers
@@ -44,12 +48,16 @@ import numpy as np
 
 from .encoder import ScaledQuery, forward_scaled
 from .falsify import RANDOM_BLOCK, RANDOM_SAMPLES, corner_grid, draw_noise_block
-from .interval import interval_bulk
+from .interval import interval_bulk, linear_layer_bounds, margin_refutes
 from .result import LadderFacts, VerificationResult, VerificationStatus
 from .stats import EngineStats
 
 #: Cap on rows per concatenated network evaluation (bounds peak memory).
-ROW_CHUNK = 4096
+#: At 2,048 rows a 12-wide layer's float64 GEMM stays under OpenBLAS's
+#: two-thread threshold: on a 2-vCPU VM the two-thread 4,096-row GEMMs of
+#: the deep 5-12-12-2 network read up to ≈ 1,950 ns/row, against
+#: ≈ 130–145 at 2,048 rows or with one BLAS thread.
+ROW_CHUNK = 2048
 
 
 @dataclass
@@ -132,7 +140,12 @@ class FrontierPrepass:
     Corner grids use the falsifier defaults (midpoints on, at most
     :data:`~repro.verify.falsify.MAX_CORNERS` rows); random
     probes draw :data:`~repro.verify.falsify.RANDOM_SAMPLES` rows in
-    :data:`~repro.verify.falsify.RANDOM_BLOCK`-row rounds.
+    :data:`~repro.verify.falsify.RANDOM_BLOCK`-row rounds.  The random
+    stage samples only the probes :func:`margin_open` returns: the rest
+    are proved ROBUST by the margin bound, where the scalar falsifier
+    could only return UNKNOWN, so they pass on undecided exactly as if
+    sampled.  The stage's ``attempts`` count the sampled probes, and its
+    wall includes the margin scan.
     """
 
     #: Corner rungs evaluated per implication group per ascending wave:
@@ -237,7 +250,9 @@ class FrontierPrepass:
     def _random_stage(self, pending, outcome, facts):
         start = time.perf_counter()
         stage_decided: dict[Any, VerificationResult] = {}
-        active = [p for p in pending if facts[p.group].implied(p.percent) is None]
+        active = margin_open(
+            [p for p in pending if facts[p.group].implied(p.percent) is None]
+        )
         streams = {
             p.key: np.random.default_rng(p.seed) for p in active
         }
@@ -279,6 +294,33 @@ class FrontierPrepass:
             outcome.decided[key] = stamp(result, "random", mean_wall)
         self.engine_stats.record_bulk("random", attempts, decided, wall)
         return [p for p in pending if p.key not in outcome.decided]
+
+
+def margin_open(probes: Sequence[FrontierProbe]) -> list[FrontierProbe]:
+    """The probes whose box the exact margin bound leaves open, in order.
+
+    Walks each implication group from its highest rung down and stops at
+    the first rung where :func:`~repro.verify.interval.margin_refutes`
+    holds for every adversary.  Boxes nest along a group, so that rung
+    and every rung below it are ROBUST: no sample there can flip, and
+    only the rungs above it are returned.
+    """
+    by_group: dict[Any, list[FrontierProbe]] = defaultdict(list)
+    for probe in probes:
+        by_group[probe.group].append(probe)
+    open_keys = set()
+    for group in by_group.values():
+        for probe in sorted(group, key=lambda p: p.percent, reverse=True):
+            query = probe.query
+            _, margins = linear_layer_bounds(query)
+            if all(
+                margin_refutes(query, margins, adversary)
+                for adversary in range(query.num_outputs)
+                if adversary != query.true_label
+            ):
+                break
+            open_keys.add(probe.key)
+    return [p for p in probes if p.key in open_keys]
 
 
 def resolve_survivors(

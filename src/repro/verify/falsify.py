@@ -8,7 +8,10 @@ complete engines.
 This module holds their candidate generation (:func:`corner_grid`,
 :func:`draw_noise_block`) and budget constants; the frontier plane
 (:mod:`repro.verify.batch`), the only implementation of the incomplete
-stages, evaluates these candidate blocks in bulk.
+stages, evaluates these candidate blocks in bulk.  It draws random
+blocks only for the rungs the exact margin bound of
+:func:`~repro.verify.interval.linear_layer_bounds` leaves open; on a
+rung the bound proves ROBUST no sample could flip.
 """
 
 from __future__ import annotations

@@ -62,7 +62,7 @@ from ..sat.solver import CdclSolver, SatStatus
 from ..smt.branch_bound import solve_integer_feasibility
 from ..smt.simplex import BoundKind, BoundRef, Simplex
 from .encoder import ScaledQuery
-from .interval import linear_layer_bounds
+from .interval import linear_layer_bounds, margin_refutes
 from .result import VerificationResult, VerificationStatus
 from .smt_verifier import EncodedNeuron, SmtVerifier, encode_adversary
 
@@ -136,7 +136,7 @@ class LadderSession:
         for adversary in range(query.num_outputs):
             if adversary == query.true_label:
                 continue
-            if margins[adversary] < query.misclass_threshold(adversary):
+            if margin_refutes(query, margins, adversary):
                 # No point of the box reaches the flip: refuted for this
                 # rung only, so the adversary is not marked dead.
                 self.margin_refutations += 1

@@ -28,7 +28,10 @@ relaxation (affine bounds in the noise percents, concretised per layer)
 and carries it one step further, through the final layer's difference
 weights, to an upper bound of each adversary's margin: the phase fixing,
 activation caps and margin refutation of
-:class:`~repro.verify.incremental.LadderSession`.
+:class:`~repro.verify.incremental.LadderSession`, and the margin gate of
+the random falsifier in :class:`~repro.verify.batch.FrontierPrepass`.
+:func:`margin_refutes` is the one place that compares a margin bound
+with its misclassification threshold.
 
 :func:`proved_labels` runs the same pass over many sub-boxes of one
 query's noise box and reports, per sub-box, the label the interval lower
@@ -180,6 +183,16 @@ def linear_layer_bounds(
         pre_high[:, 0] += bias
     margins = -(-_box_extreme(pre_high, hi, lo) // scale)
     return bounds, margins.tolist()
+
+
+def margin_refutes(query: ScaledQuery, margins: Sequence[int], adversary: int) -> bool:
+    """Whether the margin bound proves no point of the box flips to ``adversary``.
+
+    ``margins`` are the upper bounds :func:`linear_layer_bounds` returns:
+    below :meth:`~repro.verify.encoder.ScaledQuery.misclass_threshold`,
+    ``N_adversary − N_true`` cannot reach a flip anywhere in the box.
+    """
+    return margins[adversary] < query.misclass_threshold(adversary)
 
 
 def _box_extreme(rows, toward_positive, toward_negative) -> np.ndarray:

@@ -10,8 +10,9 @@ references: ``interval_bulk`` on one query, and the scalar falsifiers
    small networks assert that the vectorised interval pass and the
    batched falsifier passes (over a whole ladder and over a frontier of
    one probe) produce exactly the results the single-query references
-   do (verdict, witness, node counts), and that in-frontier
-   implications are sound against exhaustive ground truth.
+   do (verdict, witness, node counts), that in-frontier implications
+   are sound against exhaustive ground truth, and that the random
+   stage's margin gate skips only rungs that are ROBUST.
 2. **Determinism matrix** — workers 1/4 × cache on/off/warm must
    produce bit-identical tolerance reports and Fig.-4 sweeps on the
    case-study substrate; row chunking never moves a label.
@@ -25,10 +26,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from repro.config import NoiseConfig, RuntimeConfig
@@ -48,6 +50,7 @@ from repro.verify import (
     labels_for_rows,
     resolve_survivors,
 )
+from repro.verify import batch
 from repro.verify.falsify import (
     RANDOM_BLOCK,
     corner_grid,
@@ -59,6 +62,7 @@ from repro.verify.result import VerificationResult, VerificationStatus
 from repro.verify.stats import CANONICAL_INCOMPLETE
 
 from reference_engines import CornerFalsifier, RandomFalsifier
+from test_incremental import ladder_case
 
 SCALE = 1000
 MAX_PERCENT = 10
@@ -106,6 +110,55 @@ def ladder_queries(network, x, label, ceiling):
         )
         for p in range(1, ceiling + 1)
     ]
+
+
+def assert_matches_scalar_chain(network, x, label, probes, outcome, seed):
+    """Each rung's prepass outcome equals the scalar incomplete chain's.
+
+    The chain is interval, then :class:`CornerFalsifier`, then
+    :class:`RandomFalsifier` seeded with ``seed``; a frontier of one
+    probe must decide exactly what the chain decides, identically.
+    """
+    corner = CornerFalsifier()
+    unknown = {p.percent for p in outcome.unknown}
+    for probe in probes:
+        percent, query = probe.percent, probe.query
+        expected = interval_bulk([query])[0]
+        if not expected.is_robust:
+            expected = corner.verify(query)
+            if not expected.is_vulnerable:
+                expected = RandomFalsifier(seed=seed).verify(query)
+
+        alone = FrontierPrepass().resolve([probe])
+        if expected.status is VerificationStatus.UNKNOWN:
+            assert not alone.decided
+        else:
+            single = alone.decided[probe.key]
+            assert single.status == expected.status
+            assert single.witness == expected.witness
+            assert single.predicted_label == expected.predicted_label
+            assert single.engine == expected.engine
+            assert single.nodes_explored == expected.nodes_explored
+
+        if probe.key in outcome.decided:
+            got = outcome.decided[probe.key]
+            assert got.status == expected.status
+            assert got.witness == expected.witness
+            assert got.predicted_label == expected.predicted_label
+            assert got.engine == expected.engine
+            assert got.nodes_explored == expected.nodes_explored
+        elif probe.key in outcome.derived:
+            got = outcome.derived[probe.key]
+            # Implied by a witness at a smaller rung: sound (the
+            # witness stays in range) though not the scalar witness.
+            assert got.is_vulnerable
+            assert expected.status is not VerificationStatus.ROBUST
+            assert max(abs(v) for v in got.witness) <= percent
+            assert network.predict_noisy(x, got.witness) != label
+        else:
+            assert percent in unknown
+            # Scalar incomplete stages failed too.
+            assert expected.status is VerificationStatus.UNKNOWN
 
 
 class TestBulkIntervalEqualsScalar:
@@ -200,48 +253,59 @@ class TestPrepassEqualsScalarPortfolio:
             for p, q in zip(range(1, ceiling + 1), queries)
         ]
         outcome = FrontierPrepass().resolve(probes)
+        assert_matches_scalar_chain(network, x, label, probes, outcome, seed)
 
-        corner = CornerFalsifier()
-        for percent, query in zip(range(1, ceiling + 1), queries):
-            # The scalar incomplete chain: interval, corner, random.
-            expected = interval_bulk([query])[0]
-            if not expected.is_robust:
-                expected = corner.verify(query)
-                if not expected.is_vulnerable:
-                    expected = RandomFalsifier(seed=seed).verify(query)
+    @given(case=ladder_case(), seed=st.integers(0, 2**32 - 1))
+    @settings(HARNESS, max_examples=200)
+    def test_random_stage_skips_only_margin_refuted_rungs(self, case, seed):
+        """The random stage's margin gate skips ROBUST rungs only.
 
-            # A frontier of one probe decides exactly the rungs the
-            # scalar chain decides, identically.
-            alone = FrontierPrepass().resolve([probes[percent - 1]])
-            if expected.status is VerificationStatus.UNKNOWN:
-                assert not alone.decided
-            else:
-                single = alone.decided[percent]
-                assert single.status == expected.status
-                assert single.witness == expected.witness
-                assert single.predicted_label == expected.predicted_label
-                assert single.engine == expected.engine
-                assert single.nodes_explored == expected.nodes_explored
+        Deeper, wider ladders than the test above (1-3 hidden layers,
+        2-4 outputs, a decision boundary through the box), shuffled so
+        the gate cannot rely on probe order.  Every rung the gate drops,
+        from the whole ladder or from the random stage's probes ("skipped"),
+        must be ROBUST under the exhaustive enumerator, and the outcome
+        must still equal the scalar chain's.
+        """
+        network, x, label, rungs = case
+        probes = [
+            FrontierProbe(
+                key=p,
+                query=build_query(network, x, label, NoiseConfig(max_percent=p)),
+                percent=p,
+                group=0,
+                seed=seed,
+            )
+            for p in rungs
+        ]
+        seen: list[tuple[set, set]] = []
+        margin_open = batch.margin_open
 
-            if percent in outcome.decided:
-                got = outcome.decided[percent]
-                assert got.status == expected.status
-                assert got.witness == expected.witness
-                assert got.predicted_label == expected.predicted_label
-                assert got.engine == expected.engine
-                assert got.nodes_explored == expected.nodes_explored
-            elif percent in outcome.derived:
-                got = outcome.derived[percent]
-                # Implied by a witness at a smaller rung: sound (the
-                # witness stays in range) though not the scalar witness.
-                assert got.is_vulnerable
-                assert expected.status is not VerificationStatus.ROBUST
-                assert max(abs(v) for v in got.witness) <= percent
-                assert network.predict_noisy(x, got.witness) != label
-            else:
-                assert percent in {p.percent for p in outcome.unknown}
-                # Scalar incomplete stages failed too.
-                assert expected.status is VerificationStatus.UNKNOWN
+        def gate(active):
+            kept = margin_open(active)
+            seen.append(({p.percent for p in active}, {p.percent for p in kept}))
+            return kept
+
+        with mock.patch.object(batch, "margin_open", gate):
+            outcome = FrontierPrepass().resolve(probes)
+        truth = {
+            p.percent: ExhaustiveEnumerator().verify(p.query).status for p in probes
+        }
+        # The gate over the whole ladder, and as the stage ran it on the
+        # rungs interval and corner left open: what it passes over is ROBUST.
+        dropped = set(rungs) - {p.percent for p in margin_open(probes)}
+        skipped = set().union(*(active - kept for active, kept in seen))
+        for percent in dropped | skipped:
+            assert truth[percent] is VerificationStatus.ROBUST, percent
+        for passed, name in ((dropped, "dropped"), (skipped, "skipped")):
+            if passed:
+                event(f"rung {name}")
+                if any(
+                    status is VerificationStatus.VULNERABLE and percent > max(passed)
+                    for percent, status in truth.items()
+                ):
+                    event(f"VULNERABLE rung above a {name} one")
+        assert_matches_scalar_chain(network, x, label, probes, outcome, seed)
 
     @HARNESS
     @given(network=quantized_networks(), x=inputs, ceiling=st.integers(2, MAX_PERCENT))
