@@ -13,6 +13,8 @@ import time
 from repro.analysis import fig4_tolerance_series, horizontal_bar_chart
 from repro.config import RuntimeConfig
 from repro.core import NoiseToleranceAnalysis
+from repro.runtime import QueryRunner
+from tests.reference_engines import fig2_search
 
 
 def test_fig4_tolerance_profile(benchmark, quantized, case_study):
@@ -37,45 +39,51 @@ def test_fig4_tolerance_profile(benchmark, quantized, case_study):
     assert series["misclassified_inputs"][-1] > 0
 
 
-def test_fig4_tolerance_search_schedules(benchmark, quantized, case_study):
-    """Ablation: the paper's shrink-by-one loop vs bisection."""
-    paper_loop = NoiseToleranceAnalysis(
-        quantized, search_ceiling=40, schedule="paper"
-    )
-    binary = NoiseToleranceAnalysis(
-        quantized, search_ceiling=40, schedule="binary"
+def test_fig4_tolerance_search_matches_the_paper_loop(benchmark, quantized, case_study):
+    """The one-frontier search against the paper's literal Fig.-2 loop.
+
+    The loop shrinks each input's range one point at a time from the
+    ceiling, one cache-off query per point; the search decides each
+    input's whole ladder in one frontier call.  Both must report the same
+    minimum flip, witness and wrong label for every input.
+    """
+    ceiling = 60
+    search = NoiseToleranceAnalysis(quantized, search_ceiling=ceiling)
+    report = benchmark.pedantic(
+        lambda: search.analyze(case_study.test), rounds=1, iterations=1
     )
 
-    paper_report = benchmark.pedantic(
-        lambda: paper_loop.analyze(case_study.test), rounds=1, iterations=1
-    )
-    binary_report = binary.analyze(case_study.test)
-    paper_queries = sum(e.queries for e in paper_report.per_input)
-    binary_queries = sum(e.queries for e in binary_report.per_input)
-    print(
-        f"\nqueries: paper-loop {paper_queries}, bisection {binary_queries} "
-        f"(same tolerance: ±{paper_report.tolerance}% == ±{binary_report.tolerance}%)"
-    )
-    assert paper_report.tolerance == binary_report.tolerance
-    # Cost profile differs by input mix: the paper loop pays one query per
-    # ceiling-robust input but walks down one percent at a time for
-    # vulnerable ones; bisection is log-cost everywhere.
-    vulnerable = [
-        e for e in paper_report.per_input if e.min_flip_percent is not None
-    ]
-    if vulnerable:
-        paper_vulnerable = sum(e.queries for e in vulnerable)
-        binary_vulnerable = sum(
-            e.queries
-            for e in binary_report.per_input
-            if e.min_flip_percent is not None
+    loop = QueryRunner(quantized, runtime=RuntimeConfig(cache=False))
+    expected = [
+        fig2_search(
+            lambda percent: loop.verify_at(x, label, percent, index=index), ceiling
         )
-        assert binary_vulnerable <= paper_vulnerable
+        for index, x, label in loop.correctly_classified(case_study.test)
+    ]
+    found = [
+        {
+            "min_flip_percent": e.min_flip_percent,
+            "witness": e.witness,
+            "flipped_to": e.flipped_to,
+        }
+        for e in report.per_input
+    ]
+
+    def complete_calls(runner):
+        stages = runner.engine_stats.stages
+        return sum(stages[s].attempts for s in ("exhaustive", "session") if s in stages)
+
+    print(
+        f"\ncomplete-engine calls: one-frontier search {complete_calls(search.runner)}, "
+        f"paper loop {complete_calls(loop)} "
+        f"(tolerance ±{report.tolerance}%)"
+    )
+    assert found == expected
 
 
 def _flat(report):
     return [
-        (e.index, e.min_flip_percent, e.witness, e.flipped_to, e.queries)
+        (e.index, e.min_flip_percent, e.witness, e.flipped_to)
         for e in report.per_input
     ]
 

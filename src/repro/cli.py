@@ -142,9 +142,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     tolerance = sub.add_parser("tolerance", help="noise-tolerance search")
     tolerance.add_argument("--ceiling", type=int, default=60)
-    tolerance.add_argument(
-        "--schedule", choices=("binary", "paper"), default="binary"
-    )
     _add_runtime_flags(tolerance)
     tolerance.set_defaults(handler=_cmd_tolerance)
 
@@ -493,7 +490,6 @@ def _cmd_tolerance(args) -> int:
     analysis = NoiseToleranceAnalysis(
         quantized,
         search_ceiling=args.ceiling,
-        schedule=args.schedule,
         runtime=_runtime_config(args),
     )
     report = analysis.analyze(case_study.test)

@@ -84,10 +84,10 @@ class NoiseVectorExtraction:
     def extract(self, dataset: Dataset, noise_percent: int) -> ExtractionReport:
         """P3 extraction over every correctly-classified input.
 
-        The whole input frontier at ``±noise_percent`` is first
-        bulk-verified by the cheap passes (no complete engines): inputs
-        the prepass proves robust short-circuit to an empty vector set
-        before any collector — or worker process — spins up.
+        An input whose box the runner's cache already holds (or implies)
+        ROBUST — after a P2 pass, every input below its minimum flip —
+        short-circuits to an empty vector set; the collector's own
+        interval split proves the other robust boxes.
         """
         report = ExtractionReport(noise_percent=noise_percent)
         tasks = [
@@ -100,9 +100,6 @@ class NoiseVectorExtraction:
             )
             for index, x, true_label in self.runner.correctly_classified(dataset)
         ]
-        self.runner.prepass_frontier(
-            [(t.index, t.x, t.true_label, t.percent) for t in tasks]
-        )
         for task, outcome in zip(tasks, self.runner.run_tasks(tasks)):
             report.per_input.append(
                 InputNoiseVectors(index=task.index, true_label=task.true_label, **outcome)

@@ -5,41 +5,27 @@ noise percentage ``(Δx)min`` whose range admits a misclassifying noise
 vector; the network's noise tolerance is the largest range below *all*
 of them.  The paper reports ±11 % for its trained network.
 
-Two search schedules are provided:
+The paper's Fig.-2 loop shrinks the range by one point while a
+counterexample exists.  Noise boxes nest (±P' ⊆ ±P for P' ≤ P), so the
+verdict is monotone in P and that loop's answer is the least VULNERABLE
+rung of the ladder ``1..ceiling``: each input's search is one
+:class:`~repro.runtime.tasks.ToleranceSearchTask`, which decides its
+whole ladder in one frontier call (:mod:`repro.verify.batch`).  The
+vectorised incomplete passes decide the cheap mass of the ladder in
+bulk, and a monotone bisection reaches a complete engine only inside
+the thin boundary band.  The least flip is never implied by another
+rung, so every reported witness is an exact one.
 
-- ``binary`` (default) — bisection on the range bound; each probe is one
-  complete verification query;
-- ``paper`` — the literal Fig.-2 loop: start large, shrink by one
-  percentage point whenever a counterexample exists, stop at the first
-  counterexample-free range.  Same answer, more queries; kept because it
-  is the methodology being reproduced (and benchmarked in E2).
-
-Execution goes through the analysis runtime (:mod:`repro.runtime`): each
-input becomes an independent :class:`~repro.runtime.tasks.ToleranceSearchTask`
-submitted to a :class:`~repro.runtime.QueryRunner`, which memoises every
-``(input, percent)`` verdict in its query cache and — when
-``RuntimeConfig.workers > 1`` — fans the searches out over a process
-pool with deterministic ``(seed, input index)`` seeding.  Both schedules
-therefore share verdicts with each other, with the Fig.-4 sweep and with
-the later P3 extraction pass, and parallel runs reproduce serial runs
-bit for bit.
-
-Each task also submits its whole probe ladder — every rung up to the
-ceiling, binary-search rungs included, speculatively — to the
-frontier-batched prepass (:mod:`repro.verify.batch`) before searching:
-the vectorised incomplete passes decide the cheap mass of the ladder in
-bulk, and the search's own probes only reach a complete engine inside
-the thin boundary band.
-
-Both schedules also consume *implied* verdicts: the runner's
-:class:`~repro.runtime.QueryCache` answers a probe at ±P from any
-proved ROBUST verdict at ±P' ≥ P or VULNERABLE verdict at ±P' ≤ P, so a
-search that overlaps earlier work — the other schedule, a previous run
-warm-started from disk, a different ceiling, the extraction pass — stops
-issuing solver calls for percents whose answer is already forced by the
-paper's nested-noise-box semantics.  Reports are unaffected: every
-witness that reaches a report comes from the exact entry at the minimal
-flip percent, which any schedule proves directly before reporting it.
+Execution goes through the analysis runtime (:mod:`repro.runtime`): the
+tasks are submitted to a :class:`~repro.runtime.QueryRunner`, which
+memoises every ``(input, percent)`` verdict in its query cache and —
+when ``RuntimeConfig.workers > 1`` — fans the searches out over a
+process pool with deterministic per-input seeding, so parallel runs
+reproduce serial runs bit for bit.  The cache answers a probe at ±P
+from any proved ROBUST verdict at ±P' ≥ P or VULNERABLE verdict at
+±P' ≤ P, so a search that overlaps earlier work — a previous run
+warm-started from disk, a different ceiling, the Fig.-4 sweep — issues
+no solver call for a percent whose answer is already forced.
 """
 
 from __future__ import annotations
@@ -48,7 +34,6 @@ from dataclasses import dataclass, field
 
 from ..config import RuntimeConfig, VerifierConfig
 from ..data.dataset import Dataset
-from ..errors import ConfigError
 from ..nn.quantize import QuantizedNetwork
 from ..runtime import QueryRunner, ToleranceSearchTask
 
@@ -62,7 +47,6 @@ class InputTolerance:
     min_flip_percent: int | None  # None: robust up to the search ceiling
     witness: tuple[int, ...] | None
     flipped_to: int | None
-    queries: int = 0
 
     @property
     def robust_at_ceiling(self) -> bool:
@@ -111,15 +95,11 @@ class NoiseToleranceAnalysis:
         network: QuantizedNetwork,
         config: VerifierConfig | None = None,
         search_ceiling: int = 60,
-        schedule: str = "binary",
         runner: QueryRunner | None = None,
         runtime: RuntimeConfig | None = None,
     ):
-        if schedule not in ("binary", "paper"):
-            raise ConfigError("schedule must be 'binary' or 'paper'")
         self.network = network
         self.search_ceiling = search_ceiling
-        self.schedule = schedule
         self.runner = runner or QueryRunner(
             network, config or VerifierConfig(), runtime
         )
@@ -143,7 +123,6 @@ class NoiseToleranceAnalysis:
                 x=x,
                 true_label=true_label,
                 ceiling=self.search_ceiling,
-                schedule=self.schedule,
             )
             for index, x, true_label in self.runner.correctly_classified(dataset)
         ]

@@ -7,26 +7,25 @@ verification work.  It provides:
 - **Memoisation** — every verify and extract outcome lands in a
   :class:`QueryCache` keyed by ``(kind, input index, input values, true
   label, noise percent, extra)`` under a (network, verifier-config)
-  fingerprint context, so the tolerance bisection, the literal paper
-  schedule, the Fig.-4 sweep and extraction stop re-solving identical
-  queries — and queries whose answer is *implied* by a verdict at a
-  different percent (nested noise boxes).
+  fingerprint context, so the tolerance search, the Fig.-4 sweep and
+  extraction stop re-solving identical queries — and queries whose
+  answer is *implied* by a verdict at a different percent (nested noise
+  boxes).
 - **Persistence** — with ``RuntimeConfig.cache_dir`` set, the cache
   warm-starts from a per-context :class:`~repro.runtime.store.CacheStore`
   file at construction and spills new entries back on :meth:`QueryRunner.flush`
   / :meth:`QueryRunner.close`, so repeated CLI runs over the same model
   and budget issue zero solver calls.
-- **Frontier batching** — the analyses submit whole probe ladders and
-  grids (:meth:`prepass_frontier`, :meth:`verify_frontier`): a
-  vectorised bulk prepass
-  (:class:`~repro.verify.batch.FrontierPrepass`) resolves the cheap mass
-  of the frontier — one interval matmul pair per layer for *all*
-  queries, concatenated falsifier evaluations — and only the boundary
-  band reaches a complete engine, per query (lazily after a speculative
-  :meth:`prepass_frontier`, monotone-bisected inside
-  :meth:`verify_frontier`).  A lone :meth:`verify_at` is a frontier of
-  one.  One :class:`~repro.verify.portfolio.PortfolioVerifier` per
-  runner serves the complete stage.
+- **Frontier batching** — every verification query goes through
+  :meth:`verify_frontier`, which takes whole probe ladders and grids (a
+  P2 search's ladder ``1..ceiling``, a Fig.-4 grid): a vectorised bulk
+  prepass (:class:`~repro.verify.batch.FrontierPrepass`) resolves the
+  cheap mass of the frontier — one interval matmul pair per layer for
+  *all* queries, concatenated falsifier evaluations — and only the
+  boundary band reaches a complete engine, monotone-bisected per input.
+  A lone :meth:`verify_at` is a frontier of one.  One
+  :class:`~repro.verify.portfolio.PortfolioVerifier` per runner serves
+  the complete stage.
 - **Eq.-3 probes** — :meth:`probe_ladder` finds many inputs' exact
   single-node flip thresholds in one bulk network evaluation; it needs
   no solver and caches nothing.
@@ -151,9 +150,6 @@ class QueryRunner:
         #: boundary-band rungs share a session whatever index asks.
         self._portfolio = PortfolioVerifier(self.config, engine_stats=self.engine_stats)
         self._pool: ProcessPoolExecutor | None = None
-        #: Keys whose incomplete stages a bulk prepass already exhausted:
-        #: a later exact query skips straight to the complete engine.
-        self._frontier_unknown: set = set()
         #: Serialises flush/close and stats snapshots.  Query execution
         #: itself is not made concurrent by this lock — a runner shared
         #: between threads (the serve plane's per-context runner pool)
@@ -245,13 +241,9 @@ class QueryRunner:
 
     # -- frontier batching -------------------------------------------------------------
 
-    def _pending(self, probes, lookup) -> tuple[dict, dict]:
-        """Split ``(index, x, true_label, percent)`` probes into answered
-        ``{key: result}`` and pending ``{key: probe}``, deduplicated.
-
-        ``lookup`` is the cache read: :meth:`QueryCache.get` for queries
-        asked for their answer, :meth:`QueryCache.peek` for speculative
-        ones, which leave the hit and miss counters alone."""
+    def _pending(self, probes) -> tuple[dict, dict]:
+        """Split ``(index, x, true_label, percent)`` probes into cached
+        ``{key: result}`` and pending ``{key: probe}``, deduplicated."""
         answered: dict = {}
         pending: dict = {}
         for index, x, true_label, percent in probes:
@@ -259,31 +251,12 @@ class QueryRunner:
             key = make_key("verify", index, x, true_label, int(percent))
             if key in answered or key in pending:
                 continue
-            cached = lookup(key)
+            cached = self.cache.get(key)
             if cached is not MISS:
                 answered[key] = cached
                 continue
             pending[key] = (key, index, x, true_label, int(percent))
         return answered, pending
-
-    def prepass_frontier(self, probes) -> None:
-        """Speculatively bulk-resolve the cheap mass of a frontier.
-
-        Runs the incomplete stages on every ``(index, x, true_label,
-        percent)`` probe not already cached (or implied, or known
-        undecidable).  Decided verdicts are memoised; survivors are
-        remembered so a later query at the same key skips straight to
-        the complete engine.  A no-op with the cache off: the verdicts
-        would be dropped, and every later query would run its incomplete
-        stages again.
-        """
-        if not self.cache.enabled:
-            return
-        _, pending = self._pending(probes, self.cache.peek)
-        fresh = [p for p in pending.values() if p[0] not in self._frontier_unknown]
-        if fresh:
-            outcome = self._prepass(fresh)
-            self._frontier_unknown.update(probe.key for probe in outcome.unknown)
 
     def verify_frontier(self, probes) -> dict:
         """Resolve many ``(index, x, true_label, percent)`` probes in bulk.
@@ -295,18 +268,13 @@ class QueryRunner:
         costs ``O(log w)`` complete calls.  A probe repeated in
         ``probes`` is resolved once.
         """
-        results, pending = self._pending(probes, self.cache.get)
+        results, pending = self._pending(probes)
         if not pending:
             return results
-        fresh = [p for p in pending.values() if p[0] not in self._frontier_unknown]
-        known_unknown = [p for p in pending.values() if p[0] in self._frontier_unknown]
-        outcome = self._prepass(fresh)
+        outcome = self._prepass(pending.values())
         results.update(outcome.decided)
         results.update(outcome.derived)
-        survivors = outcome.unknown + [
-            self._frontier_probe(*p) for p in known_unknown
-        ]
-        exact, derived = resolve_survivors(survivors, self._complete_probe)
+        exact, derived = resolve_survivors(outcome.unknown, self._complete_probe)
         results.update(exact)
         results.update(derived)
         return results
@@ -336,7 +304,6 @@ class QueryRunner:
         result = self._portfolio.verify_complete(probe.query)
         self.stats.verify_calls += 1
         self.cache.put(probe.key, result)
-        self._frontier_unknown.discard(probe.key)
         return result
 
     def probe_ladder(

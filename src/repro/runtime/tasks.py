@@ -12,11 +12,12 @@ Tasks return plain dicts/tuples rather than the report dataclasses of
 :mod:`repro.core` so the runtime layer stays import-free of the analysis
 layer (the analyses wrap task outcomes into their own report types).
 
-Ladder tasks carry *session affinity* for free: every complete query a
-task issues goes to the runner's one portfolio, which keys its warm
-ladder sessions (:class:`~repro.verify.incremental.LadderSession`) by
-``(input values, label)`` — so all of one input's boundary-band rungs
-(search probes and frontier bisection alike) reuse one session.
+The P2 task is one frontier call: its whole ladder ``1..ceiling`` goes
+to :meth:`~repro.runtime.QueryRunner.verify_frontier`, and the minimum
+flip is read off the decided ladder.  Its boundary-band rungs reach the
+runner's one portfolio, which keys its warm ladder sessions
+(:class:`~repro.verify.incremental.LadderSession`) by ``(input values,
+label)``, so all of one input's complete calls reuse one session.
 Sessions leave cache keys and contexts untouched, so warm disk verdicts
 short-circuit before any session is even created.
 """
@@ -26,43 +27,48 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from ..errors import ConfigError
+from .cache import _percent_of
 
 
 @dataclass
 class ToleranceSearchTask:
     """P2 for one input: smallest ±P admitting a counterexample.
 
-    The whole probe ladder ``1..ceiling`` — every rung either search
-    schedule could visit, binary-search rungs included — is submitted
-    speculatively to the bulk prepass first: the vectorised incomplete
-    passes and the monotone implication closure resolve most rungs, and
-    the search's own probes then only reach a complete engine inside the
-    thin boundary band.
+    Noise boxes nest, so the verdict is monotone in P and the Fig.-2
+    minimum is the least VULNERABLE rung of the ladder ``1..ceiling``.
+    One :meth:`~repro.runtime.QueryRunner.verify_frontier` call decides
+    the whole ladder: the bulk prepass settles its cheap mass and a
+    monotone bisection reaches a complete engine only inside the thin
+    boundary band.  The least flip is never derived from another rung,
+    so its witness is always an exact one.
     """
 
     index: int
     x: tuple
     true_label: int
     ceiling: int
-    schedule: str = "binary"
     warm_kinds = ("verify",)
 
     def run(self, runner) -> dict[str, Any]:
-        if self.schedule not in ("binary", "paper"):
-            raise ConfigError("schedule must be 'binary' or 'paper'")
-        runner.prepass_frontier(
+        results = runner.verify_frontier(
             [
                 (self.index, self.x, self.true_label, percent)
                 for percent in range(1, self.ceiling + 1)
             ]
         )
-        verify = lambda percent: runner.verify_at(  # noqa: E731
-            self.x, self.true_label, percent, index=self.index
-        )
-        if self.schedule == "binary":
-            return _search_binary(verify, self.ceiling)
-        return _search_paper(verify, self.ceiling)
+        flips = {
+            _percent_of(key): result
+            for key, result in results.items()
+            if result.is_vulnerable
+        }
+        if not flips:
+            return {"min_flip_percent": None, "witness": None, "flipped_to": None}
+        percent = min(flips)
+        return {
+            "min_flip_percent": percent,
+            "witness": flips[percent].witness,
+            "flipped_to": flips[percent].predicted_label,
+        }
 
 
 @dataclass
@@ -106,50 +112,3 @@ class ProbeTask:
     def run(self, runner) -> int | None:
         thresholds = runner.probe_ladder(self.inputs, self.node, self.sign, self.ceiling)
         return min((t for t in thresholds if t is not None), default=None)
-
-
-# -- the two P2 search schedules (paper §IV-B / Fig. 2) -------------------------
-
-
-def _search_binary(verify, ceiling: int) -> dict[str, Any]:
-    """Bisection on the range bound; each probe is one verification."""
-    low, high = 1, ceiling
-    best = None
-    best_percent: int | None = None
-    queries = 0
-    while low <= high:
-        mid = (low + high) // 2
-        result = verify(mid)
-        queries += 1
-        if result.is_vulnerable:
-            best, best_percent = result, mid
-            high = mid - 1
-        else:
-            low = mid + 1
-    return {
-        "min_flip_percent": best_percent,
-        "witness": best.witness if best else None,
-        "flipped_to": best.predicted_label if best else None,
-        "queries": queries,
-    }
-
-
-def _search_paper(verify, ceiling: int) -> dict[str, Any]:
-    """Fig.-2 literal loop: shrink ΔX while counterexamples exist."""
-    percent = ceiling
-    last = None
-    last_flip: int | None = None
-    queries = 0
-    while percent >= 1:
-        result = verify(percent)
-        queries += 1
-        if not result.is_vulnerable:
-            break
-        last, last_flip = result, percent
-        percent -= 1
-    return {
-        "min_flip_percent": last_flip,
-        "witness": last.witness if last else None,
-        "flipped_to": last.predicted_label if last else None,
-        "queries": queries,
-    }

@@ -180,17 +180,6 @@ class FannetServer:
                 await writer.wait_closed()
 
 
-async def _run_async(config: ServeConfig) -> None:
-    server = FannetServer(config)
-    await server.start()
-    try:
-        await server.serve_forever()
-    except asyncio.CancelledError:
-        pass
-    finally:
-        await server.stop()
-
-
 def run(config: ServeConfig, announce=None) -> None:
     """Blocking daemon entry point (the ``fannet serve`` command)."""
 

@@ -212,7 +212,6 @@ class BatchPlanner:
                             x=x,
                             true_label=true_label,
                             ceiling=job.tolerance.ceiling,
-                            schedule=job.tolerance.schedule,
                         ),
                     )
                 )

@@ -607,7 +607,6 @@ def _fold_tolerance(job: PlannedJob, results: dict) -> dict:
                 "min_flip_percent": outcome["min_flip_percent"],
                 "witness": outcome["witness"],
                 "flipped_to": outcome["flipped_to"],
-                "queries": outcome["queries"],
             }
         )
     flips = sorted(
@@ -618,7 +617,6 @@ def _fold_tolerance(job: PlannedJob, results: dict) -> dict:
     ceiling = job.spec.tolerance.ceiling
     return {
         "ceiling": ceiling,
-        "schedule": job.spec.tolerance.schedule,
         # Largest ΔX with no counterexample for any input (paper: ±11).
         "tolerance": (min(flips) - 1) if flips else ceiling,
         "min_flip_percents": flips,  # the distribution, smallest first

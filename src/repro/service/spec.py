@@ -16,7 +16,7 @@ either in Python or from a JSON/TOML *manifest* file::
           "dataset": {"split": "test", "stop": 8},
           "verifier": {"seed": 0},
           "analyses": {
-            "tolerance": {"ceiling": 20, "schedule": "binary"},
+            "tolerance": {"ceiling": 20},
             "extraction": {"percent": 8, "limit": 5},
             "probe": {"ceiling": 15}
           }
@@ -55,7 +55,6 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*\Z")
 
 NETWORK_KINDS = ("case-study", "file")
 DATASET_SPLITS = ("test", "train")
-SCHEDULES = ("binary", "paper")
 
 
 def _check_name(name, what: str) -> str:
@@ -291,17 +290,14 @@ class ToleranceSpec:
     """P2 search parameters (noise budget = the search ceiling)."""
 
     ceiling: int = 60
-    schedule: str = "binary"
 
     def __post_init__(self):
         if self.ceiling < 1:
             raise ConfigError("tolerance ceiling must be >= 1")
-        if self.schedule not in SCHEDULES:
-            raise ConfigError(f"schedule {self.schedule!r} is not one of {SCHEDULES}")
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ToleranceSpec":
-        _reject_unknown(payload, ("ceiling", "schedule"), "tolerance")
+        _reject_unknown(payload, ("ceiling",), "tolerance")
         return _build(cls, payload, "tolerance")
 
 

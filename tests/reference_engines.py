@@ -6,7 +6,9 @@ a time from the same candidate generators the frontier plane
 passes must reproduce their verdicts, witnesses and node counts exactly;
 the tests hold them to it.  :func:`reference_layer_bounds` propagates one
 query's interval bounds element by element in Python ints, the reference
-for :func:`repro.verify.interval.layer_bounds`.
+for :func:`repro.verify.interval.layer_bounds`.  :func:`fig2_search` is
+the paper's literal Fig.-2 tolerance loop, the reference for the
+one-frontier P2 search.
 """
 
 from __future__ import annotations
@@ -135,3 +137,24 @@ def reference_layer_bounds(query: ScaledQuery) -> list[tuple[list[int], list[int
             act_low = [max(0, v) for v in pre_low]
             act_high = [max(0, v) for v in pre_high]
     return bounds
+
+
+def fig2_search(verify, ceiling: int) -> dict:
+    """The paper's Fig.-2 loop: start at ``±ceiling`` and shrink the range
+    by one point while a counterexample exists.
+
+    ``verify(percent)`` answers one query.  Returns the last flipping
+    range with its witness and wrong label, all None when ``±ceiling``
+    itself is robust.
+    """
+    last, last_flip = None, None
+    for percent in range(ceiling, 0, -1):
+        result = verify(percent)
+        if not result.is_vulnerable:
+            break
+        last, last_flip = result, percent
+    return {
+        "min_flip_percent": last_flip,
+        "witness": last.witness if last else None,
+        "flipped_to": last.predicted_label if last else None,
+    }

@@ -49,7 +49,7 @@ def small_spec(name: str = "small", jobs=None) -> BatchSpec:
             JobSpec(
                 name="probes",
                 dataset=DatasetSpec(indices=(ROBUST_INDEX, LATE_FLIP)),
-                tolerance=ToleranceSpec(ceiling=10, schedule="paper"),
+                tolerance=ToleranceSpec(ceiling=10),
                 probe=ProbeSpec(ceiling=10),
             ),
         ]
@@ -147,6 +147,12 @@ ceiling = 8
                     exhaustive_cutoff=10**6
                 ),
                 "unknown extraction key",
+            ),
+            (
+                lambda d: d["jobs"][0]["analyses"]["tolerance"].update(
+                    schedule="paper"
+                ),
+                "unknown tolerance key",
             ),
             (
                 lambda d: d["jobs"][0]["dataset"].update(start=1),

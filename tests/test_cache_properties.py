@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import RuntimeConfig
@@ -42,6 +42,8 @@ from repro.runtime import (
     make_key,
 )
 from repro.verify.result import LadderFacts, VerificationResult, VerificationStatus
+
+from reference_engines import fig2_search
 
 SCALE = 1000
 MAX_PERCENT = 12  # (2·12+1)² = 625 noise vectors: exhaustively checkable
@@ -124,8 +126,37 @@ FLIPPABLE = QuantizedNetwork(
 )
 
 
+def _needle() -> QuantizedNetwork:
+    """Five inputs, one flipping noise vector: output 1 wins only where
+    every noisy input equals its target exactly (the hidden pair per
+    input sums to its distance from the target).  At input 100 each the
+    only flip is (7, -6, 5, 7, -7): off the corner grid, one point in
+    15^5 at ±7 %, so neither falsifier finds it and the complete stage
+    decides the minimum flip."""
+    rows, bias = [], []
+    for node, offset in enumerate((7, -6, 5, 7, -7)):
+        for sign in (1, -1):
+            row = [Fraction(0)] * 5
+            row[node] = Fraction(sign)
+            rows.append(tuple(row))
+            bias.append(Fraction(-sign * (100 + offset)))
+    return QuantizedNetwork(
+        [
+            QuantizedLayer(tuple(rows), tuple(bias), relu=True),
+            QuantizedLayer(
+                ((Fraction(0),) * 10, (Fraction(-1),) * 10),
+                (Fraction(0), Fraction(1, 2)),
+                relu=False,
+            ),
+        ]
+    )
+
+
+NEEDLE = _needle()
+
+
 def search(runner, x, label, ceiling) -> dict:
-    """One input's binary tolerance search (cache index -1) on ``runner``."""
+    """One input's tolerance search (cache index -1) on ``runner``."""
     task = ToleranceSearchTask(index=-1, x=tuple(x), true_label=label, ceiling=ceiling)
     return task.run(runner)
 
@@ -135,6 +166,38 @@ def cold_verify(network, x, label, percent):
     return QueryRunner(network, runtime=RuntimeConfig(cache=False)).verify_at(
         x, label, percent
     )
+
+
+class TestToleranceSearchMatchesFig2:
+    @HARNESS
+    @given(case=boundary_cases(), ceiling=st.integers(MAX_PERCENT // 2, MAX_PERCENT))
+    @example(case=(NEEDLE, (100,) * 5), ceiling=9)
+    def test_one_frontier_search_equals_the_literal_loop(self, case, ceiling):
+        """The search reads the least VULNERABLE rung off one frontier
+        call; the paper's loop shrinks the range one point at a time over
+        cache-off queries.  Both give the same minimum, witness and wrong
+        label, with the cache on and off.  Ceilings start at half the
+        range so that most drawn ladders reach their boundary."""
+        network, x = case
+        label = network.predict(x)
+        cold = QueryRunner(network, runtime=RuntimeConfig(cache=False))
+        answers = {}
+
+        def verify(percent):
+            answers[percent] = cold.verify_at(x, label, percent)
+            return answers[percent]
+
+        expected = fig2_search(verify, ceiling)
+        flip = expected["min_flip_percent"]
+        if flip is None:
+            event("robust at ceiling")
+        elif answers[flip].stats["stage"] == "corner":
+            event("flip decided by corner")
+        elif answers[flip].stats["stage"] in ("exhaustive", "session"):
+            event("flip decided by the complete stage")
+        for cache in (True, False):
+            runner = QueryRunner(network, runtime=RuntimeConfig(cache=cache))
+            assert search(runner, x, label, ceiling) == expected
 
 
 class TestMonotoneDerivationSoundness:
@@ -281,7 +344,7 @@ class TestLadderFacts:
 def canonical(report) -> list:
     """A tolerance report as comparable plain data (bit-identical check)."""
     return [
-        (e.index, e.true_label, e.min_flip_percent, e.witness, e.flipped_to, e.queries)
+        (e.index, e.true_label, e.min_flip_percent, e.witness, e.flipped_to)
         for e in report.per_input
     ]
 
@@ -357,7 +420,7 @@ class TestPersistenceTransparency:
         cold = search(
             QueryRunner(network, runtime=RuntimeConfig(cache=False)), x, label, second
         )
-        fields = ("min_flip_percent", "flipped_to", "queries")
+        fields = ("min_flip_percent", "witness", "flipped_to")
         assert [entry[f] for f in fields] == [cold[f] for f in fields]
 
 

@@ -183,18 +183,6 @@ class TestProperties:
 
 
 class TestToleranceAnalysis:
-    def test_binary_and_paper_schedules_agree(self, network, dataset):
-        binary = NoiseToleranceAnalysis(
-            network, search_ceiling=20, schedule="binary"
-        ).analyze(dataset)
-        paper = NoiseToleranceAnalysis(
-            network, search_ceiling=20, schedule="paper"
-        ).analyze(dataset)
-        assert binary.tolerance == paper.tolerance
-        assert [r.min_flip_percent for r in binary.per_input] == [
-            r.min_flip_percent for r in paper.per_input
-        ]
-
     def test_tolerance_has_no_counterexample_below(self, network, dataset):
         from repro.verify import ExhaustiveEnumerator, build_query
 

@@ -61,7 +61,7 @@ def canonical(report) -> dict:
         "accuracy": (report.train_accuracy, report.test_accuracy),
         "tolerance": report.tolerance.tolerance,
         "per_input": [
-            (e.index, e.true_label, e.min_flip_percent, e.witness, e.flipped_to, e.queries)
+            (e.index, e.true_label, e.min_flip_percent, e.witness, e.flipped_to)
             for e in report.tolerance.per_input
         ],
         "extraction_percent": report.extraction_percent,

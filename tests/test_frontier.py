@@ -346,7 +346,7 @@ def run_workload(network, dataset, runtime):
     report = analysis.analyze(dataset)
     sweep = analysis.sweep(dataset, SWEEP)
     flat = [
-        (e.index, e.true_label, e.min_flip_percent, e.witness, e.flipped_to, e.queries)
+        (e.index, e.true_label, e.min_flip_percent, e.witness, e.flipped_to)
         for e in report.per_input
     ]
     return (report.tolerance, flat, sweep), analysis.runner
@@ -407,7 +407,7 @@ class TestFrontierDeterminismMatrix:
         warm = (
             report.tolerance,
             [
-                (e.index, e.true_label, e.min_flip_percent, e.witness, e.flipped_to, e.queries)
+                (e.index, e.true_label, e.min_flip_percent, e.witness, e.flipped_to)
                 for e in report.per_input
             ],
             sweep,

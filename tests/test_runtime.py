@@ -25,7 +25,6 @@ from repro.runtime import (
     ExtractionTask,
     QueryCache,
     QueryRunner,
-    RunnerStats,
     ToleranceSearchTask,
     derive_seed,
     make_key,
@@ -423,36 +422,6 @@ class TestRunnerCaching:
         assert len(outcome["vectors"]) == len(set(outcome["vectors"])) == 3003
         assert outcome["flipped_to"] == [1] * 3003
 
-    def test_cache_off_search_runs_no_ladder_prepass(
-        self, network, x, label, monkeypatch
-    ):
-        """With the cache off a ladder prepass's verdicts would be dropped
-        and re-derived by every probe: each engine call is one probe, and
-        each probe is a frontier of one."""
-        runner = QueryRunner(network, runtime=RuntimeConfig(cache=False))
-        probes = []
-        verify_at = runner.verify_at
-
-        def counted(*args, **kwargs):
-            probes.append(args)
-            return verify_at(*args, **kwargs)
-
-        monkeypatch.setattr(runner, "verify_at", counted)
-        task = ToleranceSearchTask(index=0, x=x, true_label=label, ceiling=40)
-        report = task.run(runner)
-        assert probes
-        assert runner.stats.verify_calls == len(probes)
-        assert runner.stats.frontier_queries == runner.stats.verify_calls
-        cached = QueryRunner(network)
-        assert task.run(cached) == report
-
-    def test_cache_off_extraction_prepass_is_skipped(self, network, x, label):
-        runner = QueryRunner(network, runtime=RuntimeConfig(cache=False))
-        assert runner.prepass_frontier([(0, x, label, 20)]) is None
-        assert runner.stats.verify_calls == 0
-        assert runner.stats.frontier_queries == 0
-        assert runner.engine_stats.stages == {}
-
     def test_duplicate_frontier_probes_are_resolved_once(self, network, x, label):
         runner = QueryRunner(network)
         results = runner.verify_frontier([(0, x, label, 10)] * 3)
@@ -514,38 +483,6 @@ class TestRunnerCaching:
         assert stages == {"interval", "exhaustive", "corner", "random"}
         assert len(random_witnesses) > 1  # the seed really moves the witness
 
-    def test_prepass_frontier_is_speculative(self, network, x, label):
-        """``prepass_frontier`` reads the cache without counting lookups,
-        runs nothing with the cache off, and leaves ``verify_frontier``
-        answering exactly as a cold runner does."""
-        grid = [(index, x, label, p) for index in (0, 3) for p in range(1, 41)]
-        off = QueryRunner(network, runtime=RuntimeConfig(cache=False))
-        off.prepass_frontier(grid)
-        assert off.stats == RunnerStats()
-        assert off.engine_stats.stages == {}
-
-        runner = QueryRunner(network)
-        runner.prepass_frontier(grid)
-        assert runner.stats.frontier_queries == len(grid)
-        assert runner.cache.stats.lookups == 0
-        runner.prepass_frontier(grid)  # everything is known: nothing reruns
-        assert runner.stats.frontier_queries == len(grid)
-        assert runner.cache.stats.lookups == 0
-
-        def verdicts(results):
-            return {
-                key: (
-                    r.status,
-                    r.witness,
-                    r.predicted_label,
-                    r.engine,
-                    r.stats.get("derived_from_percent"),
-                )
-                for key, r in results.items()
-            }
-
-        cold = QueryRunner(network).verify_frontier(grid)
-        assert verdicts(runner.verify_frontier(grid)) == verdicts(cold)
 
 
 class TestSharedPortfolio:
@@ -608,7 +545,7 @@ class TestSharedEncoding:
 
         monkeypatch.setattr(encoder, "_as_scaled_int", counting)
         runner = QueryRunner(network)
-        runner.prepass_frontier([(0, x, label, p) for p in range(1, 31)])
+        runner.verify_frontier([(0, x, label, p) for p in range(1, 31)])
         runner.verify_at(x, label, 7, index=0)
         runner.verify_frontier([(1, x, label, p) for p in (3, 9, 15, 40)])
         runner.collect_at(x, label, 20, limit=None, index=0)
@@ -681,7 +618,7 @@ class TestRunnerMonotoneReuse:
         runner = QueryRunner(network, runtime=RuntimeConfig(workers=2))
         tasks = [
             ToleranceSearchTask(
-                index=index, x=x, true_label=label, ceiling=12, schedule="binary"
+                index=index, x=x, true_label=label, ceiling=12
             )
             for index in range(2)
         ]
@@ -689,17 +626,17 @@ class TestRunnerMonotoneReuse:
         assert runner.run_tasks(tasks) == serial.run_tasks(
             [
                 ToleranceSearchTask(
-                    index=index, x=x, true_label=label, ceiling=12, schedule="binary"
+                    index=index, x=x, true_label=label, ceiling=12
                 )
                 for index in range(2)
             ]
         )
-        # The paper-schedule replay over the same runner consumes implied
-        # verdicts: vulnerable@P answers every percent above it.
+        # A replay at a higher ceiling over the same runner consumes
+        # implied verdicts: vulnerable@P answers every percent above it.
         before = runner.stats.solver_calls
         replay = [
             ToleranceSearchTask(
-                index=index, x=x, true_label=label, ceiling=30, schedule="paper"
+                index=index, x=x, true_label=label, ceiling=30
             )
             for index in range(2)
         ]
@@ -709,7 +646,7 @@ class TestRunnerMonotoneReuse:
             for o in serial.run_tasks(
                 [
                     ToleranceSearchTask(
-                        index=index, x=x, true_label=label, ceiling=30, schedule="paper"
+                        index=index, x=x, true_label=label, ceiling=30
                     )
                     for index in range(2)
                 ]
@@ -816,7 +753,7 @@ class TestRunnerFanOut:
     def _tasks(self, network, x, label, ceiling=12):
         return [
             ToleranceSearchTask(
-                index=index, x=x, true_label=label, ceiling=ceiling, schedule="binary"
+                index=index, x=x, true_label=label, ceiling=ceiling
             )
             for index in range(3)
         ] + [
@@ -904,7 +841,7 @@ class TestRunnerFanOut:
     def test_single_task_runs_inline(self, network, x, label):
         runner = QueryRunner(network, runtime=RuntimeConfig(workers=4))
         task = ToleranceSearchTask(
-            index=0, x=x, true_label=label, ceiling=6, schedule="paper"
+            index=0, x=x, true_label=label, ceiling=6
         )
         runner.run_tasks([task])
         assert runner.stats.parallel_batches == 0  # pool skipped for one task
